@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 
 from . import lagstats, moments, synth, tape, windows
-from .errors import DomainError, FormatError, NoDataError
+from .errors import FormatError, NoDataError
 
 _MODE_ALIASES = {"pv": "price_volume", "vv": "value_volume"}
 
@@ -38,8 +37,23 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _config_type_ok(value, param: click.Parameter) -> bool:
+    want = {click.INT: int, click.FLOAT: (int, float)}.get(param.type, str)
+    return isinstance(value, want) and not isinstance(value, bool)
+
+
 def _merged(config: dict, **flags):
-    """Flag values win over config entries; config fills unset flags."""
+    """Flag values win over config entries; config fills unset flags.
+
+    Every config key must name one of the command's own options and hold a
+    JSON value of that option's type.
+    """
+    params = {p.name: p for p in click.get_current_context().command.params}
+    for key, value in config.items():
+        if key not in flags:
+            raise click.ClickException(f"config key {key!r} is not an option of this command")
+        if not _config_type_ok(value, params[key]):
+            raise click.ClickException(f"config key {key!r} has a wrong-type value {value!r}")
     out = {}
     for key, value in flags.items():
         out[key] = value if value is not None else config.get(key)
@@ -59,11 +73,19 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _fail(exc: Exception) -> None:
-    raise click.ClickException(str(exc))
+class _Main(click.Group):
+    """Turns the errors any subcommand may raise into one-line click errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ArithmeticError as exc:
+            raise click.ClickException(f"{type(exc).__name__}: {exc}") from None
+        except (ValueError, OSError) as exc:
+            raise click.ClickException(str(exc)) from None
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Market-based trade-tape statistics."""
 
@@ -78,7 +100,8 @@ _common = [
     click.option("--window-n", type=int, default=None, help="odd window width in ticks"),
     click.option("--lag-step", type=int, default=None),
     click.option("--min-trades", type=int, default=None),
-    click.option("--threads", type=int, default=None),
+    click.option("--threads", type=int, default=None,
+                 help="lag-sweep threads for acf; stats and compare ignore it"),
     click.option("--config", "config_path", type=click.Path(exists=True), default=None),
 ]
 
@@ -108,33 +131,24 @@ def _window_setup(cfg: dict):
 def stats(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
           threads, config_path, max_order):
     """Per-window moment reports as JSON lines."""
-    try:
-        config = _load_config(config_path)
-        cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                      epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                      min_trades=min_trades, threads=threads, max_order=max_order)
-        tp, spec = _window_setup(cfg)
-        order = cfg["max_order"] if cfg["max_order"] is not None else 4
-        wins = windows.plan_windows(tp, spec)
-        valid = [w for w in wins if w.valid]
-        if not valid:
-            raise NoDataError("no valid windows on this tape")
-        nthreads = _threads(cfg["threads"])
-
-        def report_line(w):
-            return json.dumps(moments.compute_report(w, tp, max_order=order).to_dict())
-
-        if nthreads > 1:
-            with ThreadPoolExecutor(max_workers=nthreads) as pool:
-                lines = list(pool.map(report_line, valid))
-        else:
-            lines = [report_line(w) for w in valid]
-        _write(cfg["output_path"], "\n".join(lines) + "\n")
-        summary = {"windows": len(wins), "valid": len(valid),
-                   "invalid_skipped": len(wins) - len(valid)}
-        print(json.dumps(summary), file=sys.stderr)
-    except (FormatError, NoDataError, DomainError, ValueError, OSError) as exc:
-        _fail(exc)
+    config = _load_config(config_path)
+    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
+                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
+                  min_trades=min_trades, threads=threads, max_order=max_order)
+    tp, spec = _window_setup(cfg)
+    order = cfg["max_order"] if cfg["max_order"] is not None else 4
+    wins = windows.plan_windows(tp, spec)
+    valid = [w for w in wins if w.valid]
+    if not valid:
+        raise NoDataError("no valid windows on this tape")
+    lines = [
+        json.dumps(moments.compute_report(w, tp, max_order=order).to_dict())
+        for w in valid
+    ]
+    _write(cfg["output_path"], "\n".join(lines) + "\n")
+    summary = {"windows": len(wins), "valid": len(valid),
+               "invalid_skipped": len(wins) - len(valid)}
+    print(json.dumps(summary), file=sys.stderr)
 
 
 @main.command()
@@ -145,32 +159,29 @@ def stats(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
 def acf(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
         threads, config_path, max_lag, aggregate, threshold):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
-    try:
-        config = _load_config(config_path)
-        cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                      epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                      min_trades=min_trades, threads=threads, max_lag=max_lag,
-                      aggregate=aggregate, threshold=threshold)
-        tp, spec = _window_setup(cfg)
-        if cfg["max_lag"] is None:
-            raise click.ClickException("--max-lag is required")
-        curve = lagstats.acf_curve(
-            tp,
-            spec,
-            max_lag_ticks=cfg["max_lag"],
-            aggregate=cfg["aggregate"] or "per-center",
-            threshold=cfg["threshold"] if cfg["threshold"] is not None else 0.05,
-            threads=_threads(cfg["threads"]),
-        )
-        doc = json.dumps(curve.to_dict(), indent=2) + "\n"
-        if cfg["output_path"] is None:
-            sys.stdout.write(doc)
-        else:
-            base = cfg["output_path"]
-            _write(base + ".json", doc)
-            _write(base + ".csv", curve.to_csv())
-    except (FormatError, NoDataError, DomainError, ValueError, OSError) as exc:
-        _fail(exc)
+    config = _load_config(config_path)
+    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
+                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
+                  min_trades=min_trades, threads=threads, max_lag=max_lag,
+                  aggregate=aggregate, threshold=threshold)
+    tp, spec = _window_setup(cfg)
+    if cfg["max_lag"] is None:
+        raise click.ClickException("--max-lag is required")
+    curve = lagstats.acf_curve(
+        tp,
+        spec,
+        max_lag_ticks=cfg["max_lag"],
+        aggregate=cfg["aggregate"] or "per-center",
+        threshold=cfg["threshold"] if cfg["threshold"] is not None else 0.05,
+        threads=_threads(cfg["threads"]),
+    )
+    doc = json.dumps(curve.to_dict(), indent=2) + "\n"
+    if cfg["output_path"] is None:
+        sys.stdout.write(doc)
+    else:
+        base = cfg["output_path"]
+        _write(base + ".json", doc)
+        _write(base + ".csv", curve.to_csv())
 
 
 @main.command()
@@ -179,25 +190,22 @@ def acf(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
 def compare(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
             threads, config_path, max_order):
     """Per-window divergence of frequency vs market-based price moments."""
-    try:
-        config = _load_config(config_path)
-        cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                      epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                      min_trades=min_trades, threads=threads, max_order=max_order)
-        tp, spec = _window_setup(cfg)
-        order = cfg["max_order"] if cfg["max_order"] is not None else 4
-        valid = [w for w in windows.plan_windows(tp, spec) if w.valid]
-        if not valid:
-            raise NoDataError("no valid windows on this tape")
-        lines = ["center_tick,n,freq_price,market_price,difference"]
-        for w in valid:
-            rep = moments.compute_report(w, tp, max_order=order)
-            for i, n in enumerate(range(1, order + 1)):
-                freq, market = rep.freq_price[i], rep.market_price[i]
-                lines.append(f"{w.center_tick},{n},{freq!r},{market!r},{freq - market!r}")
-        _write(cfg["output_path"], "\n".join(lines) + "\n")
-    except (FormatError, NoDataError, DomainError, ValueError, OSError) as exc:
-        _fail(exc)
+    config = _load_config(config_path)
+    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
+                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
+                  min_trades=min_trades, threads=threads, max_order=max_order)
+    tp, spec = _window_setup(cfg)
+    order = cfg["max_order"] if cfg["max_order"] is not None else 4
+    valid = [w for w in windows.plan_windows(tp, spec) if w.valid]
+    if not valid:
+        raise NoDataError("no valid windows on this tape")
+    lines = ["center_tick,n,freq_price,market_price,difference"]
+    for w in valid:
+        rep = moments.compute_report(w, tp, max_order=order)
+        for i, n in enumerate(range(1, order + 1)):
+            freq, market = rep.freq_price[i], rep.market_price[i]
+            lines.append(f"{w.center_tick},{n},{freq!r},{market!r},{freq - market!r}")
+    _write(cfg["output_path"], "\n".join(lines) + "\n")
 
 
 @main.command("synth")
@@ -215,22 +223,19 @@ def compare(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trade
 def synth_cmd(mode, length, tau_a, tau_b, sigma_a, sigma_b, mean_a, mean_b, seed,
               epsilon, output_path):
     """Generate a synthetic tape as tick-value-volume CSV."""
-    try:
-        params = synth.SynthParams(
-            mode=_MODE_ALIASES[mode],
-            length_ticks=length,
-            persistence_a_ticks=tau_a,
-            persistence_b_ticks=tau_b,
-            sigma_a=sigma_a,
-            sigma_b=sigma_b,
-            mean_a=mean_a,
-            mean_b=mean_b,
-            seed=seed,
-            epsilon=epsilon,
-        )
-        _write(output_path, tape.emit_csv(synth.gen_tape(params)))
-    except (ValueError, OSError) as exc:
-        _fail(exc)
+    params = synth.SynthParams(
+        mode=_MODE_ALIASES[mode],
+        length_ticks=length,
+        persistence_a_ticks=tau_a,
+        persistence_b_ticks=tau_b,
+        sigma_a=sigma_a,
+        sigma_b=sigma_b,
+        mean_a=mean_a,
+        mean_b=mean_b,
+        seed=seed,
+        epsilon=epsilon,
+    )
+    _write(output_path, tape.emit_csv(synth.gen_tape(params)))
 
 
 if __name__ == "__main__":

@@ -181,7 +181,7 @@ class AcfCurve:
 
     ``points`` are ordered by lag (mean mode) or by center then lag
     (per-center mode).  Scales are detected on the pair-count-weighted
-    mean curve in both modes.
+    mean curve in both modes; ``mean`` holds that curve.
     """
 
     window_n: int
@@ -193,12 +193,15 @@ class AcfCurve:
     scale_value: int | None
     scale_volume: int | None
     scale_price: int | None
+    mean: tuple[AcfPoint, ...] = field(repr=False)
 
     def mean_points(self) -> list[AcfPoint]:
-        """The weighted-mean curve, one point per lag (any mode)."""
-        if self.aggregate == "mean":
-            return list(self.points)
-        return _aggregate_points(self.points)
+        """The pair-count-weighted mean curve, one point per lag, in any mode.
+
+        This is the mean-mode reduction itself: in per-center mode it equals
+        the ``points`` that mean mode would return for the same inputs.
+        """
+        return list(self.mean)
 
     def to_dict(self) -> dict:
         return {
@@ -228,38 +231,12 @@ class AcfCurve:
         return "\n".join(lines) + "\n"
 
 
-def _aggregate_points(points: tuple[AcfPoint, ...]) -> list[AcfPoint]:
-    """Pair-count-weighted mean over centers, per lag, in lag order."""
-    by_lag: dict[int, list[AcfPoint]] = {}
-    for p in points:
-        by_lag.setdefault(p.lag_ticks, []).append(p)
-    out = []
-    for lag in sorted(by_lag):
-        ps = [p for p in by_lag[lag] if p.pair_count >= 1]
-        if not ps:
-            continue
-        w = float(sum(p.pair_count for p in ps))
-
-        def wmean(get):
-            return math.fsum(get(p) * p.pair_count for p in ps) / w
-
-        out.append(
-            AcfPoint(
-                lag_ticks=lag,
-                b_value=wmean(lambda p: p.b_value),
-                b_volume=wmean(lambda p: p.b_volume),
-                b_price=wmean(lambda p: p.b_price),
-                lag2_value=wmean(lambda p: p.lag2_value),
-                lag2_volume=wmean(lambda p: p.lag2_volume),
-                lag2_price=wmean(lambda p: p.lag2_price),
-                pair_count=int(w),
-            )
-        )
-    return out
-
-
 def _lag_stats_arrays(cs_list, lo, hi):
-    """Per-center sums at one lag from prefix sums; returns stat arrays."""
+    """Per-center stats at one lag from prefix sums, in AcfPoint field order.
+
+    Returns b_value, b_volume, b_price, lag2_value, lag2_volume, lag2_price
+    and the pair count, one float64 array each.
+    """
     (ps_m, ps_cc, ps_uu, ps_c, ps_cl, ps_u, ps_ul) = cs_list
 
     def wsum(ps):
@@ -277,8 +254,8 @@ def _lag_stats_arrays(cs_list, lo, hi):
         b_u = lag2_u - u1 * u1l
         lag2_p = lag2_c / lag2_u
         b_p = lag2_p - (c1 * c1l) / (u1 * u1l)
-    as_double = (np.asarray(a, dtype=np.float64) for a in (n, lag2_c, lag2_u, lag2_p, b_c, b_u, b_p))
-    return tuple(as_double)
+    cols = (b_c, b_u, b_p, lag2_c, lag2_u, lag2_p, n)
+    return tuple(np.asarray(a, dtype=np.float64) for a in cols)
 
 
 def acf_curve(
@@ -358,61 +335,37 @@ def acf_curve(
     else:
         per_lag = [one_lag(tau) for tau in lags]
 
-    any_pairs = False
-    points: list[AcfPoint] = []
-    mean_curve: dict[str, list] = {"lags": [], "b_value": [], "b_volume": [], "b_price": []}
-    mean_points: list[AcfPoint] = []
-    for tau, (n, lag2_c, lag2_u, lag2_p, b_c, b_u, b_p) in zip(lags, per_lag):
+    # One pair-count-weighted mean point per lag: the mean-mode output, and
+    # the curve the scales are detected on in both modes.
+    mean: list[AcfPoint] = []
+    for tau, cols in zip(lags, per_lag):
+        n = cols[-1]
         ok = n >= 1
         if not np.any(ok):
             continue
-        any_pairs = True
-        # Weighted-mean point for this lag (used for detection, and as the
-        # output in mean mode).
         w = n[ok]
         wtot = w.sum()
-        mp = AcfPoint(
-            lag_ticks=tau,
-            b_value=float((b_c[ok] * w).sum() / wtot),
-            b_volume=float((b_u[ok] * w).sum() / wtot),
-            b_price=float((b_p[ok] * w).sum() / wtot),
-            lag2_value=float((lag2_c[ok] * w).sum() / wtot),
-            lag2_volume=float((lag2_u[ok] * w).sum() / wtot),
-            lag2_price=float((lag2_p[ok] * w).sum() / wtot),
-            pair_count=int(wtot),
-        )
-        mean_points.append(mp)
-        mean_curve["lags"].append(tau)
-        mean_curve["b_value"].append(mp.b_value)
-        mean_curve["b_volume"].append(mp.b_volume)
-        mean_curve["b_price"].append(mp.b_price)
-        if aggregate == "per-center":
-            for idx in np.flatnonzero(ok):
-                points.append(
-                    AcfPoint(
-                        lag_ticks=tau,
-                        b_value=float(b_c[idx]),
-                        b_volume=float(b_u[idx]),
-                        b_price=float(b_p[idx]),
-                        lag2_value=float(lag2_c[idx]),
-                        lag2_volume=float(lag2_u[idx]),
-                        lag2_price=float(lag2_p[idx]),
-                        pair_count=int(n[idx]),
-                        center_tick=int(centers[idx]),
-                    )
-                )
-
-    if not any_pairs:
+        stats = (float((x[ok] * w).sum() / wtot) for x in cols[:-1])
+        mean.append(AcfPoint(tau, *stats, int(wtot)))
+    if not mean:
         raise NoDataError("no window produced any lag pairs")
 
     if aggregate == "mean":
-        points = mean_points
+        points = mean
     else:
-        points.sort(key=lambda p: (p.center_tick, p.lag_ticks))
+        # centers x lags; row-major nonzero gives (center, lag) order.
+        grid = np.array(per_lag).transpose(1, 2, 0)
+        ci, li = np.nonzero(grid[-1] >= 1)
+        values = grid[:-1, ci, li].tolist()
+        counts = grid[-1, ci, li].astype(np.int64).tolist()
+        lag_col = np.array(lags)[li].tolist()
+        points = list(map(AcfPoint, lag_col, *values, counts, centers[ci].tolist()))
 
-    scales = {}
-    for key in ("b_value", "b_volume", "b_price"):
-        scales[key] = correlation_scale(mean_curve["lags"], mean_curve[key], threshold)
+    mean_lags = [p.lag_ticks for p in mean]
+    scales = {
+        key: correlation_scale(mean_lags, [getattr(p, key) for p in mean], threshold)
+        for key in ("b_value", "b_volume", "b_price")
+    }
 
     return AcfCurve(
         window_n=spec.n_ticks,
@@ -424,6 +377,7 @@ def acf_curve(
         scale_value=scales["b_value"],
         scale_volume=scales["b_volume"],
         scale_price=scales["b_price"],
+        mean=tuple(mean),
     )
 
 

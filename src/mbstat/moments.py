@@ -42,6 +42,10 @@ def _check_order(n: int, max_order: int) -> None:
         raise ValueError(f"moment order {n} exceeds cap {max_order}")
 
 
+def _power_mean(xs: list[float], n: int) -> float:
+    return math.fsum(x**n for x in xs) / len(xs)
+
+
 def freq_moment(
     records: Sequence[TradeRecord],
     series: str,
@@ -53,7 +57,7 @@ def freq_moment(
     xs = _values(records, series)
     if not xs:
         raise NoDataError("freq_moment over empty window")
-    return math.fsum(x**n for x in xs) / len(xs)
+    return _power_mean(xs, n)
 
 
 def market_price_moment(
@@ -138,16 +142,21 @@ def compute_report(
     recs = members(window, tape)
     if not recs:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
-    orders = range(1, max_order + 1)
-    value_m = tuple(freq_moment(recs, "value", n, order_cap) for n in orders)
-    volume_m = tuple(freq_moment(recs, "volume", n, order_cap) for n in orders)
+    # Orders up to 2 at least: the volatility needs the second moment even
+    # when the report holds only the first.
+    orders = range(1, max(max_order, 2) + 1)
+    value_m, volume_m, freq_price = (
+        tuple(_power_mean(xs, n) for n in orders)
+        for xs in (_values(recs, series) for series in SERIES)
+    )
+    market_price = tuple(c / u for c, u in zip(value_m, volume_m))
     return MomentReport(
         center_tick=window.center_tick,
         effective_count=len(recs),
-        freq_price=tuple(freq_moment(recs, "price", n, order_cap) for n in orders),
-        value=value_m,
-        volume=volume_m,
-        market_price=tuple(c / u for c, u in zip(value_m, volume_m)),
-        vwap=vwap(recs),
-        market_volatility=market_volatility(recs),
+        freq_price=freq_price[:max_order],
+        value=value_m[:max_order],
+        volume=volume_m[:max_order],
+        market_price=market_price[:max_order],
+        vwap=market_price[0],
+        market_volatility=market_price[1] - market_price[0] ** 2,
     )

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import FormatError
 
@@ -41,11 +41,6 @@ class TradeRecord:
     @property
     def price(self) -> float:
         return self.value / self.volume
-
-
-def price_of(record: TradeRecord) -> float:
-    """Per-trade price, value over volume."""
-    return record.value / record.volume
 
 
 @dataclass(frozen=True)
@@ -145,15 +140,10 @@ def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> 
             tick = int(row[0])
             a = float(row[1])
             volume = float(row[2])
+            value = a * volume if format == "tick-price-volume" else a
+            raw.append(TradeRecord(tick, value, volume))
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from None
-        if not (volume > 0 and math.isfinite(volume)):
-            raise FormatError(f"volume must be positive, got {row[2]}", line=lineno)
-        if not (a >= 0 and math.isfinite(a)):
-            col = expected[1]
-            raise FormatError(f"{col} must be nonnegative, got {row[1]}", line=lineno)
-        value = a * volume if format == "tick-price-volume" else a
-        raw.append(TradeRecord(tick, value, volume))
     return bucket(raw, epsilon)
 
 

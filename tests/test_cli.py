@@ -192,3 +192,29 @@ def test_config_file_flags_win(runner, tmp_path):
 def test_missing_input_is_error(runner):
     res = runner.invoke(main, ["stats"])
     assert res.exit_code != 0
+
+
+def test_stats_overflow_is_clean_error(runner, tmp_path):
+    inp = tmp_path / "huge.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e200,1\n" for t in range(5)))
+    res = run(runner, ["stats", "--input", str(inp), "--window-n", "3", "--lag-step", "1"])
+    assert res.exit_code != 0
+    assert "Error:" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"window_n": "5"}, {"window_n": True}, {"lag_stepp": 3}],
+    ids=["string-for-int", "bool-for-int", "unknown-key"],
+)
+def test_config_rejects_bad_entries(runner, tmp_path, config):
+    inp = tmp_path / "t.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},4,2\n" for t in range(20)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = run(runner, ["stats", "--input", str(inp), "--config", str(cfg)])
+    assert res.exit_code != 0
+    (key,) = config
+    (line,) = res.output.strip().splitlines()
+    assert line.startswith("Error:") and repr(key) in line

@@ -2,6 +2,7 @@
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mbstat import (
     market_price_npoint,
     market_volatility,
     npoint_moment,
+    parse_csv,
     plan_windows,
     regime_acf,
 )
@@ -316,3 +318,25 @@ def test_curve_serialization():
     agg = per_center.mean_points()
     for a, b in zip(agg, curve.points):
         assert a.b_price == pytest.approx(b.b_price, rel=1e-12, abs=1e-14)
+
+
+def golden_tape():
+    return parse_csv((Path(__file__).parent / "data" / "golden_tape.csv").read_text())
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "make_tape, spec, max_lag",
+    [
+        (golden_tape, WindowSpec(101, 1), 50),
+        (lambda: random_tape(random.Random(13), 400, 0.15), WindowSpec(31, 1), 20),
+    ],
+    ids=["golden", "gaps"],
+)
+def test_per_center_mean_points_equal_mean_mode(make_tape, spec, max_lag, threads):
+    tape = make_tape()
+    mean = acf_curve(tape, spec, max_lag, aggregate="mean", threads=threads)
+    per_center = acf_curve(tape, spec, max_lag, aggregate="per-center", threads=threads)
+    assert per_center.mean_points() == list(mean.points)
+    assert (per_center.scale_value, per_center.scale_volume, per_center.scale_price) == (
+        mean.scale_value, mean.scale_volume, mean.scale_price)

@@ -164,3 +164,16 @@ def test_char_fn_taylor_remainder(prices, x):
     empirical = sum(cmath.exp(1j * p * x) for p in prices) / len(prices)
     bound = (max(prices) * abs(x)) ** (k + 1) / math.factorial(k + 1)
     assert abs(approx - empirical) <= bound + 1e-15
+
+
+@given(members_strategy, st.integers(min_value=1, max_value=4))
+@settings(max_examples=100)
+def test_report_matches_reference_functions_bit_exact(pairs, max_order):
+    members = [TradeRecord(i, c, u) for i, (c, u) in enumerate(pairs)]
+    tape = TradeTape(1.0, tuple(members))
+    rep = compute_report(Window(0, tuple(range(len(members))), True), tape, max_order)
+    assert rep.vwap == vwap(members)
+    assert rep.market_volatility == market_volatility(members)
+    assert len(rep.market_price) == max_order
+    for n in range(1, max_order + 1):
+        assert rep.market_price[n - 1] == market_price_moment(members, n)

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbstat import FormatError, TradeRecord, TradeTape, bucket, emit_csv, parse_csv, price_of, quantize_tick
+from mbstat import FormatError, TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick
 
 
 def test_parse_value_volume():
@@ -28,6 +28,11 @@ def test_parse_rejects_nonpositive_volume_with_line_number():
 def test_parse_rejects_negative_value():
     with pytest.raises(FormatError, match="line 3"):
         parse_csv("tick,value,volume\n0,10,1\n1,-3,1\n")
+
+
+def test_parse_price_volume_overflow_reports_line():
+    with pytest.raises(FormatError, match="line 3"):
+        parse_csv("tick,price,volume\n0,1,1\n1,1e200,1e200\n", format="tick-price-volume")
 
 
 def test_parse_rejects_wrong_header():
@@ -69,9 +74,9 @@ def test_bucket_three_trades_same_tick():
 
 
 def test_price_of():
-    assert price_of(TradeRecord(0, 10, 2)) == 5.0
-    assert price_of(TradeRecord(0, 0, 3)) == 0.0
-    assert price_of(TradeRecord(0, 6, 3)) == 2.0
+    assert TradeRecord(0, 10, 2).price == 5.0
+    assert TradeRecord(0, 0, 3).price == 0.0
+    assert TradeRecord(0, 6, 3).price == 2.0
 
 
 def test_record_invariants():
