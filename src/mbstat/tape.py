@@ -1,9 +1,9 @@
-"""Trade tape: per-tick records, grid bucketing and CSV round-trip.
+"""Trade tape: tick/value/volume columns, grid bucketing and CSV round-trip.
 
 A tape is a time-ordered sequence of aggregated trades on a uniform grid
-with quantum ``epsilon`` seconds per tick.  Each record carries the traded
-value (currency) and volume (asset units); the trade price is always the
-derived ratio value/volume and is never stored.
+with quantum ``epsilon`` seconds per tick, stored as columns: the tick,
+traded value (currency) and volume (asset units) of each record.  The trade
+price is always the derived ratio value/volume and is never stored.
 """
 
 from __future__ import annotations
@@ -11,10 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .errors import FormatError
+import numpy as np
+
+from .errors import FormatError, NoDataError
 
 FORMATS = ("tick-value-volume", "tick-price-volume")
 
@@ -43,51 +46,75 @@ class TradeRecord:
         return self.value / self.volume
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TradeTape:
-    """Immutable, strictly tick-ordered sequence of trades on the epsilon grid.
+    """Immutable, strictly tick-ordered trades on the epsilon grid.
 
-    Gaps are allowed; at most one record per tick.
+    ``ticks`` (int64), ``value`` and ``volume`` (float64) are read-only
+    columns of equal length.  Gaps are allowed; at most one record per tick.
     """
 
     epsilon: float
-    records: tuple[TradeRecord, ...]
-    _by_tick: dict = field(init=False, repr=False, compare=False)
+    ticks: np.ndarray
+    value: np.ndarray
+    volume: np.ndarray
 
     def __post_init__(self):
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        object.__setattr__(self, "records", tuple(self.records))
-        ticks = [r.tick for r in self.records]
-        if any(b <= a for a, b in zip(ticks, ticks[1:])):
+        ticks = np.array(self.ticks, dtype=np.int64)
+        value = np.array(self.value, dtype=np.float64)
+        volume = np.array(self.volume, dtype=np.float64)
+        if not (ticks.ndim == 1 and ticks.shape == value.shape == volume.shape):
+            raise ValueError("ticks, value and volume must be 1-D columns of one length")
+        if np.any(ticks[1:] <= ticks[:-1]):
             raise ValueError("records must be strictly increasing in tick")
-        object.__setattr__(self, "_by_tick", {r.tick: r for r in self.records})
+        ok = (volume > 0) & np.isfinite(volume) & (value >= 0) & np.isfinite(value)
+        if not ok.all():
+            # The first bad row fails TradeRecord's checks; name its tick.
+            i = int(np.argmin(ok))
+            try:
+                TradeRecord(int(ticks[i]), float(value[i]), float(volume[i]))
+            except ValueError as exc:
+                raise ValueError(f"tick {ticks[i]}: {exc}") from None
+        for name, col in (("ticks", ticks), ("value", value), ("volume", volume)):
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_records(cls, epsilon: float, records: Iterable[TradeRecord]) -> TradeTape:
+        """Tape of records that already hold one trade per tick, in tick order."""
+        recs = tuple(records)
+        cols = [r.tick for r in recs], [r.value for r in recs], [r.volume for r in recs]
+        return cls(epsilon, *cols)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.ticks)
 
-    def has(self, tick: int) -> bool:
-        return tick in self._by_tick
+    @cached_property
+    def records(self) -> tuple[TradeRecord, ...]:
+        """One ``TradeRecord`` per row, built on first use and then kept."""
+        cols = (self.ticks.tolist(), self.value.tolist(), self.volume.tolist())
+        return tuple(map(TradeRecord, *cols))
 
     def record_at(self, tick: int) -> TradeRecord | None:
-        return self._by_tick.get(tick)
+        """The record at ``tick`` (the same object on every call), or None."""
+        i = int(np.searchsorted(self.ticks, tick))
+        if i < len(self.ticks) and self.ticks[i] == tick:
+            return self.records[i]
+        return None
 
     @property
     def first_tick(self) -> int:
-        if not self.records:
-            raise ValueError("empty tape has no first tick")
-        return self.records[0].tick
+        if not len(self):
+            raise NoDataError("tape is empty")
+        return int(self.ticks[0])
 
     @property
     def last_tick(self) -> int:
-        if not self.records:
-            raise ValueError("empty tape has no last tick")
-        return self.records[-1].tick
-
-    @property
-    def span_ticks(self) -> int:
-        """Horizon of the tape in ticks (last - first)."""
-        return self.last_tick - self.first_tick
+        if not len(self):
+            raise NoDataError("tape is empty")
+        return int(self.ticks[-1])
 
 
 def quantize_tick(time_seconds: float, epsilon: float) -> int:
@@ -99,15 +126,16 @@ def bucket(raw: Iterable[TradeRecord], epsilon: float) -> TradeTape:
     """Merge records sharing a tick by summing values and volumes.
 
     Total value and total volume are conserved; the result has one record
-    per tick, sorted.
+    per tick, sorted.  A merged sum that overflows is rejected by the tape,
+    naming its tick.
     """
     sums: dict[int, list[float]] = {}
     for r in raw:
         acc = sums.setdefault(r.tick, [0.0, 0.0])
         acc[0] += r.value
         acc[1] += r.volume
-    records = [TradeRecord(t, c, u) for t, (c, u) in sorted(sums.items())]
-    return TradeTape(epsilon, tuple(records))
+    ticks = sorted(sums)
+    return TradeTape(epsilon, ticks, [sums[t][0] for t in ticks], [sums[t][1] for t in ticks])
 
 
 def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> TradeTape:
@@ -151,8 +179,9 @@ def emit_csv(tape: TradeTape, format: str = "tick-value-volume") -> str:
     """Serialize a tape to CSV with shortest round-tripping decimals."""
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    ticks, second, volume = tape.ticks.tolist(), tape.value.tolist(), tape.volume.tolist()
+    if format == "tick-price-volume":
+        second = [c / u for c, u in zip(second, volume)]
     lines = [",".join(_HEADERS[format])]
-    for r in tape.records:
-        second = r.price if format == "tick-price-volume" else r.value
-        lines.append(f"{r.tick},{second!r},{r.volume!r}")
+    lines.extend(f"{t},{a!r},{u!r}" for t, a, u in zip(ticks, second, volume))
     return "\n".join(lines) + "\n"

@@ -8,9 +8,9 @@ invalid rather than dropped.
 
 from __future__ import annotations
 
-import bisect
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .tape import TradeRecord, TradeTape
 
@@ -40,7 +40,7 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class Window:
-    """Resolved window: center, member ticks present on the tape, validity."""
+    """Resolved window: center, member ticks (every tape tick inside it), validity."""
 
     center_tick: int
     member_ticks: tuple[int, ...]
@@ -51,27 +51,30 @@ class Window:
         return len(self.member_ticks)
 
 
+def window_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers (multiples of the lag step) of the windows fully inside the tape.
+
+    Also returns, per center, the [lo, hi) range of its rows in the tape columns.
+    """
+    h, step = spec.half_width, spec.lag_step_ticks
+    k_lo = -(-(tape.first_tick + h) // step)
+    k_hi = (tape.last_tick - h) // step
+    centers = np.arange(k_lo, k_hi + 1, dtype=np.int64) * step
+    lo = np.searchsorted(tape.ticks, centers - h)
+    hi = np.searchsorted(tape.ticks, centers + h, side="right")
+    return centers, lo, hi
+
+
 def plan_windows(tape: TradeTape, spec: WindowSpec) -> list[Window]:
     """Windows centered at multiples of the lag step, fully inside the tape.
 
     Returns an empty list when the tape span is shorter than the window.
     """
-    if not tape.records:
-        raise ValueError("tape is empty")
-    h = spec.half_width
-    step = spec.lag_step_ticks
-    first, last = tape.first_tick, tape.last_tick
-    k_lo = math.ceil((first + h) / step)
-    k_hi = math.floor((last - h) / step)
-    all_ticks = [r.tick for r in tape.records]
-    out: list[Window] = []
-    for k in range(k_lo, k_hi + 1):
-        center = k * step
-        lo = bisect.bisect_left(all_ticks, center - h)
-        hi = bisect.bisect_right(all_ticks, center + h)
-        ticks = tuple(all_ticks[lo:hi])
-        out.append(Window(center, ticks, valid=len(ticks) >= spec.min_trades))
-    return out
+    centers, lo, hi = window_grid(tape, spec)
+    return [
+        Window(c, tuple(tape.ticks[a:b].tolist()), valid=b - a >= spec.min_trades)
+        for c, a, b in zip(centers.tolist(), lo.tolist(), hi.tolist())
+    ]
 
 
 def members(window: Window, tape: TradeTape) -> list[TradeRecord]:

@@ -218,3 +218,50 @@ def test_config_rejects_bad_entries(runner, tmp_path, config):
     (key,) = config
     (line,) = res.output.strip().splitlines()
     assert line.startswith("Error:") and repr(key) in line
+
+
+@pytest.mark.parametrize("command,golden", [("stats", "golden_stats.jsonl"),
+                                            ("compare", "golden_compare.csv")])
+def test_moments_golden_bytes(runner, tmp_path, command, golden):
+    out = tmp_path / golden
+    res = run(runner, [command, "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",
+                       "--lag-step", "25", "--max-order", "4", "--output", str(out)])
+    assert res.exit_code == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_merged_tick_overflow_names_tick(runner, tmp_path):
+    inp = tmp_path / "merge.csv"
+    inp.write_text("tick,value,volume\n0,1e308,1\n0,1e308,1\n")
+    res = runner.invoke(main, ["stats", "--input", str(inp)])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line.startswith("Error: tick 0: value") and line.endswith("inf")
+
+
+def test_acf_nonfinite_is_clean_error(runner, tmp_path):
+    inp = tmp_path / "huge.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e200,1\n" for t in range(5)))
+    base = tmp_path / "curve"
+    res = runner.invoke(main, ["acf", "--input", str(inp), "--window-n", "3", "--max-lag", "1",
+                               "--aggregate", "mean", "--output", str(base)])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line.startswith("Error:")
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+def test_acf_min_trades_keeps_stats_valid_centers(runner, tmp_path):
+    # Gaps leave windows of 1 to 5 records; --min-trades 4 drops some.
+    present = [t for t in range(60) if t % 7 not in (2, 3) and t % 11 != 5]
+    inp = tmp_path / "gaps.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},{1 + t % 5},{1 + t % 3}\n"
+                                                   for t in present))
+    common = ["--input", str(inp), "--window-n", "5", "--lag-step", "1", "--min-trades", "4"]
+    res_stats = run(runner, ["stats", *common])
+    valid = {json.loads(line)["center_tick"] for line in res_stats.stdout.splitlines()}
+    summary = json.loads(res_stats.stderr)
+    assert 0 < summary["valid"] < summary["windows"]
+    res_acf = run(runner, ["acf", *common, "--max-lag", "3"])
+    curve = json.loads(res_acf.stdout)
+    assert {p["center_tick"] for p in curve["points"]} == valid

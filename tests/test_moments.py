@@ -85,7 +85,7 @@ def test_order_cap_rejected():
 
 
 def test_report_fields_and_identities():
-    tape = TradeTape(1.0, tuple(W2))
+    tape = TradeTape.from_records(1.0, tuple(W2))
     rep = compute_report(Window(0, (0, 1), True), tape, max_order=2)
     assert rep.effective_count == 2
     assert rep.market_price[0] == rep.vwap
@@ -170,7 +170,7 @@ def test_char_fn_taylor_remainder(prices, x):
 @settings(max_examples=100)
 def test_report_matches_reference_functions_bit_exact(pairs, max_order):
     members = [TradeRecord(i, c, u) for i, (c, u) in enumerate(pairs)]
-    tape = TradeTape(1.0, tuple(members))
+    tape = TradeTape.from_records(1.0, tuple(members))
     rep = compute_report(Window(0, tuple(range(len(members))), True), tape, max_order)
     assert rep.vwap == vwap(members)
     assert rep.market_volatility == market_volatility(members)

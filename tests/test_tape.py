@@ -89,7 +89,17 @@ def test_record_invariants():
 
 def test_tape_requires_increasing_ticks():
     with pytest.raises(ValueError):
-        TradeTape(1.0, (TradeRecord(1, 1, 1), TradeRecord(0, 1, 1)))
+        TradeTape.from_records(1.0, (TradeRecord(1, 1, 1), TradeRecord(0, 1, 1)))
+
+
+def test_tape_columns_read_only_and_validated_with_tick():
+    t = TradeTape(1.0, [0, 3], [2.0, 4.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        t.value[0] = 5.0
+    assert [r.price for r in t.records] == [2.0, 2.0]
+    assert t.record_at(3) is t.records[1] and t.record_at(1) is None
+    with pytest.raises(ValueError, match="tick 3: volume must be positive"):
+        TradeTape(1.0, [0, 3], [2.0, 4.0], [1.0, 0.0])
 
 
 def test_quantize_round_half_even():
