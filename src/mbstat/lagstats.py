@@ -16,6 +16,7 @@ gaps; on a dense tape this coincides with full-window means.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -160,18 +161,9 @@ class AcfPoint:
     center_tick: int | None = None
 
     def to_dict(self) -> dict:
-        d = {
-            "lag_ticks": self.lag_ticks,
-            "b_value": self.b_value,
-            "b_volume": self.b_volume,
-            "b_price": self.b_price,
-            "lag2_value": self.lag2_value,
-            "lag2_volume": self.lag2_volume,
-            "lag2_price": self.lag2_price,
-            "pair_count": self.pair_count,
-        }
-        if self.center_tick is not None:
-            d["center_tick"] = self.center_tick
+        d = dict(vars(self))
+        if self.center_tick is None:
+            del d["center_tick"]
         return d
 
 
@@ -231,33 +223,6 @@ class AcfCurve:
         return "\n".join(lines) + "\n"
 
 
-def _lag_stats_arrays(cs_list, lo, hi):
-    """Per-center stats at one lag from prefix sums, in AcfPoint field order.
-
-    Returns b_value, b_volume, b_price, lag2_value, lag2_volume, lag2_price
-    and the pair count, one float64 array each.
-    """
-    (ps_m, ps_cc, ps_uu, ps_c, ps_cl, ps_u, ps_ul) = cs_list
-
-    def wsum(ps):
-        return ps[hi + 1] - ps[lo]
-
-    n = wsum(ps_m)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lag2_c = wsum(ps_cc) / n
-        lag2_u = wsum(ps_uu) / n
-        c1 = wsum(ps_c) / n
-        c1l = wsum(ps_cl) / n
-        u1 = wsum(ps_u) / n
-        u1l = wsum(ps_ul) / n
-        b_c = lag2_c - c1 * c1l
-        b_u = lag2_u - u1 * u1l
-        lag2_p = lag2_c / lag2_u
-        b_p = lag2_p - (c1 * c1l) / (u1 * u1l)
-    cols = (b_c, b_u, b_p, lag2_c, lag2_u, lag2_p, n)
-    return tuple(np.asarray(a, dtype=np.float64) for a in cols)
-
-
 def acf_curve(
     tape: TradeTape,
     spec: WindowSpec,
@@ -269,16 +234,17 @@ def acf_curve(
     """Sweep the autocorrelations over lags 0, l, 2l, ... up to max_lag.
 
     Uses prefix sums over a dense tick-indexed array, so one lag costs
-    O(span).  Lags are computed independently (optionally across threads)
-    and merged in lag order, so output is identical for any thread count.
+    O(span).  Lags of span ticks or more have no pairs and are not swept.
+    Lags are computed independently (optionally across threads, at most one
+    per lag and per CPU) and merged in lag order, so output is identical
+    for any thread count.
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
     if max_lag_ticks < 0 or max_lag_ticks % spec.lag_step_ticks != 0:
         raise ValueError("max lag must be a nonnegative multiple of the lag step")
-    first, last = tape.first_tick, tape.last_tick
-    span = last - first + 1
-    h = spec.half_width
+    first = tape.first_tick
+    span = tape.last_tick - first + 1
     step = spec.lag_step_ticks
     centers, rec_lo, rec_hi = window_grid(tape, spec)
     if not len(centers):
@@ -286,42 +252,37 @@ def acf_curve(
     # A window with fewer than min_trades records (its lag-0 pair count) is
     # dropped at every lag, as stats drops it.
     centers = centers[rec_hi - rec_lo >= spec.min_trades]
+    lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
 
-    c_arr, u_arr, present = np.zeros((3, span))
+    # Zero-padded by the largest lag, so a lagged series is a view.
+    c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
     idx = tape.ticks - first
     c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
+    c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
+    lo = centers - spec.half_width - first
+    hi = lo + spec.n_ticks
 
-    lo = centers - h - first
-    hi = centers + h - first
-    lags = list(range(0, max_lag_ticks + 1, step))
+    def one_lag(tau: int) -> np.ndarray:
+        """Per-center stats at one lag: AcfPoint's float fields, then the pair count."""
+        with np.errstate(all="ignore"):
+            cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
+            m = p0 * present[tau : tau + span]
+            # Extended precision: prefix magnitudes grow with the tape span and
+            # plain double cumsum would lose ~span/window relative digits in the
+            # windowed differences.
+            ps = np.empty((7, span + 1), dtype=np.longdouble)
+            ps[:, 0] = 0
+            for row, x in zip(ps, (m, c0 * cl, u0 * ul, c0 * m, cl * m, u0 * m, ul * m)):
+                np.cumsum(x, dtype=np.longdouble, out=row[1:])
+            n, cc, uu, c1, c1l, u1, u1l = (row[hi] - row[lo] for row in ps)
+            lag2_c, lag2_u, c1, c1l, u1, u1l = (x / n for x in (cc, uu, c1, c1l, u1, u1l))
+            b_c = lag2_c - c1 * c1l
+            b_u = lag2_u - u1 * u1l
+            lag2_p = lag2_c / lag2_u
+            b_p = lag2_p - (c1 * c1l) / (u1 * u1l)
+            return np.array((b_c, b_u, b_p, lag2_c, lag2_u, lag2_p, n), dtype=np.float64)
 
-    def prefix(a):
-        # Extended precision: prefix magnitudes grow with the tape span and
-        # plain double cumsum would lose ~span/window relative digits in the
-        # windowed differences.
-        return np.concatenate(
-            (np.zeros(1, dtype=np.longdouble), np.cumsum(a, dtype=np.longdouble))
-        )
-
-    def one_lag(tau: int):
-        if tau == 0:
-            cl, ul, pl = c_arr, u_arr, present
-        else:
-            cl = np.concatenate((c_arr[tau:], np.zeros(tau)))
-            ul = np.concatenate((u_arr[tau:], np.zeros(tau)))
-            pl = np.concatenate((present[tau:], np.zeros(tau)))
-        m = present * pl
-        cs = [
-            prefix(m),
-            prefix(c_arr * cl),
-            prefix(u_arr * ul),
-            prefix(c_arr * m),
-            prefix(cl * m),
-            prefix(u_arr * m),
-            prefix(ul * m),
-        ]
-        return _lag_stats_arrays(cs, lo, hi)
-
+    threads = min(threads, len(lags), os.cpu_count() or 1)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_lag = list(pool.map(one_lag, lags))

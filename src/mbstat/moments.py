@@ -42,8 +42,11 @@ def _check_order(n: int, max_order: int) -> None:
         raise ValueError(f"moment order {n} exceeds cap {max_order}")
 
 
-def _power_mean(xs: list[float], n: int) -> float:
-    return math.fsum(x**n for x in xs) / len(xs)
+def _power_mean(xs: list[float], n: int, series: str) -> float:
+    try:
+        return math.fsum(x**n for x in xs) / len(xs)
+    except OverflowError:
+        raise OverflowError(f"{series} moment of order {n} overflows") from None
 
 
 def freq_moment(
@@ -57,7 +60,7 @@ def freq_moment(
     xs = _values(records, series)
     if not xs:
         raise NoDataError("freq_moment over empty window")
-    return _power_mean(xs, n)
+    return _power_mean(xs, n, series)
 
 
 def market_price_moment(
@@ -146,10 +149,14 @@ def compute_report(
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
-    value_m, volume_m, freq_price = (
-        tuple(_power_mean(xs, n) for n in orders)
-        for xs in (value, volume, [c / u for c, u in zip(value, volume)])
-    )
+    price = [c / u for c, u in zip(value, volume)]
+    try:
+        value_m, volume_m, freq_price = (
+            tuple(_power_mean(xs, n, series) for n in orders)
+            for series, xs in zip(SERIES, (value, volume, price))
+        )
+    except OverflowError as exc:
+        raise OverflowError(f"window at tick {window.center_tick}: {exc}") from None
     market_price = tuple(c / u for c, u in zip(value_m, volume_m))
     return MomentReport(
         center_tick=window.center_tick,

@@ -174,6 +174,36 @@ def test_acf_threads_match_golden(runner, tmp_path):
     assert blobs[0][1] == (DATA / "golden_acf.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_acf_per_center_golden_bytes(runner, tmp_path, threads):
+    base = tmp_path / "centers"
+    res = run(runner, [
+        "acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101", "--lag-step", "25",
+        "--max-lag", "50", "--aggregate", "per-center", "--threads", threads,
+        "--output", str(base),
+    ])
+    assert res.exit_code == 0
+    assert base.with_suffix(".json").read_bytes() == (DATA / "golden_acf_centers.json").read_bytes()
+    assert base.with_suffix(".csv").read_bytes() == (DATA / "golden_acf_centers.csv").read_bytes()
+
+
+def test_acf_lags_past_span_change_only_max_lag(runner, tmp_path):
+    inp = tmp_path / "t5.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},{t + 1},{5 - t}\n" for t in range(5)))
+    outs = {}
+    for max_lag in ("4", "6"):
+        base = tmp_path / f"curve{max_lag}"
+        res = run(runner, ["acf", "--input", str(inp), "--window-n", "3", "--lag-step", "1",
+                           "--max-lag", max_lag, "--output", str(base)])
+        assert res.exit_code == 0
+        outs[max_lag] = (json.loads(base.with_suffix(".json").read_text()),
+                         base.with_suffix(".csv").read_bytes())
+    (doc4, csv4), (doc6, csv6) = outs["4"], outs["6"]
+    assert (doc4.pop("max_lag_ticks"), doc6.pop("max_lag_ticks")) == (4, 6)
+    assert doc4 == doc6 and doc4["points"]
+    assert csv4 == csv6
+
+
 def test_config_file_flags_win(runner, tmp_path):
     inp = tmp_path / "t.csv"
     inp.write_text("tick,value,volume\n" + "".join(f"{t},4,2\n" for t in range(20)))
@@ -201,6 +231,15 @@ def test_stats_overflow_is_clean_error(runner, tmp_path):
     assert res.exit_code != 0
     assert "Error:" in res.output
     assert "Traceback" not in res.output
+
+
+def test_stats_overflow_names_window_series_order(runner, tmp_path):
+    inp = tmp_path / "pow.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e150,1e-160\n" for t in range(3)))
+    res = run(runner, ["stats", "--input", str(inp), "--window-n", "3", "--lag-step", "1"])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == "Error: OverflowError: window at tick 1: value moment of order 3 overflows"
 
 
 @pytest.mark.parametrize(

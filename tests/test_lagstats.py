@@ -26,6 +26,7 @@ from mbstat import (
     plan_windows,
     regime_acf,
 )
+from mbstat import lagstats
 from mbstat.lagstats import LagPairSet
 from mbstat.moments import freq_moment
 from mbstat.windows import Window, members
@@ -256,6 +257,43 @@ def test_acf_curve_rejects_bad_max_lag():
     tape = dense_tape(50)
     with pytest.raises(ValueError):
         acf_curve(tape, WindowSpec(5, 2), 7)
+
+
+def test_acf_curve_lags_past_span_have_no_pairs():
+    tape = dense_tape(5, value=2.0)
+    spec = WindowSpec(3, 1)
+    huge = acf_curve(tape, spec, 10**12)
+    assert huge.max_lag_ticks == 10**12
+    assert huge.points == acf_curve(tape, spec, 4).points
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, max_lag, pools",
+    [(64, 8, 2, [3]), (64, 8, 20, [8]), (3, 8, 20, [3]), (64, None, 20, []), (64, 8, 0, [])],
+    ids=["lags", "cpus", "requested", "no-cpu-count", "one-lag"],
+)
+def test_acf_curve_clamps_threads(monkeypatch, threads, cpus, max_lag, pools):
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(lagstats, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: cpus)
+    tape = random_tape(random.Random(5), 60, 0.1)
+    curve = acf_curve(tape, WindowSpec(5, 1), max_lag, threads=threads)
+    assert made == pools
+    assert curve.points == acf_curve(tape, WindowSpec(5, 1), max_lag).points
 
 
 def test_npoint_moment_examples():
