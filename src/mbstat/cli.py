@@ -162,13 +162,14 @@ def acf(config_path, **flags):
         threshold=cfg["threshold"],
         threads=_threads(cfg["threads"]),
     )
-    doc = json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
+    curve.check_finite()  # before any output file is created
     if cfg["output_path"] is None:
-        sys.stdout.write(doc)
+        curve.write(sys.stdout)
     else:
         base = cfg["output_path"]
-        _write(base + ".json", doc)
-        _write(base + ".csv", curve.to_csv())
+        with (open(base + ".json", "w", newline="") as json_out,
+              open(base + ".csv", "w", newline="") as csv_out):
+            curve.write(json_out, csv_out)
 
 
 @main.command()

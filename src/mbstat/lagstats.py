@@ -15,10 +15,14 @@ gaps; on a dense tape this coincides with full-window means.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TextIO
 
 import numpy as np
 
@@ -167,13 +171,37 @@ class AcfPoint:
         return d
 
 
-@dataclass(frozen=True)
-class AcfCurve:
-    """Autocorrelation curve with detected correlation scales.
+#: The float fields of a curve point, in ``AcfPoint`` order.
+STATS = ("b_value", "b_volume", "b_price", "lag2_value", "lag2_volume", "lag2_price")
+_HEADER = ("window_n", "lag_step_ticks", "max_lag_ticks", "aggregate", "threshold",
+           "scale_value", "scale_volume", "scale_price")
+_COLUMNS = ("lag", "stats", "pair_count", "center")
+#: Rows formatted per write; bounds the text held at once.
+_BLOCK = 4096
 
-    ``points`` are ordered by lag (mean mode) or by center then lag
-    (per-center mode).  Scales are detected on the pair-count-weighted
-    mean curve in both modes; ``mean`` holds that curve.
+
+def _json_point(names: tuple[str, ...]) -> str:
+    """%-template of one point in ``json.dumps(..., indent=2)`` layout, comma first."""
+    body = ",\n".join(f'      "{name}": %s' for name in names)
+    return ",\n    {\n" + body + "\n    }"
+
+
+_POINT_FIELDS = ("lag_ticks", *STATS, "pair_count")
+#: Per-point templates, keyed by per-center mode.
+_JSON_POINT = {False: _json_point(_POINT_FIELDS),
+               True: _json_point((*_POINT_FIELDS, "center_tick"))}
+_CSV_ROW = {False: "%s,%s,%s,%s,%s\n", True: "%s,%s,%s,%s,%s,%s\n"}
+
+
+@dataclass(frozen=True, eq=False)
+class AcfCurve:
+    """Autocorrelation curve with detected correlation scales, stored as columns.
+
+    Row ``i`` is one point: ``lag[i]``, the ``STATS`` fields ``stats[:, i]``,
+    ``pair_count[i]`` and, in per-center mode, ``center[i]`` (``center`` is
+    None in mean mode).  Rows are ordered by lag (mean mode) or by center
+    then lag (per-center mode).  Scales are detected on the
+    pair-count-weighted mean curve in both modes; ``mean`` holds that curve.
     """
 
     window_n: int
@@ -181,11 +209,27 @@ class AcfCurve:
     max_lag_ticks: int
     aggregate: str
     threshold: float
-    points: tuple[AcfPoint, ...]
     scale_value: int | None
     scale_volume: int | None
     scale_price: int | None
+    lag: np.ndarray
+    stats: np.ndarray
+    pair_count: np.ndarray
+    center: np.ndarray | None
     mean: tuple[AcfPoint, ...] = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, AcfCurve):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in (*_HEADER, "mean")) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in _COLUMNS)
+
+    @cached_property
+    def points(self) -> tuple[AcfPoint, ...]:
+        """One ``AcfPoint`` per row, built on first use and then kept."""
+        centers = () if self.center is None else (self.center.tolist(),)
+        cols = self.lag.tolist(), *self.stats.tolist(), self.pair_count.tolist(), *centers
+        return tuple(map(AcfPoint, *cols))
 
     def mean_points(self) -> list[AcfPoint]:
         """The pair-count-weighted mean curve, one point per lag, in any mode.
@@ -196,31 +240,59 @@ class AcfCurve:
         return list(self.mean)
 
     def to_dict(self) -> dict:
-        return {
-            "window_n": self.window_n,
-            "lag_step_ticks": self.lag_step_ticks,
-            "max_lag_ticks": self.max_lag_ticks,
-            "aggregate": self.aggregate,
-            "threshold": self.threshold,
-            "scale_value": self.scale_value,
-            "scale_volume": self.scale_volume,
-            "scale_price": self.scale_price,
-            "points": [p.to_dict() for p in self.points],
-        }
+        d = {key: getattr(self, key) for key in _HEADER}
+        d["points"] = [p.to_dict() for p in self.points]
+        return d
+
+    def check_finite(self) -> None:
+        """Raise ValueError naming the field, lag and center of the first non-finite value."""
+        rows, ks = np.nonzero(~np.isfinite(self.stats.T))
+        if len(rows):
+            i, k = rows[0], ks[0]
+            where = "the mean curve" if self.center is None else f"center tick {self.center[i]}"
+            value = float(self.stats[k, i])
+            raise ValueError(f"{STATS[k]} is {value!r} at lag {self.lag[i]} of {where}")
+
+    def write(self, json_out: TextIO | None = None, csv_out: TextIO | None = None) -> None:
+        """Write the curve to text streams, as JSON and/or as flat plot-ready CSV.
+
+        The JSON is the bytes of ``json.dumps(self.to_dict(), indent=2)`` plus a
+        newline; the CSV has one row per point, and per-center mode adds a
+        center_tick column.  Rows go out in blocks, and each float is formatted
+        once for both outputs.  Raises ValueError (see ``check_finite``) before
+        anything is written if a value is not finite.
+        """
+        self.check_finite()
+        per_center = self.center is not None
+        if json_out is not None:
+            head = json.dumps({key: getattr(self, key) for key in _HEADER}, indent=2)
+            json_out.write(head[:-2] + ',\n  "points": [')
+        if csv_out is not None:
+            head = "lag,b_value,b_volume,b_price,pair_count\n"
+            csv_out.write(("center_tick," if per_center else "") + head)
+        json_point, csv_row = _JSON_POINT[per_center], _CSV_ROW[per_center]
+        for lo in range(0, len(self.lag), _BLOCK):
+            cut = slice(lo, lo + _BLOCK)
+            lag, count = self.lag[cut].tolist(), self.pair_count[cut].tolist()
+            b_c, b_u, b_p, *lag2 = (list(map(float.__repr__, x))
+                                    for x in self.stats[:, cut].tolist())
+            center = [self.center[cut].tolist()] if per_center else []
+            if json_out is not None:
+                cols = zip(lag, b_c, b_u, b_p, *lag2, count, *center)
+                rows = list(map(json_point.__mod__, cols))
+                if lo == 0:
+                    rows[0] = rows[0][1:]
+                json_out.writelines(rows)
+            if csv_out is not None:
+                csv_out.writelines(map(csv_row.__mod__, zip(*center, lag, b_c, b_u, b_p, count)))
+        if json_out is not None:
+            json_out.write("\n  ]\n}\n")
 
     def to_csv(self) -> str:
-        """Flat plot-ready CSV; per-center mode adds a center_tick column."""
-        per_center = self.aggregate == "per-center"
-        header = "lag,b_value,b_volume,b_price,pair_count"
-        if per_center:
-            header = "center_tick," + header
-        lines = [header]
-        for p in self.points:
-            row = f"{p.lag_ticks},{p.b_value!r},{p.b_volume!r},{p.b_price!r},{p.pair_count}"
-            if per_center:
-                row = f"{p.center_tick}," + row
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        """The CSV that ``write`` produces, as a string."""
+        buf = io.StringIO()
+        self.write(csv_out=buf)
+        return buf.getvalue()
 
 
 def acf_curve(
@@ -289,49 +361,46 @@ def acf_curve(
     else:
         per_lag = [one_lag(tau) for tau in lags]
 
-    # One pair-count-weighted mean point per lag: the mean-mode output, and
-    # the curve the scales are detected on in both modes.
-    mean: list[AcfPoint] = []
+    # One pair-count-weighted mean row per lag with pairs: the mean-mode
+    # output, and the curve the scales are detected on in both modes.
+    mean_lags, mean_rows = [], []
     for tau, cols in zip(lags, per_lag):
         n = cols[-1]
         ok = n >= 1
-        if not np.any(ok):
-            continue
-        w = n[ok]
-        wtot = w.sum()
-        stats = (float((x[ok] * w).sum() / wtot) for x in cols[:-1])
-        mean.append(AcfPoint(tau, *stats, int(wtot)))
-    if not mean:
+        if np.any(ok):
+            w = n[ok]
+            wtot = w.sum()
+            mean_lags.append(tau)
+            mean_rows.append([*((x[ok] * w).sum() / wtot for x in cols[:-1]), wtot])
+    if not mean_lags:
         raise NoDataError("no window produced any lag pairs")
+    mean_block = np.array(mean_rows).T
+    mean = tuple(map(AcfPoint, mean_lags, *mean_block[:-1].tolist(),
+                     mean_block[-1].astype(np.int64).tolist()))
 
     if aggregate == "mean":
-        points = mean
+        lag, block, center = np.array(mean_lags), mean_block, None
     else:
         # centers x lags; row-major nonzero gives (center, lag) order.
         grid = np.array(per_lag).transpose(1, 2, 0)
         ci, li = np.nonzero(grid[-1] >= 1)
-        values = grid[:-1, ci, li].tolist()
-        counts = grid[-1, ci, li].astype(np.int64).tolist()
-        lag_col = np.array(lags)[li].tolist()
-        points = list(map(AcfPoint, lag_col, *values, counts, centers[ci].tolist()))
+        lag, block, center = np.array(lags)[li], grid[:, ci, li], centers[ci]
 
-    mean_lags = [p.lag_ticks for p in mean]
-    scales = {
-        key: correlation_scale(mean_lags, [getattr(p, key) for p in mean], threshold)
-        for key in ("b_value", "b_volume", "b_price")
-    }
-
+    scales = [correlation_scale(mean_lags, b, threshold) for b in mean_block[:3].tolist()]
     return AcfCurve(
         window_n=spec.n_ticks,
         lag_step_ticks=step,
         max_lag_ticks=max_lag_ticks,
         aggregate=aggregate,
         threshold=threshold,
-        points=tuple(points),
-        scale_value=scales["b_value"],
-        scale_volume=scales["b_volume"],
-        scale_price=scales["b_price"],
-        mean=tuple(mean),
+        scale_value=scales[0],
+        scale_volume=scales[1],
+        scale_price=scales[2],
+        lag=lag,
+        stats=block[:-1],
+        pair_count=block[-1].astype(np.int64),
+        center=center,
+        mean=mean,
     )
 
 

@@ -157,7 +157,13 @@ def compute_report(
         )
     except OverflowError as exc:
         raise OverflowError(f"window at tick {window.center_tick}: {exc}") from None
-    market_price = tuple(c / u for c, u in zip(value_m, volume_m))
+    try:
+        market_price = tuple(c / u for c, u in zip(value_m, volume_m))
+    except ZeroDivisionError:
+        n = volume_m.index(0.0) + 1
+        raise ZeroDivisionError(
+            f"window at tick {window.center_tick}: volume moment of order {n} underflows to 0"
+        ) from None
     return MomentReport(
         center_tick=window.center_tick,
         effective_count=int(hi - lo),

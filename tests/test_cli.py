@@ -1,6 +1,7 @@
 """Command line subcommands: stats, acf, compare, synth."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,16 @@ def test_acf_nonfinite_is_clean_error(runner, tmp_path):
     (line,) = res.output.strip().splitlines()
     assert line.startswith("Error:")
     assert list(tmp_path.iterdir()) == [inp]
+    # The line names the field, the lag and the center tick (mean points
+    # have none), in both modes, before any file or stdout is written.
+    for aggregate, where in (("mean", "the mean curve"), ("per-center", "center tick 1")):
+        for output in (["--output", str(base)], []):
+            res = runner.invoke(main, ["acf", "--input", str(inp), "--window-n", "3",
+                                       "--max-lag", "1", "--aggregate", aggregate, *output])
+            assert res.exit_code == 1
+            assert res.stdout == ""
+            assert re.fullmatch(f"Error: b_value is (nan|inf) at lag 0 of {where}\n", res.stderr)
+            assert list(tmp_path.iterdir()) == [inp]
 
 
 def test_acf_min_trades_keeps_stats_valid_centers(runner, tmp_path):
@@ -304,3 +315,26 @@ def test_acf_min_trades_keeps_stats_valid_centers(runner, tmp_path):
     res_acf = run(runner, ["acf", *common, "--max-lag", "3"])
     curve = json.loads(res_acf.stdout)
     assert {p["center_tick"] for p in curve["points"]} == valid
+
+
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_volume_moment_underflow_names_window_order(runner, tmp_path, command):
+    inp = tmp_path / "tiny.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e10,1e-300\n" for t in range(3)))
+    res = runner.invoke(main, [command, "--input", str(inp), "--window-n", "3", "--lag-step", "1",
+                               "--max-order", "1"])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == ("Error: ZeroDivisionError: window at tick 1: "
+                    "volume moment of order 2 underflows to 0")
+
+
+@pytest.mark.parametrize("aggregate", ["per-center", "mean"])
+def test_acf_stdout_is_the_json_file(runner, tmp_path, aggregate):
+    args = ["acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",
+            "--lag-step", "25", "--max-lag", "50", "--aggregate", aggregate]
+    base = tmp_path / "curve"
+    assert run(runner, [*args, "--output", str(base)]).exit_code == 0
+    res = run(runner, args)
+    assert res.exit_code == 0
+    assert res.stdout_bytes == base.with_suffix(".json").read_bytes()

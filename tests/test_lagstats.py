@@ -1,13 +1,19 @@
 """Lagged moments, autocorrelations, regimes, scales and n-point moments."""
 
+import dataclasses
+import io
+import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from mbstat import (
+    AcfPoint,
     DomainError,
     NoDataError,
     TradeRecord,
@@ -378,3 +384,80 @@ def test_per_center_mean_points_equal_mean_mode(make_tape, spec, max_lag, thread
     assert per_center.mean_points() == list(mean.points)
     assert (per_center.scale_value, per_center.scale_volume, per_center.scale_price) == (
         mean.scale_value, mean.scale_volume, mean.scale_price)
+
+
+def rowwise_csv(curve):
+    """The CSV as ``AcfCurve.to_csv`` built it row by row from the points."""
+    per_center = curve.aggregate == "per-center"
+    header = "lag,b_value,b_volume,b_price,pair_count"
+    if per_center:
+        header = "center_tick," + header
+    lines = [header]
+    for p in curve.points:
+        row = f"{p.lag_ticks},{p.b_value!r},{p.b_volume!r},{p.b_price!r},{p.pair_count}"
+        if per_center:
+            row = f"{p.center_tick}," + row
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+#: Floats whose repr has an exponent, is subnormal or is a negative zero.
+ODD_FLOATS = (1e16, 5e-324, -0.0, 1e-05, 1.5e300, 0.1)
+SCALE = st.none() | st.integers(0, 30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ticks=st.integers(20, 160),
+    gap_prob=st.sampled_from([0.0, 0.1, 0.3]),
+    half_width=st.integers(1, 6),
+    step=st.integers(1, 3),
+    n_lags=st.integers(1, 7),
+    min_trades=st.integers(1, 5),
+    aggregate=st.sampled_from(["per-center", "mean"]),
+    threshold=st.sampled_from([1e-9, 0.05, 0.5]),
+    odd=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 10**6), st.sampled_from(ODD_FLOATS)),
+                 max_size=8),
+    scales=st.none() | st.tuples(SCALE, SCALE, SCALE),
+    block=st.integers(1, 40),
+)
+def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
+    seed, n_ticks, gap_prob, half_width, step, n_lags, min_trades, aggregate, threshold, odd,
+    scales, block,
+):
+    tape = random_tape(random.Random(seed), n_ticks, gap_prob)
+    spec = WindowSpec(2 * half_width + 1, step, min_trades)
+    try:
+        curve = acf_curve(tape, spec, (n_lags - 1) * step, aggregate=aggregate,
+                          threshold=threshold)
+    except NoDataError:
+        reject()
+    stats = curve.stats.copy()
+    for k, i, x in odd:
+        stats[k, i % stats.shape[1]] = x
+    changes = {"stats": stats}
+    if scales is not None:
+        changes.update(zip(("scale_value", "scale_volume", "scale_price"), scales))
+    curve = dataclasses.replace(curve, **changes)
+    json_out, csv_out = io.StringIO(), io.StringIO()
+    with mock.patch.object(lagstats, "_BLOCK", block):
+        curve.write(json_out, csv_out)
+    assert json_out.getvalue() == json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
+    assert csv_out.getvalue() == rowwise_csv(curve) == curve.to_csv()
+
+
+@pytest.mark.parametrize("aggregate, step, golden", [("per-center", 25, "golden_acf_centers.json"),
+                                                     ("mean", 1, "golden_acf.json")])
+def test_points_are_a_lazy_cached_view(aggregate, step, golden):
+    curve = acf_curve(golden_tape(), WindowSpec(101, step), 50, aggregate=aggregate)
+    curve.write(io.StringIO(), io.StringIO())
+    assert "points" not in vars(curve)
+    points = curve.points
+    assert curve.points is points
+    want = json.loads((Path(__file__).parent / "data" / golden).read_text())["points"]
+    assert points == tuple(AcfPoint(**d) for d in want)
+    for p in points:
+        assert type(p.lag_ticks) is type(p.pair_count) is int
+        assert all(type(getattr(p, key)) is float for key in lagstats.STATS)
+        assert type(p.center_tick) is (int if aggregate == "per-center" else type(None))
