@@ -189,9 +189,11 @@ def compare(config_path, **flags):
 
 @main.command("synth")
 @click.option("--mode", type=click.Choice(["pv", "vv"]), default="pv")
-@click.option("--len", "length", type=int, required=True)
-@click.option("--tau-a", type=float, required=True, help="e-folding scale, ticks")
-@click.option("--tau-b", type=float, required=True, help="e-folding scale, ticks")
+@click.option("--len", "length_ticks", type=int, required=True)
+@click.option("--tau-a", "persistence_a_ticks", type=float, required=True,
+              help="e-folding scale, ticks")
+@click.option("--tau-b", "persistence_b_ticks", type=float, required=True,
+              help="e-folding scale, ticks")
 @click.option("--sigma-a", type=float, default=0.1)
 @click.option("--sigma-b", type=float, default=0.1)
 @click.option("--mean-a", type=float, default=0.0)
@@ -199,21 +201,9 @@ def compare(config_path, **flags):
 @click.option("--seed", type=int, default=0)
 @click.option("--epsilon", type=float, default=1.0)
 @click.option("--output", "output_path", default=None)
-def synth_cmd(mode, length, tau_a, tau_b, sigma_a, sigma_b, mean_a, mean_b, seed,
-              epsilon, output_path):
+def synth_cmd(mode, output_path, **params):
     """Generate a synthetic tape as tick-value-volume CSV."""
-    params = synth.SynthParams(
-        mode=_MODE_ALIASES[mode],
-        length_ticks=length,
-        persistence_a_ticks=tau_a,
-        persistence_b_ticks=tau_b,
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        mean_a=mean_a,
-        mean_b=mean_b,
-        seed=seed,
-        epsilon=epsilon,
-    )
+    params = synth.SynthParams(mode=_MODE_ALIASES[mode], **params)
     _write(output_path, tape.emit_csv(synth.gen_tape(params)))
 
 

@@ -20,9 +20,9 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -150,8 +150,7 @@ def correlation_scale(
     return None
 
 
-@dataclass(frozen=True)
-class AcfPoint:
+class AcfPoint(NamedTuple):
     """One lag of the autocorrelation curve (per center, or center-mean)."""
 
     lag_ticks: int
@@ -165,32 +164,18 @@ class AcfPoint:
     center_tick: int | None = None
 
     def to_dict(self) -> dict:
-        d = dict(vars(self))
+        d = self._asdict()
         if self.center_tick is None:
             del d["center_tick"]
         return d
 
 
 #: The float fields of a curve point, in ``AcfPoint`` order.
-STATS = ("b_value", "b_volume", "b_price", "lag2_value", "lag2_volume", "lag2_price")
+STATS = AcfPoint._fields[1:-2]
 _HEADER = ("window_n", "lag_step_ticks", "max_lag_ticks", "aggregate", "threshold",
            "scale_value", "scale_volume", "scale_price")
-_COLUMNS = ("lag", "stats", "pair_count", "center")
 #: Rows formatted per write; bounds the text held at once.
 _BLOCK = 4096
-
-
-def _json_point(names: tuple[str, ...]) -> str:
-    """%-template of one point in ``json.dumps(..., indent=2)`` layout, comma first."""
-    body = ",\n".join(f'      "{name}": %s' for name in names)
-    return ",\n    {\n" + body + "\n    }"
-
-
-_POINT_FIELDS = ("lag_ticks", *STATS, "pair_count")
-#: Per-point templates, keyed by per-center mode.
-_JSON_POINT = {False: _json_point(_POINT_FIELDS),
-               True: _json_point((*_POINT_FIELDS, "center_tick"))}
-_CSV_ROW = {False: "%s,%s,%s,%s,%s\n", True: "%s,%s,%s,%s,%s,%s\n"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,7 +186,7 @@ class AcfCurve:
     ``pair_count[i]`` and, in per-center mode, ``center[i]`` (``center`` is
     None in mean mode).  Rows are ordered by lag (mean mode) or by center
     then lag (per-center mode).  Scales are detected on the
-    pair-count-weighted mean curve in both modes; ``mean`` holds that curve.
+    pair-count-weighted mean curve in both modes.
     """
 
     window_n: int
@@ -216,13 +201,12 @@ class AcfCurve:
     stats: np.ndarray
     pair_count: np.ndarray
     center: np.ndarray | None
-    mean: tuple[AcfPoint, ...] = field(repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, AcfCurve):
             return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in (*_HEADER, "mean")) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in _COLUMNS)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @cached_property
     def points(self) -> tuple[AcfPoint, ...]:
@@ -230,14 +214,6 @@ class AcfCurve:
         centers = () if self.center is None else (self.center.tolist(),)
         cols = self.lag.tolist(), *self.stats.tolist(), self.pair_count.tolist(), *centers
         return tuple(map(AcfPoint, *cols))
-
-    def mean_points(self) -> list[AcfPoint]:
-        """The pair-count-weighted mean curve, one point per lag, in any mode.
-
-        This is the mean-mode reduction itself: in per-center mode it equals
-        the ``points`` that mean mode would return for the same inputs.
-        """
-        return list(self.mean)
 
     def to_dict(self) -> dict:
         d = {key: getattr(self, key) for key in _HEADER}
@@ -270,7 +246,10 @@ class AcfCurve:
         if csv_out is not None:
             head = "lag,b_value,b_volume,b_price,pair_count\n"
             csv_out.write(("center_tick," if per_center else "") + head)
-        json_point, csv_row = _JSON_POINT[per_center], _CSV_ROW[per_center]
+        # %-templates of one point: JSON in ``indent=2`` layout, comma first.
+        names = AcfPoint._fields if per_center else AcfPoint._fields[:-1]
+        json_point = ",\n    {\n" + ",\n".join(f'      "{k}": %s' for k in names) + "\n    }"
+        csv_row = ",".join(["%s"] * (5 + per_center)) + "\n"
         for lo in range(0, len(self.lag), _BLOCK):
             cut = slice(lo, lo + _BLOCK)
             lag, count = self.lag[cut].tolist(), self.pair_count[cut].tolist()
@@ -308,8 +287,8 @@ def acf_curve(
     Uses prefix sums over a dense tick-indexed array, so one lag costs
     O(span).  Lags of span ticks or more have no pairs and are not swept.
     Lags are computed independently (optionally across threads, at most one
-    per lag and per CPU) and merged in lag order, so output is identical
-    for any thread count.
+    per lag and per CPU) into their own rows of one block, so output is
+    identical for any thread count.
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
@@ -333,56 +312,68 @@ def acf_curve(
     c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
     lo = centers - spec.half_width - first
     hi = lo + spec.n_ticks
-
-    def one_lag(tau: int) -> np.ndarray:
-        """Per-center stats at one lag: AcfPoint's float fields, then the pair count."""
-        with np.errstate(all="ignore"):
-            cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
-            m = p0 * present[tau : tau + span]
-            # Extended precision: prefix magnitudes grow with the tape span and
-            # plain double cumsum would lose ~span/window relative digits in the
-            # windowed differences.
-            ps = np.empty((7, span + 1), dtype=np.longdouble)
-            ps[:, 0] = 0
-            for row, x in zip(ps, (m, c0 * cl, u0 * ul, c0 * m, cl * m, u0 * m, ul * m)):
-                np.cumsum(x, dtype=np.longdouble, out=row[1:])
-            n, cc, uu, c1, c1l, u1, u1l = (row[hi] - row[lo] for row in ps)
-            lag2_c, lag2_u, c1, c1l, u1, u1l = (x / n for x in (cc, uu, c1, c1l, u1, u1l))
-            b_c = lag2_c - c1 * c1l
-            b_u = lag2_u - u1 * u1l
-            lag2_p = lag2_c / lag2_u
-            b_p = lag2_p - (c1 * c1l) / (u1 * u1l)
-            return np.array((b_c, b_u, b_p, lag2_c, lag2_u, lag2_p, n), dtype=np.float64)
-
     threads = min(threads, len(lags), os.cpu_count() or 1)
+    # sweep[j]: per-center stats at lags[j], AcfPoint's float fields, then the pair count.
+    sweep = np.empty((len(lags), 7, len(centers)))
+
+    @np.errstate(all="ignore")
+    def sweep_lags(start: int) -> None:
+        """Fill sweep[j] for j = start, start + threads, ..., reusing one set of buffers.
+
+        Buffers allocated per lag would go back to the OS and fault in again on
+        every lag.  Extended precision: prefix magnitudes grow with the tape
+        span and plain double cumsum would lose ~span/window relative digits in
+        the windowed differences.
+        """
+        ps = np.zeros((7, span + 1), dtype=np.longdouble)
+        m, x = np.empty((2, span))
+        d, e = np.empty((2, 7, len(centers)), dtype=np.longdouble)
+        for j in range(start, len(lags), threads):
+            tau = lags[j]
+            cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
+            np.multiply(p0, present[tau : tau + span], out=m)
+            np.cumsum(m, dtype=np.longdouble, out=ps[0, 1:])
+            for row, a, b in zip(ps[1:], (c0, u0, c0, cl, u0, ul), (cl, ul, m, m, m, m)):
+                np.cumsum(np.multiply(a, b, out=x), dtype=np.longdouble, out=row[1:])
+            # Window sums ("clip" lets take fill d unbuffered; lo and hi are in
+            # range), then the six means in place.
+            np.subtract(ps.take(hi, 1, d, "clip"), ps.take(lo, 1, e, "clip"), out=d)
+            n, lag2_c, lag2_u, c1, c1l, u1, u1l = d
+            np.divide(d[1:], n, out=d[1:])
+            c_means = np.multiply(c1, c1l, out=c1)
+            u_means = np.multiply(u1, u1l, out=u1)
+            lag2_p = np.divide(lag2_c, lag2_u, out=c1l)
+            out = sweep[j]
+            np.subtract(lag2_c, c_means, out=out[0])
+            np.subtract(lag2_u, u_means, out=out[1])
+            np.subtract(lag2_p, np.divide(c_means, u_means, out=u1l), out=out[2])
+            out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_lag = list(pool.map(one_lag, lags))
+            list(pool.map(sweep_lags, range(threads)))
     else:
-        per_lag = [one_lag(tau) for tau in lags]
+        sweep_lags(0)
 
     # One pair-count-weighted mean row per lag with pairs: the mean-mode
     # output, and the curve the scales are detected on in both modes.
     mean_lags, mean_rows = [], []
-    for tau, cols in zip(lags, per_lag):
-        n = cols[-1]
-        ok = n >= 1
+    for tau, cols in zip(lags, sweep):
+        ok = cols[-1] >= 1
         if np.any(ok):
-            w = n[ok]
+            w = cols[-1, ok]
             wtot = w.sum()
             mean_lags.append(tau)
             mean_rows.append([*((x[ok] * w).sum() / wtot for x in cols[:-1]), wtot])
     if not mean_lags:
         raise NoDataError("no window produced any lag pairs")
     mean_block = np.array(mean_rows).T
-    mean = tuple(map(AcfPoint, mean_lags, *mean_block[:-1].tolist(),
-                     mean_block[-1].astype(np.int64).tolist()))
 
     if aggregate == "mean":
         lag, block, center = np.array(mean_lags), mean_block, None
     else:
         # centers x lags; row-major nonzero gives (center, lag) order.
-        grid = np.array(per_lag).transpose(1, 2, 0)
+        grid = sweep.transpose(1, 2, 0)
         ci, li = np.nonzero(grid[-1] >= 1)
         lag, block, center = np.array(lags)[li], grid[:, ci, li], centers[ci]
 
@@ -400,7 +391,6 @@ def acf_curve(
         stats=block[:-1],
         pair_count=block[-1].astype(np.int64),
         center=center,
-        mean=mean,
     )
 
 

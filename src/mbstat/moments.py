@@ -134,14 +134,13 @@ class MomentReport:
         }
 
 
-def compute_report(
-    window: Window,
-    tape: TradeTape,
-    max_order: int = 4,
-    order_cap: int = DEFAULT_MAX_ORDER,
-) -> MomentReport:
-    """Evaluate all moments of orders 1..max_order for one window."""
-    _check_order(max_order, order_cap)
+def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:
+    """Evaluate all moments of orders 1..max_order for one window.
+
+    A price moment that is not finite (a price or a moment ratio beyond the
+    float range) raises OverflowError naming the window, field and order.
+    """
+    _check_order(max_order, DEFAULT_MAX_ORDER)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
     lo, hi = tape.ticks.searchsorted((window.member_ticks[0], window.member_ticks[-1] + 1))
@@ -164,6 +163,11 @@ def compute_report(
         raise ZeroDivisionError(
             f"window at tick {window.center_tick}: volume moment of order {n} underflows to 0"
         ) from None
+    for name, xs in (("freq_price", freq_price), ("market_price", market_price)):
+        for n, x in enumerate(xs, start=1):
+            if not math.isfinite(x):
+                raise OverflowError(f"window at tick {window.center_tick}: {name} moment "
+                                    f"of order {n} is {x!r}")
     return MomentReport(
         center_tick=window.center_tick,
         effective_count=int(hi - lo),

@@ -166,6 +166,8 @@ def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> 
             raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
         try:
             tick = int(row[0])
+            if not -(2**63) <= tick < 2**63:
+                raise ValueError(f"tick {tick} is outside the int64 range")
             a = float(row[1])
             volume = float(row[2])
             value = a * volume if format == "tick-price-volume" else a

@@ -329,6 +329,29 @@ def test_volume_moment_underflow_names_window_order(runner, tmp_path, command):
                     "volume moment of order 2 underflows to 0")
 
 
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_nonfinite_price_moment_names_window_field_order(runner, tmp_path, command):
+    # Prices of 1e310 overflow to inf; compare used to print inf and nan.
+    inp = tmp_path / "pow.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e150,1e-160\n" for t in range(3)))
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--input", str(inp), "--window-n", "3", "--lag-step", "1",
+                               "--max-order", "1", "--output", str(out)])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == "Error: OverflowError: window at tick 1: freq_price moment of order 1 is inf"
+    assert list(tmp_path.iterdir()) == [inp]
+
+
+def test_tick_outside_int64_names_line(runner, tmp_path):
+    inp = tmp_path / "big.csv"
+    inp.write_text("tick,value,volume\n0,1,1\n99999999999999999999,1,1\n")
+    res = runner.invoke(main, ["stats", "--input", str(inp)])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == "Error: line 3: tick 99999999999999999999 is outside the int64 range"
+
+
 @pytest.mark.parametrize("aggregate", ["per-center", "mean"])
 def test_acf_stdout_is_the_json_file(runner, tmp_path, aggregate):
     args = ["acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",

@@ -359,9 +359,6 @@ def test_curve_serialization():
     assert csv_text.splitlines()[0] == "lag,b_value,b_volume,b_price,pair_count"
     per_center = acf_curve(tape, WindowSpec(5, 1), 4, aggregate="per-center")
     assert per_center.to_csv().splitlines()[0].startswith("center_tick,")
-    agg = per_center.mean_points()
-    for a, b in zip(agg, curve.points):
-        assert a.b_price == pytest.approx(b.b_price, rel=1e-12, abs=1e-14)
 
 
 def golden_tape():
@@ -374,14 +371,27 @@ def golden_tape():
     [
         (golden_tape, WindowSpec(101, 1), 50),
         (lambda: random_tape(random.Random(13), 400, 0.15), WindowSpec(31, 1), 20),
+        (lambda: random_tape(random.Random(17), 400, 0.15), WindowSpec(31, 2, 27), 20),
     ],
-    ids=["golden", "gaps"],
+    ids=["golden", "gaps", "min-trades"],
 )
 def test_per_center_mean_points_equal_mean_mode(make_tape, spec, max_lag, threads):
+    """Mean mode is, bit for bit, the pair-weighted mean of the per-center rows of each lag."""
     tape = make_tape()
     mean = acf_curve(tape, spec, max_lag, aggregate="mean", threads=threads)
     per_center = acf_curve(tape, spec, max_lag, aggregate="per-center", threads=threads)
-    assert per_center.mean_points() == list(mean.points)
+    if spec.min_trades > 1:
+        windows = plan_windows(tape, spec)
+        assert 0 < len(set(per_center.center.tolist())) == sum(w.valid for w in windows) < len(
+            windows)
+    lags = np.unique(per_center.lag)
+    assert mean.lag.tolist() == lags.tolist()
+    for i, tau in enumerate(lags):
+        rows = per_center.lag == tau  # in center order
+        w = per_center.pair_count[rows]
+        assert w.sum() == mean.pair_count[i]
+        for k, x in enumerate(per_center.stats[:, rows]):
+            assert (x * w).sum() / w.sum() == mean.stats[k, i]
     assert (per_center.scale_value, per_center.scale_volume, per_center.scale_price) == (
         mean.scale_value, mean.scale_volume, mean.scale_price)
 

@@ -35,6 +35,17 @@ def test_parse_price_volume_overflow_reports_line():
         parse_csv("tick,price,volume\n0,1,1\n1,1e200,1e200\n", format="tick-price-volume")
 
 
+@pytest.mark.parametrize("tick", [2**63, -(2**63) - 1, 10**20])
+def test_parse_rejects_tick_outside_int64_with_line_number(tick):
+    with pytest.raises(FormatError, match=f"^line 3: tick {tick} is outside the int64 range$"):
+        parse_csv(f"tick,value,volume\n0,1,1\n{tick},1,1\n")
+
+
+def test_parse_accepts_int64_extreme_ticks():
+    t = parse_csv(f"tick,value,volume\n{-(2**63)},1,1\n{2**63 - 1},1,1\n")
+    assert t.ticks.tolist() == [-(2**63), 2**63 - 1]
+
+
 def test_parse_rejects_wrong_header():
     with pytest.raises(FormatError, match="header"):
         parse_csv("time,value,volume\n0,10,1\n")
