@@ -82,6 +82,8 @@ class _Main(click.Group):
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from None
         except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from None
+        except MemoryError as exc:
+            raise click.ClickException(f"out of memory: {exc}") from None
 
 
 @click.group(cls=_Main)

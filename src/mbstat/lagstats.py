@@ -285,10 +285,16 @@ def acf_curve(
     """Sweep the autocorrelations over lags 0, l, 2l, ... up to max_lag.
 
     Uses prefix sums over a dense tick-indexed array, so one lag costs
-    O(span).  Lags of span ticks or more have no pairs and are not swept.
-    Lags are computed independently (optionally across threads, at most one
-    per lag and per CPU) into their own rows of one block, so output is
-    identical for any thread count.
+    O(span).  Centers step by the lag step, so every window sum is one
+    strided slice difference of the prefix block.  On a dense tape (one
+    record per tick) the pair-count, value and volume prefixes are the lag-0
+    ones held flat past span - lag, so a lag needs 4 cumulative sums, not 7.
+    Lags of span ticks or more have no pairs and are not swept.  Lags are
+    computed independently (optionally across threads, at most one per lag
+    and per CPU), and each reduces its own row of the pair-count-weighted
+    mean, so output is identical for any thread count.  Mean mode holds
+    O(span) per thread plus O(lags); per-center mode also holds its output,
+    the (lags, 7, centers) block.
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
@@ -300,54 +306,77 @@ def acf_curve(
     centers, rec_lo, rec_hi = window_grid(tape, spec)
     if not len(centers):
         raise NoDataError("tape span shorter than the averaging window")
-    # A window with fewer than min_trades records (its lag-0 pair count) is
-    # dropped at every lag, as stats drops it.
-    centers = centers[rec_hi - rec_lo >= spec.min_trades]
+    # A window with fewer than min_trades records (its lag-0 pair count) gets
+    # a zero pair count at every lag, so it drops out as stats drops it.
+    dropped = np.flatnonzero(rec_hi - rec_lo < spec.min_trades)
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
+    dense = len(tape.ticks) == span
 
     # Zero-padded by the largest lag, so a lagged series is a view.
     c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
     idx = tape.ticks - first
     c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
     c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
-    lo = centers - spec.half_width - first
-    hi = lo + spec.n_ticks
+    # Window i sums prefix rows lo0 + i * step up to lo0 + i * step + N.
+    lo0 = int(centers[0]) - spec.half_width - first
+    stop = lo0 + (len(centers) - 1) * step + 1
+    lo, hi = slice(lo0, stop, step), slice(lo0 + spec.n_ticks, stop + spec.n_ticks, step)
     threads = min(threads, len(lags), os.cpu_count() or 1)
-    # sweep[j]: per-center stats at lags[j], AcfPoint's float fields, then the pair count.
-    sweep = np.empty((len(lags), 7, len(centers)))
+    # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
+    # fields, then the total pair count (0 when the lag has no pairs): the
+    # mean-mode output, and the curve the scales are detected on in both modes.
+    mean = np.zeros((len(lags), 7))
+    # sweep[j]: per-center rows of the same fields at lags[j] (per-center mode only).
+    sweep = np.empty((len(lags), 7, len(centers))) if aggregate == "per-center" else None
 
     @np.errstate(all="ignore")
     def sweep_lags(start: int) -> None:
-        """Fill sweep[j] for j = start, start + threads, ..., reusing one set of buffers.
+        """Fill mean[j] (and sweep[j]) for j = start, start + threads, ....
 
-        Buffers allocated per lag would go back to the OS and fault in again on
-        every lag.  Extended precision: prefix magnitudes grow with the tape
-        span and plain double cumsum would lose ~span/window relative digits in
-        the windowed differences.
+        One set of buffers serves all the worker's lags: buffers allocated per
+        lag would go back to the OS and fault in again on every lag.  Extended
+        precision: prefix magnitudes grow with the tape span and plain double
+        cumsum would lose ~span/window relative digits in the windowed
+        differences.
         """
+        # Prefix rows of m, c0·m, u0·m, c0·cl, u0·ul, cl·m, ul·m, with m the pair mask.
         ps = np.zeros((7, span + 1), dtype=np.longdouble)
         m, x = np.empty((2, span))
-        d, e = np.empty((2, 7, len(centers)), dtype=np.longdouble)
+        d = np.empty((7, len(centers)), dtype=np.longdouble)
+        buf = np.empty((7, len(centers)))
         for j in range(start, len(lags), threads):
             tau = lags[j]
             cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
             np.multiply(p0, present[tau : tau + span], out=m)
-            np.cumsum(m, dtype=np.longdouble, out=ps[0, 1:])
-            for row, a, b in zip(ps[1:], (c0, u0, c0, cl, u0, ul), (cl, ul, m, m, m, m)):
+            # On a dense tape m is 1 up to span - tau and 0 past it, so after the
+            # worker's first lag the rows of m, c0·m and u0·m only need to be held
+            # flat past span - tau; lags only grow, so their heads stay valid.
+            held = dense and j > start
+            if held:
+                ps[:3, span - tau + 1 :] = ps[:3, span - tau, None]
+            else:
+                np.cumsum(m, dtype=np.longdouble, out=ps[0, 1:])
+            pairs = zip(ps[1:], (c0, u0, c0, u0, cl, ul), (m, m, cl, ul, m, m))
+            for row, a, b in list(pairs)[2 * held :]:
                 np.cumsum(np.multiply(a, b, out=x), dtype=np.longdouble, out=row[1:])
-            # Window sums ("clip" lets take fill d unbuffered; lo and hi are in
-            # range), then the six means in place.
-            np.subtract(ps.take(hi, 1, d, "clip"), ps.take(lo, 1, e, "clip"), out=d)
-            n, lag2_c, lag2_u, c1, c1l, u1, u1l = d
+            # Window sums, then the six means in place.
+            np.subtract(ps[:, hi], ps[:, lo], out=d)
+            n, c1, u1, lag2_c, lag2_u, c1l, u1l = d
             np.divide(d[1:], n, out=d[1:])
             c_means = np.multiply(c1, c1l, out=c1)
             u_means = np.multiply(u1, u1l, out=u1)
             lag2_p = np.divide(lag2_c, lag2_u, out=c1l)
-            out = sweep[j]
+            out = buf if sweep is None else sweep[j]
             np.subtract(lag2_c, c_means, out=out[0])
             np.subtract(lag2_u, u_means, out=out[1])
             np.subtract(lag2_p, np.divide(c_means, u_means, out=u1l), out=out[2])
             out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
+            out[6, dropped] = 0
+            ok = out[6] >= 1
+            if np.any(ok):
+                w = out[6, ok]
+                wtot = w.sum()
+                mean[j] = [*((col[ok] * w).sum() / wtot for col in out[:-1]), wtot]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -355,29 +384,21 @@ def acf_curve(
     else:
         sweep_lags(0)
 
-    # One pair-count-weighted mean row per lag with pairs: the mean-mode
-    # output, and the curve the scales are detected on in both modes.
-    mean_lags, mean_rows = [], []
-    for tau, cols in zip(lags, sweep):
-        ok = cols[-1] >= 1
-        if np.any(ok):
-            w = cols[-1, ok]
-            wtot = w.sum()
-            mean_lags.append(tau)
-            mean_rows.append([*((x[ok] * w).sum() / wtot for x in cols[:-1]), wtot])
-    if not mean_lags:
+    has = mean[:, -1] >= 1
+    if not np.any(has):
         raise NoDataError("no window produced any lag pairs")
-    mean_block = np.array(mean_rows).T
+    lag_arr = np.array(lags)
+    mean_lags, mean_block = lag_arr[has], mean[has].T
 
-    if aggregate == "mean":
-        lag, block, center = np.array(mean_lags), mean_block, None
+    if sweep is None:
+        lag, block, center = mean_lags, mean_block, None
     else:
         # centers x lags; row-major nonzero gives (center, lag) order.
         grid = sweep.transpose(1, 2, 0)
         ci, li = np.nonzero(grid[-1] >= 1)
-        lag, block, center = np.array(lags)[li], grid[:, ci, li], centers[ci]
+        lag, block, center = lag_arr[li], grid[:, ci, li], centers[ci]
 
-    scales = [correlation_scale(mean_lags, b, threshold) for b in mean_block[:3].tolist()]
+    scales = [correlation_scale(mean_lags.tolist(), b, threshold) for b in mean_block[:3].tolist()]
     return AcfCurve(
         window_n=spec.n_ticks,
         lag_step_ticks=step,

@@ -143,7 +143,8 @@ def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> Momen
     _check_order(max_order, DEFAULT_MAX_ORDER)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
-    lo, hi = tape.ticks.searchsorted((window.member_ticks[0], window.member_ticks[-1] + 1))
+    lo = tape.ticks.searchsorted(window.member_ticks[0])
+    hi = tape.ticks.searchsorted(window.member_ticks[-1], side="right")
     value, volume = tape.value[lo:hi].tolist(), tape.volume[lo:hi].tolist()
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.

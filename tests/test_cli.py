@@ -1,7 +1,10 @@
 """Command line subcommands: stats, acf, compare, synth."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -361,3 +364,47 @@ def test_acf_stdout_is_the_json_file(runner, tmp_path, aggregate):
     res = run(runner, args)
     assert res.exit_code == 0
     assert res.stdout_bytes == base.with_suffix(".json").read_bytes()
+
+
+def test_stats_window_at_int64_max_tick(runner, tmp_path):
+    inp = tmp_path / "edge.csv"
+    inp.write_text("tick,value,volume\n9223372036854775806,1,1\n9223372036854775807,1,1\n")
+    res = run(runner, ["stats", "--input", str(inp), "--window-n", "1", "--lag-step", "1"])
+    assert res.exit_code == 0
+    rows = [json.loads(line) for line in res.stdout.splitlines()]
+    assert [(r["center_tick"], r["effective_count"]) for r in rows] == [
+        (2**63 - 2, 1), (2**63 - 1, 1)]
+
+
+#: Runs each argument list through the CLI under a 2 GiB address-space cap and
+#: prints [exit code, stdout, stderr] of each run as one JSON list.
+_CAPPED_CHILD = """
+import json, resource, sys
+from click.testing import CliRunner
+from mbstat.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[1])]
+print(json.dumps([[r.exit_code, r.stdout, r.stderr] for r in runs]))
+"""
+
+
+def test_out_of_memory_is_one_line_error(tmp_path):
+    pytest.importorskip("resource")
+    wide = tmp_path / "wide.csv"
+    wide.write_text("tick,value,volume\n0,1,1\n1,1,1\n999999999,1,1\n1000000000,1,1\n")
+    golden = str(DATA / "golden_tape.csv")
+    runs = [["stats", "--input", str(wide)],
+            ["acf", "--input", str(wide), "--max-lag", "1"],
+            ["stats", "--input", golden],
+            ["acf", "--input", golden, "--max-lag", "50", "--aggregate", "mean"]]
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, json.dumps(runs)], env=env,
+                           capture_output=True, text=True, timeout=120, check=True)
+    (wide_stats, wide_acf, small_stats, small_acf) = json.loads(child.stdout)
+    for code, out, err in (wide_stats, wide_acf):
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"Error: out of memory: .*\n", err)
+    assert small_stats[0] == small_acf[0] == 0
+    assert small_acf[1] == (DATA / "golden_acf.json").read_text()

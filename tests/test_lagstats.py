@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -35,7 +36,7 @@ from mbstat import (
 from mbstat import lagstats
 from mbstat.lagstats import LagPairSet
 from mbstat.moments import freq_moment
-from mbstat.windows import Window, members
+from mbstat.windows import Window, members, window_grid
 
 from oracle import oracle_curve
 
@@ -471,3 +472,104 @@ def test_points_are_a_lazy_cached_view(aggregate, step, golden):
         assert type(p.lag_ticks) is type(p.pair_count) is int
         assert all(type(getattr(p, key)) is float for key in lagstats.STATS)
         assert type(p.center_tick) is (int if aggregate == "per-center" else type(None))
+
+
+def reference_columns(tape, spec, max_lag, aggregate):
+    """The lag sweep as first written: gathered window sums, seven cumulative sums
+    per lag, every center's rows held, then one weighted-mean loop over the lags.
+
+    Returns the curve's ``lag``, ``center``, ``pair_count`` and ``stats`` columns.
+    """
+    first = tape.first_tick
+    span = tape.last_tick - first + 1
+    centers, rec_lo, rec_hi = window_grid(tape, spec)
+    centers = centers[rec_hi - rec_lo >= spec.min_trades]
+    lags = range(0, min(max_lag, span - 1) + 1, spec.lag_step_ticks)
+    c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
+    idx = tape.ticks - first
+    c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
+    c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
+    lo = centers - spec.half_width - first
+    hi = lo + spec.n_ticks
+    sweep = np.empty((len(lags), 7, len(centers)))
+    ps = np.zeros((7, span + 1), dtype=np.longdouble)
+    with np.errstate(all="ignore"):
+        for j, tau in enumerate(lags):
+            cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
+            m = p0 * present[tau : tau + span]
+            np.cumsum(m, dtype=np.longdouble, out=ps[0, 1:])
+            for row, a, b in zip(ps[1:], (c0, u0, c0, cl, u0, ul), (cl, ul, m, m, m, m)):
+                np.cumsum(a * b, dtype=np.longdouble, out=row[1:])
+            d = ps[:, hi] - ps[:, lo]
+            n, lag2_c, lag2_u, c1, c1l, u1, u1l = d
+            d[1:] /= n
+            c_means, u_means = c1 * c1l, u1 * u1l
+            lag2_p = lag2_c / lag2_u
+            sweep[j] = (lag2_c - c_means, lag2_u - u_means, lag2_p - c_means / u_means,
+                        lag2_c, lag2_u, lag2_p, n)
+    mean_lags, mean_rows = [], []
+    for tau, cols in zip(lags, sweep):
+        ok = cols[-1] >= 1
+        if np.any(ok):
+            w = cols[-1, ok]
+            wtot = w.sum()
+            mean_lags.append(tau)
+            mean_rows.append([*((x[ok] * w).sum() / wtot for x in cols[:-1]), wtot])
+    if aggregate == "mean":
+        block = np.array(mean_rows).T
+        return np.array(mean_lags), None, block[-1].astype(np.int64), block[:-1]
+    grid = sweep.transpose(1, 2, 0)
+    ci, li = np.nonzero(grid[-1] >= 1)
+    block = grid[:, ci, li]
+    return np.array(lags)[li], centers[ci], block[-1].astype(np.int64), block[:-1]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_ticks=st.integers(12, 160),
+    gap_prob=st.sampled_from([0.0, 0.15]),
+    half_width=st.integers(0, 8),
+    step=st.integers(1, 3),
+    n_lags=st.integers(1, 40),
+    min_trades=st.integers(1, 5),
+    aggregate=st.sampled_from(["per-center", "mean"]),
+    threads=st.sampled_from([1, 2]),
+    neg_zeros=st.integers(0, 12),
+)
+def test_sweep_equals_reference_kernel(seed, n_ticks, gap_prob, half_width, step, n_lags,
+                                       min_trades, aggregate, threads, neg_zeros):
+    """The strided, dense-prefix, reduce-per-lag sweep is exactly the reference sweep.
+
+    A head of -0.0 values checks that no sign of zero differs where a dense
+    prefix is held flat instead of summed.
+    """
+    tape = random_tape(random.Random(seed), n_ticks, gap_prob)
+    value = np.where(np.arange(len(tape)) < neg_zeros, -0.0, tape.value)
+    tape = TradeTape(1.0, tape.ticks, value, tape.volume)
+    spec = WindowSpec(2 * half_width + 1, max(1, min(step, 2 * half_width + 1)), min_trades)
+    max_lag = (n_lags - 1) * spec.lag_step_ticks
+    try:
+        curve = acf_curve(tape, spec, max_lag, aggregate=aggregate, threads=threads)
+    except NoDataError:
+        reject()
+    lag, center, pair_count, stats = reference_columns(tape, spec, max_lag, aggregate)
+    assert curve.lag.tolist() == lag.tolist()
+    assert curve.pair_count.tolist() == pair_count.tolist()
+    assert (curve.center is None) == (center is None)
+    if center is not None:
+        assert curve.center.tolist() == center.tolist()
+    assert curve.stats.shape == stats.shape
+    assert curve.stats.tobytes() == stats.tobytes()
+
+
+def test_mean_mode_memory_is_bounded_by_span_not_lags_times_centers():
+    """Mean mode holds O(span) per thread plus O(lags); a (lags, 7, centers) block is ~51 MB."""
+    tape = random_tape(random.Random(21), 5000)
+    tracemalloc.start()
+    try:
+        acf_curve(tape, WindowSpec(501, 1), 200, aggregate="mean", threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
