@@ -122,14 +122,15 @@ def _window_setup(cfg: dict):
 
 
 def _window_reports(cfg: dict):
-    """Planned and valid window counts, and the valid windows' reports (lazily)."""
+    """Planned and valid window counts, and the valid windows' reports."""
     tp, spec = _window_setup(cfg)
-    wins = windows.plan_windows(tp, spec)
-    valid = [w for w in wins if w.valid]
-    if not valid:
+    centers, lo, hi = windows.window_grid(tp, spec)
+    valid = hi - lo >= spec.min_trades
+    if not valid.any():
         raise NoDataError("no valid windows on this tape")
-    reports = (moments.compute_report(w, tp, max_order=cfg["max_order"]) for w in valid)
-    return len(wins), len(valid), reports
+    reports = moments.window_reports(tp, centers[valid].tolist(), lo[valid].tolist(),
+                                     hi[valid].tolist(), cfg["max_order"])
+    return len(centers), len(reports), reports
 
 
 @main.command()

@@ -134,44 +134,69 @@ class MomentReport:
         }
 
 
-def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:
-    """Evaluate all moments of orders 1..max_order for one window.
+def _or_nan(fn, *args) -> float:
+    """``fn(*args)``, or NaN if it overflows (no real moment here is NaN)."""
+    try:
+        return fn(*args)
+    except OverflowError:
+        return math.nan
 
-    A price moment that is not finite (a price or a moment ratio beyond the
-    float range) raises OverflowError naming the window, field and order.
+
+def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[int],
+                   max_order: int = 4) -> list[MomentReport]:
+    """Reports of the windows centered at ``centers`` holding tape rows [lo, hi).
+
+    Each record's value, volume and price is raised to each order once, for
+    all the windows that hold it; every window mean is an exact ``fsum``
+    over its rows.  A window with no rows is not allowed.  The first window,
+    in order, whose moments fail raises: an overflowing moment
+    (OverflowError, by series then order), a volume moment that underflows
+    to 0 (ZeroDivisionError) or a price moment that is not finite
+    (OverflowError naming the field and order).
     """
     _check_order(max_order, DEFAULT_MAX_ORDER)
-    if not window.member_ticks:
-        raise NoDataError(f"window at tick {window.center_tick} has no records")
-    lo = tape.ticks.searchsorted(window.member_ticks[0])
-    hi = tape.ticks.searchsorted(window.member_ticks[-1], side="right")
-    value, volume = tape.value[lo:hi].tolist(), tape.volume[lo:hi].tolist()
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
+    start = lo[0]
+    value, volume = tape.value[start:hi[-1]].tolist(), tape.volume[start:hi[-1]].tolist()
     price = [c / u for c, u in zip(value, volume)]
-    try:
-        value_m, volume_m, freq_price = (
-            tuple(_power_mean(xs, n, series) for n in orders)
-            for series, xs in zip(SERIES, (value, volume, price))
-        )
-    except OverflowError as exc:
-        raise OverflowError(f"window at tick {window.center_tick}: {exc}") from None
+    bounds = [(a - start, b - start) for a, b in zip(lo, hi)]
+    means = []  # one list per (series, order), over the windows; NaN marks an overflow
+    for xs in (value, volume, price):
+        for n in orders:
+            try:
+                col = [x**n for x in xs]
+            except OverflowError:
+                col = [_or_nan(pow, x, n) for x in xs]
+            means.append([_or_nan(math.fsum, col[a:b]) / (b - a) for a, b in bounds])
+            del col  # one power column at a time
+    k = len(orders)
+    return [_report(c, b - a, row[:k], row[k:2 * k], row[2 * k:], max_order)
+            for c, (a, b), row in zip(centers, bounds, zip(*means))]
+
+
+def _report(center: int, count: int, value_m, volume_m, freq_price, max_order: int):
+    for series, ms in zip(SERIES, (value_m, volume_m, freq_price)):
+        for n, m in enumerate(ms, start=1):
+            if math.isnan(m):
+                raise OverflowError(
+                    f"window at tick {center}: {series} moment of order {n} overflows")
     try:
         market_price = tuple(c / u for c, u in zip(value_m, volume_m))
     except ZeroDivisionError:
         n = volume_m.index(0.0) + 1
         raise ZeroDivisionError(
-            f"window at tick {window.center_tick}: volume moment of order {n} underflows to 0"
+            f"window at tick {center}: volume moment of order {n} underflows to 0"
         ) from None
     for name, xs in (("freq_price", freq_price), ("market_price", market_price)):
         for n, x in enumerate(xs, start=1):
             if not math.isfinite(x):
-                raise OverflowError(f"window at tick {window.center_tick}: {name} moment "
+                raise OverflowError(f"window at tick {center}: {name} moment "
                                     f"of order {n} is {x!r}")
     return MomentReport(
-        center_tick=window.center_tick,
-        effective_count=int(hi - lo),
+        center_tick=center,
+        effective_count=count,
         freq_price=freq_price[:max_order],
         value=value_m[:max_order],
         volume=volume_m[:max_order],
@@ -179,3 +204,16 @@ def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> Momen
         vwap=market_price[0],
         market_volatility=market_price[1] - market_price[0] ** 2,
     )
+
+
+def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:
+    """Evaluate all moments of orders 1..max_order for one window.
+
+    The one-window case of :func:`window_reports`, with the same errors.
+    """
+    _check_order(max_order, DEFAULT_MAX_ORDER)
+    if not window.member_ticks:
+        raise NoDataError(f"window at tick {window.center_tick} has no records")
+    lo = int(tape.ticks.searchsorted(window.member_ticks[0]))
+    hi = int(tape.ticks.searchsorted(window.member_ticks[-1], side="right"))
+    return window_reports(tape, [window.center_tick], [lo], [hi], max_order)[0]

@@ -63,13 +63,16 @@ def _ar1_log_levels(
 ) -> np.ndarray:
     """Stationary AR(1) path: phi = exp(-1/persistence), sd sigma, mean mean."""
     phi = math.exp(-1.0 / persistence)
-    z = rng.standard_normal(n)
-    x = np.empty(n)
-    x[0] = mean + sigma * z[0]
+    z = iter(rng.standard_normal(n).tolist())
     innov_sd = sigma * math.sqrt(1.0 - phi * phi)
-    for i in range(1, n):
-        x[i] = mean + phi * (x[i - 1] - mean) + innov_sd * z[i]
-    return x
+    # The loop runs on Python floats: the same double operations as on
+    # numpy scalars, in the same order, but without their overhead.
+    prev = mean + sigma * next(z)
+    x = [prev]
+    for zi in z:
+        prev = mean + phi * (prev - mean) + innov_sd * zi
+        x.append(prev)
+    return np.array(x)
 
 
 def gen_tape(params: SynthParams) -> TradeTape:

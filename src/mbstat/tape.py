@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,9 +85,7 @@ class TradeTape:
     @classmethod
     def from_records(cls, epsilon: float, records: Iterable[TradeRecord]) -> TradeTape:
         """Tape of records that already hold one trade per tick, in tick order."""
-        recs = tuple(records)
-        cols = [r.tick for r in recs], [r.value for r in recs], [r.volume for r in recs]
-        return cls(epsilon, *cols)
+        return cls(epsilon, *_columns(list(records)))
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -122,6 +121,33 @@ def quantize_tick(time_seconds: float, epsilon: float) -> int:
     return round(time_seconds / epsilon)
 
 
+#: Rows that ``parse_csv`` converts at a time.  Small blocks keep the
+#: parse's peak memory low; a block that fails a check is parsed again row
+#: by row, which names the line of its first bad row.
+PARSE_BLOCK_ROWS = 1024
+
+
+def _columns(records: list[TradeRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tick, value and volume columns of the records, in their order."""
+    return (np.array([r.tick for r in records], dtype=np.int64),
+            np.array([r.value for r in records], dtype=np.float64),
+            np.array([r.volume for r in records], dtype=np.float64))
+
+
+def _merged(epsilon: float, ticks, value, volume) -> TradeTape:
+    """Tape with one record per distinct tick, in tick order.
+
+    The values (and volumes) of a tick are summed in input order starting
+    from 0.0, so a lone -0.0 comes back as 0.0.
+    """
+    unique, index = np.unique(ticks, return_inverse=True)
+    sums = np.zeros((2, len(unique)))
+    with np.errstate(over="ignore"):  # an overflowing sum is rejected by the tape
+        np.add.at(sums[0], index, value)
+        np.add.at(sums[1], index, volume)
+    return TradeTape(epsilon, unique, sums[0], sums[1])
+
+
 def bucket(raw: Iterable[TradeRecord], epsilon: float) -> TradeTape:
     """Merge records sharing a tick by summing values and volumes.
 
@@ -129,21 +155,55 @@ def bucket(raw: Iterable[TradeRecord], epsilon: float) -> TradeTape:
     per tick, sorted.  A merged sum that overflows is rejected by the tape,
     naming its tick.
     """
-    sums: dict[int, list[float]] = {}
-    for r in raw:
-        acc = sums.setdefault(r.tick, [0.0, 0.0])
-        acc[0] += r.value
-        acc[1] += r.volume
-    ticks = sorted(sums)
-    return TradeTape(epsilon, ticks, [sums[t][0] for t in ticks], [sums[t][1] for t in ticks])
+    return _merged(epsilon, *_columns(list(raw)))
+
+
+def _block_columns(rows: list[list[str]], price_form: bool):
+    """Tick, value and volume columns of a block of rows, or None if a row fails a check."""
+    if any(len(row) != 3 for row in rows):
+        return None
+    ticks, first, second = zip(*rows)
+    try:
+        ticks = np.array(list(map(int, ticks)), dtype=np.int64)
+        a = np.array(list(map(float, first)))
+        volume = np.array(list(map(float, second)))
+    except (ValueError, OverflowError):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = a * volume if price_form else a
+        ok = (volume > 0) & np.isfinite(volume) & (value >= 0) & np.isfinite(value)
+    return (ticks, value, volume) if ok.all() else None
+
+
+def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[TradeRecord]:
+    """Rows parsed one at a time, skipping blank ones; ``line`` is the first row's line."""
+    records = []
+    for lineno, row in enumerate(rows, start=line):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+        try:
+            tick = int(row[0])
+            if not -(2**63) <= tick < 2**63:
+                raise ValueError(f"tick {tick} is outside the int64 range")
+            a = float(row[1])
+            volume = float(row[2])
+            value = a * volume if price_form else a
+            records.append(TradeRecord(tick, value, volume))
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+    return records
 
 
 def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> TradeTape:
     """Parse a tape from CSV text or a file-like object.
 
     The header row must match the chosen format exactly.  In price form the
-    record value is price * volume.  Duplicate ticks are merged by bucket.
-    Malformed rows raise :class:`FormatError` with their line number.
+    record value is price * volume.  Duplicate ticks are merged as by
+    bucket.  Malformed rows raise :class:`FormatError` with their line number.
+    Rows are converted in blocks of ``PARSE_BLOCK_ROWS``, with the same
+    ``int``/``float`` calls and checks as a row-by-row parse.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -158,23 +218,14 @@ def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> 
     if tuple(h.strip() for h in header) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)
 
-    raw: list[TradeRecord] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-        try:
-            tick = int(row[0])
-            if not -(2**63) <= tick < 2**63:
-                raise ValueError(f"tick {tick} is outside the int64 range")
-            a = float(row[1])
-            volume = float(row[2])
-            value = a * volume if format == "tick-price-volume" else a
-            raw.append(TradeRecord(tick, value, volume))
-        except ValueError as exc:
-            raise FormatError(str(exc), line=lineno) from None
-    return bucket(raw, epsilon)
+    price_form = format == "tick-price-volume"
+    blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
+    line = 2
+    while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
+        cols = _block_columns(rows, price_form)
+        blocks.append(cols if cols is not None else _columns(_row_records(rows, line, price_form)))
+        line += len(rows)
+    return _merged(epsilon, *map(np.concatenate, zip(*blocks)))
 
 
 def emit_csv(tape: TradeTape, format: str = "tick-value-volume") -> str:

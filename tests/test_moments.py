@@ -8,6 +8,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,9 +21,9 @@ from mbstat import (
     market_volatility,
     vwap,
 )
-from mbstat.moments import compute_report
+from mbstat.moments import MomentReport, compute_report, window_reports
 from mbstat.tape import TradeTape
-from mbstat.windows import Window
+from mbstat.windows import Window, WindowSpec, plan_windows, window_grid
 
 W1 = [TradeRecord(0, 10, 2), TradeRecord(1, 6, 2)]
 W2 = [TradeRecord(0, 10, 1), TradeRecord(1, 6, 3)]
@@ -177,3 +178,102 @@ def test_report_matches_reference_functions_bit_exact(pairs, max_order):
     assert len(rep.market_price) == max_order
     for n in range(1, max_order + 1):
         assert rep.market_price[n - 1] == market_price_moment(members, n)
+
+
+# --------------------------------------------------------------------------
+# Shared-power reports against the per-window path they replaced.
+
+
+def _reference_power_mean(xs, n, series):
+    try:
+        return math.fsum(x**n for x in xs) / len(xs)
+    except OverflowError:
+        raise OverflowError(f"{series} moment of order {n} overflows") from None
+
+
+def reference_compute_report(window, tape, max_order=4):
+    """Per-window moments, each power taken inside its window, kept as a reference."""
+    lo = tape.ticks.searchsorted(window.member_ticks[0])
+    hi = tape.ticks.searchsorted(window.member_ticks[-1], side="right")
+    value, volume = tape.value[lo:hi].tolist(), tape.volume[lo:hi].tolist()
+    orders = range(1, max(max_order, 2) + 1)
+    price = [c / u for c, u in zip(value, volume)]
+    try:
+        value_m, volume_m, freq_price = (
+            tuple(_reference_power_mean(xs, n, series) for n in orders)
+            for series, xs in zip(("value", "volume", "price"), (value, volume, price))
+        )
+    except OverflowError as exc:
+        raise OverflowError(f"window at tick {window.center_tick}: {exc}") from None
+    try:
+        market_price = tuple(c / u for c, u in zip(value_m, volume_m))
+    except ZeroDivisionError:
+        n = volume_m.index(0.0) + 1
+        raise ZeroDivisionError(
+            f"window at tick {window.center_tick}: volume moment of order {n} underflows to 0"
+        ) from None
+    for name, xs in (("freq_price", freq_price), ("market_price", market_price)):
+        for n, x in enumerate(xs, start=1):
+            if not math.isfinite(x):
+                raise OverflowError(f"window at tick {window.center_tick}: {name} moment "
+                                    f"of order {n} is {x!r}")
+    return MomentReport(
+        center_tick=window.center_tick,
+        effective_count=int(hi - lo),
+        freq_price=freq_price[:max_order],
+        value=value_m[:max_order],
+        volume=volume_m[:max_order],
+        market_price=market_price[:max_order],
+        vwap=market_price[0],
+        market_volatility=market_price[1] - market_price[0] ** 2,
+    )
+
+
+def report_outcome(fn, *args):
+    """``repr`` of every report ``fn`` returns, or the type and message of what it raises."""
+    try:
+        reports = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return [repr(r) for r in reports]
+
+
+moderate = st.floats(min_value=0.01, max_value=100.0)
+extreme = st.one_of(st.floats(min_value=1e-200, max_value=1e200),
+                    st.sampled_from([0.0, -0.0, 5e-324, 1e-160, 1e160]))
+
+
+@st.composite
+def gappy_tapes(draw):
+    """Tapes with gaps; a per-tape share of values from 1e-200 to 1e200 reaches every error."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=5, max_size=70))
+    ticks = np.cumsum(gaps) + draw(st.integers(min_value=-50, max_value=50))
+    rate = draw(st.sampled_from([0, 3, 20, 100]))  # percent of extreme values
+
+    def size():
+        return draw(extreme if draw(st.integers(min_value=0, max_value=99)) < rate else moderate)
+
+    value = [size() for _ in gaps]
+    volume = [abs(size()) or 1.0 for _ in gaps]
+    return TradeTape(1.0, ticks, value, volume)
+
+
+@given(gappy_tapes(), st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=15),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=8))
+@settings(max_examples=300, deadline=None)
+def test_window_reports_equal_per_window_reference(tape, half, step, min_trades, max_order):
+    min_trades = min(min_trades, half + 1)  # most draws then hold a valid window
+    spec = WindowSpec(2 * half + 1, min(step, 2 * half + 1), min_trades)
+    valid = [w for w in plan_windows(tape, spec) if w.valid]
+    centers, lo, hi = window_grid(tape, spec)
+    keep = hi - lo >= min_trades
+    assert [w.center_tick for w in valid] == centers[keep].tolist()
+    if not valid:
+        return
+    want = report_outcome(lambda: [reference_compute_report(w, tape, max_order) for w in valid])
+    got = report_outcome(window_reports, tape, centers[keep].tolist(), lo[keep].tolist(),
+                         hi[keep].tolist(), max_order)
+    assert got == want
+    for w in valid:  # the one-window case powers only its own rows
+        assert (report_outcome(lambda: [compute_report(w, tape, max_order)])
+                == report_outcome(lambda: [reference_compute_report(w, tape, max_order)]))

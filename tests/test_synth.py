@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mbstat import SynthParams, gen_tape, theoretical_log_acf
+from mbstat import SynthParams, gen_tape, synth, theoretical_log_acf
 
 
 def params(**kw):
@@ -86,3 +86,26 @@ def test_param_validation():
         params(length_ticks=1)
     with pytest.raises(ValueError):
         params(persistence_a_ticks=0)
+
+
+def _numpy_scalar_ar1(rng, n, persistence, sigma, mean):
+    """The AR(1) loop on numpy scalars: the reference for the Python-float loop."""
+    phi = math.exp(-1.0 / persistence)
+    z = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = mean + sigma * z[0]
+    innov_sd = sigma * math.sqrt(1.0 - phi * phi)
+    for i in range(1, n):
+        x[i] = mean + phi * (x[i - 1] - mean) + innov_sd * z[i]
+    return x
+
+
+@pytest.mark.parametrize("mode", ["price_volume", "value_volume"])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_ar1_on_python_floats_is_bit_identical(monkeypatch, mode, seed):
+    p = params(mode=mode, seed=seed, length_ticks=2000, sigma_a=0.3, mean_a=1.5, mean_b=-0.25)
+    got = gen_tape(p)
+    monkeypatch.setattr(synth, "_ar1_log_levels", _numpy_scalar_ar1)
+    want = gen_tape(p)
+    for name in ("ticks", "value", "volume"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

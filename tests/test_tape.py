@@ -1,11 +1,17 @@
 """Tape ingestion, bucketing and CSV round-trip."""
 
+import csv
+import io
 import math
+import warnings
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbstat import FormatError, TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick
+from mbstat import tape as tape_mod
 
 
 def test_parse_value_volume():
@@ -158,3 +164,162 @@ def test_csv_round_trip(triples):
     tp = bucket([TradeRecord(t, c, u) for t, c, u in triples], 1.0)
     again = parse_csv(emit_csv(tp))
     assert again.records == tp.records
+
+
+# --------------------------------------------------------------------------
+# The block-parsed, array-merged path against the row-by-row one it replaced.
+
+
+def reference_bucket(raw, epsilon):
+    """Dict merge of records sharing a tick, kept as a reference."""
+    sums = {}
+    for r in raw:
+        acc = sums.setdefault(r.tick, [0.0, 0.0])
+        acc[0] += r.value
+        acc[1] += r.volume
+    ticks = sorted(sums)
+    return TradeTape(epsilon, ticks, [sums[t][0] for t in ticks], [sums[t][1] for t in ticks])
+
+
+def reference_parse_csv(text, format="tick-value-volume", epsilon=1.0):
+    """Row-by-row parse into TradeRecords, then the dict merge, kept as a reference."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError("missing header row", line=1)
+    expected = tape_mod._HEADERS[format]
+    if tuple(h.strip() for h in header) != expected:
+        raise FormatError(f"header must be {','.join(expected)}", line=1)
+    raw = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+        try:
+            tick = int(row[0])
+            if not -(2**63) <= tick < 2**63:
+                raise ValueError(f"tick {tick} is outside the int64 range")
+            a = float(row[1])
+            volume = float(row[2])
+            value = a * volume if format == "tick-price-volume" else a
+            raw.append(TradeRecord(tick, value, volume))
+        except ValueError as exc:
+            raise FormatError(str(exc), line=lineno) from None
+    return reference_bucket(raw, epsilon)
+
+
+def outcome(fn, *args, **kwargs):
+    """Column bytes of the tape ``fn`` returns, or the type and message of what it raises."""
+    try:
+        tp = fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return tp.epsilon, tp.ticks.tobytes(), tp.value.tobytes(), tp.volume.tobytes()
+
+
+magnitudes = st.one_of(
+    st.floats(min_value=1e-200, max_value=1e200),
+    st.floats(min_value=0.01, max_value=100.0),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308, 1.7976931348623157e308]),
+)
+#: Spellings that ``int``/``float`` accept or reject, beside ``repr`` of a float.
+odd_tokens = st.sampled_from(
+    ["-0", "-0.0", "1_0", " 7 ", "+3", "inf", "nan", "-1", "abc", "", "1e999"])
+
+
+@st.composite
+def raw_rows(draw):
+    """CSV rows in input order: duplicate and crowded ticks, gaps, odd fields and shapes."""
+    ticks = draw(st.lists(st.integers(min_value=-3, max_value=40), max_size=40))
+    crowd_tick = draw(st.integers(min_value=-3, max_value=40))
+    ticks += [crowd_tick] * draw(st.integers(min_value=0, max_value=14))
+    ticks = draw(st.permutations(ticks))
+    rows = []
+    for t in ticks:
+        fields = [str(t), repr(draw(magnitudes)), repr(abs(draw(magnitudes)))]
+        if draw(st.integers(min_value=0, max_value=39)) == 0:
+            fields[draw(st.integers(min_value=0, max_value=2))] = draw(odd_tokens)
+        shape = draw(st.integers(min_value=0, max_value=79))
+        if shape == 0:
+            fields = fields[:2]
+        elif shape == 1:
+            fields = fields + ["1"]
+        elif shape == 2:
+            fields = [" "] if draw(st.booleans()) else []
+        rows.append(",".join(fields))
+    return rows
+
+
+@given(raw_rows(), st.sampled_from(tape_mod.FORMATS), st.sampled_from([1, 2, 5, 1024]))
+@settings(max_examples=300, deadline=None)
+def test_parse_equals_row_by_row_reference(rows, fmt, block_rows):
+    header = ",".join(tape_mod._HEADERS[fmt])
+    text = "\n".join([header, *rows]) + "\n"
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
+        got = outcome(parse_csv, text, format=fmt, epsilon=0.5)
+    assert got == outcome(reference_parse_csv, text, format=fmt, epsilon=0.5)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),
+                max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_bucket_equals_dict_reference(triples):
+    raw = [TradeRecord(t, c, abs(u) or 1.0) for t, c, u in triples]
+    assert outcome(bucket, raw, 2.0) == outcome(reference_bucket, raw, 2.0)
+
+
+# --------------------------------------------------------------------------
+# Parse edge cases
+
+
+@pytest.mark.parametrize("bad", ["abc,1,1", "3000,1,0", f"{2**63},1,1", "3000,1", "3000,1,1,1"])
+def test_bad_row_past_first_block_names_its_line(bad):
+    rows = [f"{i},1.5,2" for i in range(5000)]
+    rows[2999] = bad  # data row 3000 sits on line 3001, in the third block
+    with pytest.raises(FormatError, match="^line 3001: "):
+        parse_csv("\n".join(["tick,value,volume", *rows]) + "\n")
+
+
+def test_negative_zero_values_merge_to_positive_zero():
+    t = parse_csv("tick,value,volume\n0,-0.0,1\n1,-0,2\n2,0,1\n2,-0.0,1\n")
+    assert t.value.tolist() == [0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in t.value.tolist())
+    t = parse_csv("tick,price,volume\n0,-0.0,3\n", format="tick-price-volume")
+    assert math.copysign(1.0, t.value[0]) == 1.0
+
+
+def test_fields_parse_as_int_and_float_parse_them():
+    t = parse_csv("tick,value,volume\n1_0, 7 ,1_0\n +3,1e2,2.5\n")
+    assert t.ticks.tolist() == [int(" +3"), int("1_0")]
+    assert t.value.tolist() == [float("1e2"), float(" 7 ")]
+    assert t.volume.tolist() == [2.5, float("1_0")]
+
+
+def test_header_only_and_blank_lines():
+    for text in ("tick,value,volume\n", "tick,value,volume", "tick,value,volume\n\n  \n"):
+        t = parse_csv(text)
+        assert len(t) == 0 and t.ticks.dtype == np.int64
+    t = parse_csv("tick,value,volume\n\n0,1,1\n   \n\n2,3,1\n\n")
+    assert t.ticks.tolist() == [0, 2]
+    with pytest.raises(FormatError, match="^line 4: "):
+        parse_csv("tick,value,volume\n\n0,1,1\n1,-1,1\n")
+
+
+@pytest.mark.parametrize("row, n", [("0,1", 2), ("0,1,1,1", 4)])
+def test_wrong_field_count_names_line(row, n):
+    with pytest.raises(FormatError, match=f"^line 3: expected 3 fields, got {n}$"):
+        parse_csv(f"tick,value,volume\n0,1,1\n{row}\n")
+
+
+def test_overflows_raise_errors_not_runtime_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        not_finite = "value must be nonnegative and finite, got inf$"
+        with pytest.raises(FormatError, match="^line 3: " + not_finite):
+            parse_csv("tick,price,volume\n0,1,1\n1,1e200,1e200\n", format="tick-price-volume")
+        with pytest.raises(ValueError, match="^tick 4: " + not_finite):
+            parse_csv("tick,value,volume\n4,1e308,1\n4,1e308,1\n")
+        with pytest.raises(FormatError, match="^line 2: volume must be positive"):
+            parse_csv("tick,price,volume\n0,inf,0\n", format="tick-price-volume")
