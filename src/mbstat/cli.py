@@ -3,11 +3,13 @@
 Per-window moment reports stream as JSON lines; curves are written as one
 JSON document plus a flat plot-ready CSV.  All numeric output uses the
 shortest round-tripping decimal form, and identical inputs and flags yield
-byte-identical outputs regardless of --threads.
+byte-identical outputs regardless of --threads.  An option's value comes
+from its flag, else its environment variable, else --config, else its default.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -19,65 +21,53 @@ from .errors import FormatError, NoDataError
 
 _MODE_ALIASES = {"pv": "price_volume", "vv": "value_volume"}
 
-#: Values of the options that neither a flag nor the config file sets.
-_DEFAULTS = {"fmt": "tick-value-volume", "epsilon": 1.0, "window_n": 101, "lag_step": 1,
-             "min_trades": 1, "max_order": 4, "aggregate": "per-center", "threshold": 0.05}
 
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the JSON object in ``path`` the command's option defaults.
 
-def _threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("MBSTAT_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _load_config(path: str | None) -> dict:
+    Every key must name one of the command's own options and hold a JSON
+    value of that option's type: an int for an int option, an int or a
+    float for a float option, a string otherwise, and never a bool.
+    """
     if path is None:
-        return {}
+        return
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise FormatError("config file must hold a JSON object")
-    return cfg
-
-
-def _config_type_ok(value, param: click.Parameter) -> bool:
-    want = {click.INT: int, click.FLOAT: (int, float)}.get(param.type, str)
-    return isinstance(value, want) and not isinstance(value, bool)
-
-
-def _merged(config: dict, **flags):
-    """Flag values win over config entries; config, then defaults fill unset flags.
-
-    Every config key must name one of the command's own options and hold a
-    JSON value of that option's type.
-    """
-    params = {p.name: p for p in click.get_current_context().command.params}
-    for key, value in config.items():
-        if key not in flags:
+    params = {p.name: p for p in ctx.command.params if p is not param}
+    for key, value in cfg.items():
+        if key not in params:
             raise click.ClickException(f"config key {key!r} is not an option of this command")
-        if not _config_type_ok(value, params[key]):
+        kind = params[key].type
+        want = (int if isinstance(kind, click.types.IntParamType)
+                else (int, float) if isinstance(kind, click.types.FloatParamType) else str)
+        if isinstance(value, bool) or not isinstance(value, want):
             raise click.ClickException(f"config key {key!r} has a wrong-type value {value!r}")
-    out = {}
-    for key, value in flags.items():
-        out[key] = value if value is not None else config.get(key, _DEFAULTS.get(key))
-    return out
+    ctx.default_map = cfg
 
 
-def _write(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or the file at ``path`` opened for writing with untranslated newlines."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
+        sys.stdout.flush()  # a reader that went away fails here, inside the command
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            yield fh
 
 
 class _Main(click.Group):
-    """Turns the errors any subcommand may raise into one-line click errors."""
+    """Turns subcommand errors into one-line click errors; a closed stdout pipe exits 1 quietly."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except BrokenPipeError:
+            # The exit-time flush of what is left then goes to devnull, not the pipe.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
         except ArithmeticError as exc:
             raise click.ClickException(f"{type(exc).__name__}: {exc}") from None
         except (ValueError, OSError) as exc:
@@ -86,24 +76,25 @@ class _Main(click.Group):
             raise click.ClickException(f"out of memory: {exc}") from None
 
 
-@click.group(cls=_Main)
+@click.group(cls=_Main, context_settings={"show_default": True})
 def main():
     """Market-based trade-tape statistics."""
 
 
 _common = [
-    click.option("--input", "input_path", type=click.Path(exists=True), default=None),
-    click.option("--output", "output_path", default=None),
-    click.option(
-        "--format", "fmt", type=click.Choice(list(tape.FORMATS)), default=None
-    ),
-    click.option("--epsilon", type=float, default=None),
-    click.option("--window-n", type=int, default=None, help="odd window width in ticks"),
-    click.option("--lag-step", type=int, default=None),
-    click.option("--min-trades", type=int, default=None),
-    click.option("--threads", type=int, default=None,
+    click.option("--input", "input_path", type=click.Path(exists=True)),
+    click.option("--output", "output_path"),
+    click.option("--format", "fmt", type=click.Choice(list(tape.FORMATS)),
+                 default="tick-value-volume"),
+    click.option("--epsilon", type=float, default=1.0),
+    click.option("--window-n", type=int, default=101, help="odd window width in ticks"),
+    click.option("--lag-step", type=int, default=1),
+    click.option("--min-trades", type=int, default=1),
+    click.option("--threads", type=click.IntRange(min=1, clamp=True), default=1,
+                 envvar="MBSTAT_THREADS", show_envvar=True,
                  help="lag-sweep threads for acf; stats and compare ignore it"),
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None),
+    click.option("--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
+                 callback=_load_config, help="JSON object of option defaults"),
 ]
 
 
@@ -113,81 +104,73 @@ def _with_common(fn):
     return fn
 
 
-def _window_setup(cfg: dict):
-    if cfg["input_path"] is None:
+def _window_setup(opts: dict):
+    if opts["input_path"] is None:
         raise click.ClickException("--input is required")
-    with open(cfg["input_path"], newline="") as fh:
-        tp = tape.parse_csv(fh, format=cfg["fmt"], epsilon=cfg["epsilon"])
-    return tp, windows.WindowSpec(cfg["window_n"], cfg["lag_step"], cfg["min_trades"])
+    with open(opts["input_path"], newline="") as fh:
+        tp = tape.parse_csv(fh, format=opts["fmt"], epsilon=opts["epsilon"])
+    return tp, windows.WindowSpec(opts["window_n"], opts["lag_step"], opts["min_trades"])
 
 
-def _window_reports(cfg: dict):
+def _window_reports(opts: dict):
     """Planned and valid window counts, and the valid windows' reports."""
-    tp, spec = _window_setup(cfg)
+    tp, spec = _window_setup(opts)
     centers, lo, hi = windows.window_grid(tp, spec)
     valid = hi - lo >= spec.min_trades
     if not valid.any():
         raise NoDataError("no valid windows on this tape")
     reports = moments.window_reports(tp, centers[valid].tolist(), lo[valid].tolist(),
-                                     hi[valid].tolist(), cfg["max_order"])
+                                     hi[valid].tolist(), opts["max_order"])
     return len(centers), len(reports), reports
 
 
 @main.command()
 @_with_common
-@click.option("--max-order", type=int, default=None, help="default 4, cap 8")
-def stats(config_path, **flags):
+@click.option("--max-order", type=int, default=4, help="cap 8")
+def stats(**opts):
     """Per-window moment reports as JSON lines."""
-    cfg = _merged(_load_config(config_path), **flags)
-    planned, valid, reports = _window_reports(cfg)
-    lines = [json.dumps(rep.to_dict(), allow_nan=False) for rep in reports]
-    _write(cfg["output_path"], "\n".join(lines) + "\n")
+    planned, valid, reports = _window_reports(opts)
+    with _output(opts["output_path"]) as out:
+        out.writelines(json.dumps(rep.to_dict(), allow_nan=False) + "\n" for rep in reports)
     summary = {"windows": planned, "valid": valid, "invalid_skipped": planned - valid}
     print(json.dumps(summary), file=sys.stderr)
 
 
 @main.command()
 @_with_common
-@click.option("--max-lag", type=int, default=None, help="multiple of the lag step")
-@click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default=None)
-@click.option("--threshold", type=float, default=None, help="scale detection fraction")
-def acf(config_path, **flags):
+@click.option("--max-lag", type=int, help="multiple of the lag step")
+@click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default="per-center")
+@click.option("--threshold", type=click.FloatRange(0, 1, min_open=True, max_open=True),
+              default=0.05, help="scale detection fraction")
+def acf(**opts):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
-    cfg = _merged(_load_config(config_path), **flags)
-    tp, spec = _window_setup(cfg)
-    if cfg["max_lag"] is None:
+    tp, spec = _window_setup(opts)
+    if opts["max_lag"] is None:
         raise click.ClickException("--max-lag is required")
-    curve = lagstats.acf_curve(
-        tp,
-        spec,
-        max_lag_ticks=cfg["max_lag"],
-        aggregate=cfg["aggregate"],
-        threshold=cfg["threshold"],
-        threads=_threads(cfg["threads"]),
-    )
+    curve = lagstats.acf_curve(tp, spec, max_lag_ticks=opts["max_lag"],
+                               aggregate=opts["aggregate"], threshold=opts["threshold"],
+                               threads=opts["threads"])
     curve.check_finite()  # before any output file is created
-    if cfg["output_path"] is None:
-        curve.write(sys.stdout)
+    base = opts["output_path"]
+    if base is None:
+        with _output(None) as out:
+            curve.write(out)
     else:
-        base = cfg["output_path"]
-        with (open(base + ".json", "w", newline="") as json_out,
-              open(base + ".csv", "w", newline="") as csv_out):
+        with _output(base + ".json") as json_out, _output(base + ".csv") as csv_out:
             curve.write(json_out, csv_out)
 
 
 @main.command()
 @_with_common
-@click.option("--max-order", type=int, default=None, help="default 4, cap 8")
-def compare(config_path, **flags):
+@click.option("--max-order", type=int, default=4, help="cap 8")
+def compare(**opts):
     """Per-window divergence of frequency vs market-based price moments."""
-    cfg = _merged(_load_config(config_path), **flags)
-    _, _, reports = _window_reports(cfg)
-    lines = ["center_tick,n,freq_price,market_price,difference"]
-    for rep in reports:
-        pairs = zip(rep.freq_price, rep.market_price)
-        for n, (freq, market) in enumerate(pairs, start=1):
-            lines.append(f"{rep.center_tick},{n},{freq!r},{market!r},{freq - market!r}")
-    _write(cfg["output_path"], "\n".join(lines) + "\n")
+    _, _, reports = _window_reports(opts)
+    with _output(opts["output_path"]) as out:
+        out.write("center_tick,n,freq_price,market_price,difference\n")
+        out.writelines(f"{rep.center_tick},{n},{freq!r},{market!r},{freq - market!r}\n"
+                       for rep in reports for n, (freq, market)
+                       in enumerate(zip(rep.freq_price, rep.market_price), start=1))
 
 
 @main.command("synth")
@@ -203,11 +186,13 @@ def compare(config_path, **flags):
 @click.option("--mean-b", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
 @click.option("--epsilon", type=float, default=1.0)
-@click.option("--output", "output_path", default=None)
+@click.option("--output", "output_path")
 def synth_cmd(mode, output_path, **params):
     """Generate a synthetic tape as tick-value-volume CSV."""
     params = synth.SynthParams(mode=_MODE_ALIASES[mode], **params)
-    _write(output_path, tape.emit_csv(synth.gen_tape(params)))
+    text = tape.emit_csv(synth.gen_tape(params))  # before the file is created
+    with _output(output_path) as out:
+        out.write(text)
 
 
 if __name__ == "__main__":

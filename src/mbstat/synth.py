@@ -46,6 +46,12 @@ class SynthParams:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        for name in ("persistence_a_ticks", "persistence_b_ticks", "epsilon"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
+        for name in ("sigma_a", "sigma_b", "mean_a", "mean_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.length_ticks < 2:
@@ -92,12 +98,11 @@ def gen_tape(params: SynthParams) -> TradeTape:
         params.sigma_b,
         params.mean_b,
     )
-    a = np.exp(x)
-    volume = np.exp(y)
-    if params.mode == "price_volume":
-        value = a * volume
-    else:
-        value = a
+    # A level that overflows to inf is left to the tape's own check.
+    with np.errstate(over="ignore"):
+        a = np.exp(x)
+        volume = np.exp(y)
+        value = a * volume if params.mode == "price_volume" else a
     return TradeTape(params.epsilon, np.arange(params.length_ticks), value, volume)
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mbstat import lagstats
 from mbstat.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -381,6 +382,7 @@ def test_stats_window_at_int64_max_tick(runner, tmp_path):
 _CAPPED_CHILD = """
 import json, resource, sys
 from click.testing import CliRunner
+from mbstat import lagstats
 from mbstat.cli import main
 resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
 runs = [CliRunner().invoke(main, args) for args in json.loads(sys.argv[1])]
@@ -408,3 +410,120 @@ def test_out_of_memory_is_one_line_error(tmp_path):
         assert re.fullmatch(r"Error: out of memory: .*\n", err)
     assert small_stats[0] == small_acf[0] == 0
     assert small_acf[1] == (DATA / "golden_acf.json").read_text()
+
+
+def _error_lines(output: str) -> list[str]:
+    return [line for line in output.splitlines() if line.startswith("Error:")]
+
+
+def _record_threads(monkeypatch) -> list[int]:
+    """Record the thread count of each acf_curve call the CLI makes."""
+    seen, real = [], lagstats.acf_curve
+
+    def acf_curve(*args, threads, **kw):
+        seen.append(threads)
+        return real(*args, threads=threads, **kw)
+
+    monkeypatch.setattr(lagstats, "acf_curve", acf_curve)
+    return seen
+
+
+_MEAN_ARGS = ["acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",
+              "--lag-step", "1", "--max-lag", "50", "--aggregate", "mean"]
+
+
+def test_config_threads_accepted(runner, tmp_path, monkeypatch):
+    seen = _record_threads(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    res = run(runner, [*_MEAN_ARGS, "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert seen == [2]
+    assert res.stdout_bytes == (DATA / "golden_acf.json").read_bytes()
+
+
+@pytest.mark.parametrize("config,flag", [
+    ({"input_path": str(DATA / "golden_tape.csv"), "fmt": "bogus"}, "--format"),
+    ({"window_n": 5}, "--input"),
+], ids=["bogus-format", "missing-input"])
+def test_config_value_errors_name_the_option(runner, tmp_path, config, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(main, ["stats", "--config", str(cfg)])
+    assert res.exit_code != 0
+    (line,) = _error_lines(res.output)
+    assert flag in line
+    assert "Traceback" not in res.output
+
+
+def test_threads_env_not_an_integer_names_the_option(runner):
+    res = runner.invoke(main, _MEAN_ARGS, env={"MBSTAT_THREADS": "abc"})
+    assert res.exit_code != 0
+    (line,) = _error_lines(res.output)
+    assert "--threads" in line and "MBSTAT_THREADS" in line
+
+
+@pytest.mark.parametrize("flag,env", [([], "0"), (["--threads", "-3"], None)],
+                         ids=["env-0", "flag-minus-3"])
+def test_threads_below_one_run_one_thread(runner, monkeypatch, flag, env):
+    seen = _record_threads(monkeypatch)
+    res = run(runner, [*_MEAN_ARGS, *flag], env={"MBSTAT_THREADS": env})
+    assert res.exit_code == 0
+    assert seen == [1]
+    assert res.stdout_bytes == (DATA / "golden_acf.json").read_bytes()
+
+
+def test_threads_flag_beats_env_beats_config(runner, tmp_path, monkeypatch):
+    seen = _record_threads(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 3}))
+    args = [*_MEAN_ARGS, "--config", str(cfg)]
+    run(runner, args, env={"MBSTAT_THREADS": None})
+    run(runner, args, env={"MBSTAT_THREADS": "2"})
+    run(runner, [*args, "--threads", "4"], env={"MBSTAT_THREADS": "2"})
+    assert seen == [3, 2, 4]
+
+
+def test_threshold_out_of_range_fails_before_the_tape_is_read(runner, tmp_path):
+    inp = tmp_path / "bad.csv"
+    inp.write_text("tick,value,volume\n0,x,1\n")  # would fail with its line number
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threshold": 1.5}))
+    for extra in (["--threshold", "1.5"], ["--threshold", "0"], ["--config", str(cfg)]):
+        res = runner.invoke(main, ["acf", "--input", str(inp), "--max-lag", "1", *extra])
+        assert res.exit_code != 0
+        (line,) = _error_lines(res.output)
+        assert "--threshold" in line
+
+
+@pytest.mark.parametrize("args,line", [
+    (["--tau-a", "nan"], "Error: persistence_a_ticks must not be NaN"),
+    (["--mean-a", "1e300"], "Error: tick 0: value must be nonnegative and finite, got inf"),
+], ids=["nan-tau", "overflowing-mean"])
+def test_synth_bad_parameter_is_one_line(runner, args, line):
+    res = runner.invoke(main, ["synth", "--len", "10", "--tau-a", "3", "--tau-b", "3", *args])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [line]
+
+
+@pytest.mark.parametrize("args", [
+    ["stats", "--input", str(DATA / "golden_tape.csv")],
+    ["compare", "--input", str(DATA / "golden_tape.csv")],
+    _MEAN_ARGS,
+    ["synth", "--len", "100", "--tau-a", "3", "--tau-b", "3"],
+], ids=["stats", "compare", "acf", "synth"])
+def test_closed_stdout_pipe_exits_quietly(args):
+    # The reader closes its end before the command writes, as `| head -c 10`
+    # does once it has read enough.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    try:
+        child = subprocess.run([sys.executable, "-m", "mbstat.cli", *args], stdout=write_end,
+                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert "Error" not in child.stderr and "Traceback" not in child.stderr

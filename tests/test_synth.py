@@ -88,6 +88,29 @@ def test_param_validation():
         params(persistence_a_ticks=0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("persistence_a_ticks", math.nan, "persistence_a_ticks must not be NaN"),
+    ("persistence_b_ticks", math.nan, "persistence_b_ticks must not be NaN"),
+    ("epsilon", math.nan, "epsilon must not be NaN"),
+    ("sigma_a", math.nan, "sigma_a must be finite, got nan"),
+    ("sigma_b", math.inf, "sigma_b must be finite, got inf"),
+    ("mean_a", -math.inf, "mean_a must be finite, got -inf"),
+    ("mean_b", math.nan, "mean_b must be finite, got nan"),
+])
+def test_param_validation_names_nonfinite_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        params(**{field: value})
+
+
+@pytest.mark.parametrize("mode", ["price_volume", "value_volume"])
+def test_overflowing_level_fails_in_the_tape_without_warning(mode):
+    # Warnings are errors under pytest: exp(1e300) and inf * volume must not warn.
+    with pytest.raises(ValueError, match="^tick 0: value must be nonnegative and finite, got inf$"):
+        gen_tape(params(mode=mode, mean_a=1e300))
+    with pytest.raises(ValueError, match="^tick 0: value must be nonnegative and finite, got inf$"):
+        gen_tape(params(mode="price_volume", mean_a=400.0, mean_b=400.0))
+
+
 def _numpy_scalar_ar1(rng, n, persistence, sigma, mean):
     """The AR(1) loop on numpy scalars: the reference for the Python-float loop."""
     phi = math.exp(-1.0 / persistence)
