@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -45,6 +46,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         if isinstance(value, bool) or not isinstance(value, want):
             raise click.ClickException(f"config key {key!r} has a wrong-type value {value!r}")
     ctx.default_map = cfg
+
+
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """Reject NaN, which passes click's ``FloatRange`` (it compares false against both ends)."""
+    if math.isnan(value):
+        raise click.BadParameter(f"must be a number, got {value}")
+    return value
 
 
 @contextlib.contextmanager
@@ -82,11 +90,10 @@ def main():
 
 
 _common = [
-    click.option("--input", "input_path", type=click.Path(exists=True)),
+    click.option("--input", "input_path", type=click.Path(exists=True), required=True),
     click.option("--output", "output_path"),
     click.option("--format", "fmt", type=click.Choice(list(tape.FORMATS)),
                  default="tick-value-volume"),
-    click.option("--epsilon", type=float, default=1.0),
     click.option("--window-n", type=int, default=101, help="odd window width in ticks"),
     click.option("--lag-step", type=int, default=1),
     click.option("--min-trades", type=int, default=1),
@@ -105,10 +112,8 @@ def _with_common(fn):
 
 
 def _window_setup(opts: dict):
-    if opts["input_path"] is None:
-        raise click.ClickException("--input is required")
     with open(opts["input_path"], newline="") as fh:
-        tp = tape.parse_csv(fh, format=opts["fmt"], epsilon=opts["epsilon"])
+        tp = tape.parse_csv(fh, format=opts["fmt"])
     return tp, windows.WindowSpec(opts["window_n"], opts["lag_step"], opts["min_trades"])
 
 
@@ -138,15 +143,13 @@ def stats(**opts):
 
 @main.command()
 @_with_common
-@click.option("--max-lag", type=int, help="multiple of the lag step")
+@click.option("--max-lag", type=int, required=True, help="multiple of the lag step")
 @click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default="per-center")
 @click.option("--threshold", type=click.FloatRange(0, 1, min_open=True, max_open=True),
-              default=0.05, help="scale detection fraction")
+              default=0.05, callback=_not_nan, help="scale detection fraction")
 def acf(**opts):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
     tp, spec = _window_setup(opts)
-    if opts["max_lag"] is None:
-        raise click.ClickException("--max-lag is required")
     curve = lagstats.acf_curve(tp, spec, max_lag_ticks=opts["max_lag"],
                                aggregate=opts["aggregate"], threshold=opts["threshold"],
                                threads=opts["threads"])
@@ -185,7 +188,6 @@ def compare(**opts):
 @click.option("--mean-a", type=float, default=0.0)
 @click.option("--mean-b", type=float, default=0.0)
 @click.option("--seed", type=int, default=0)
-@click.option("--epsilon", type=float, default=1.0)
 @click.option("--output", "output_path")
 def synth_cmd(mode, output_path, **params):
     """Generate a synthetic tape as tick-value-volume CSV."""

@@ -35,11 +35,11 @@ def _values(records: Sequence[TradeRecord], series: str) -> list[float]:
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
 
 
-def _check_order(n: int, max_order: int) -> None:
+def _check_order(n: int) -> None:
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
-    if n > max_order:
-        raise ValueError(f"moment order {n} exceeds cap {max_order}")
+    if n > DEFAULT_MAX_ORDER:
+        raise ValueError(f"moment order {n} exceeds cap {DEFAULT_MAX_ORDER}")
 
 
 def _power_mean(xs: list[float], n: int, series: str) -> float:
@@ -49,27 +49,18 @@ def _power_mean(xs: list[float], n: int, series: str) -> float:
         raise OverflowError(f"{series} moment of order {n} overflows") from None
 
 
-def freq_moment(
-    records: Sequence[TradeRecord],
-    series: str,
-    n: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> float:
+def freq_moment(records: Sequence[TradeRecord], series: str, n: int) -> float:
     """Mean of the n-th powers of the chosen per-trade series."""
-    _check_order(n, max_order)
+    _check_order(n)
     xs = _values(records, series)
     if not xs:
         raise NoDataError("freq_moment over empty window")
     return _power_mean(xs, n, series)
 
 
-def market_price_moment(
-    records: Sequence[TradeRecord], n: int, max_order: int = DEFAULT_MAX_ORDER
-) -> float:
+def market_price_moment(records: Sequence[TradeRecord], n: int) -> float:
     """n-th market-based price moment: value moment over volume moment."""
-    return freq_moment(records, "value", n, max_order) / freq_moment(
-        records, "volume", n, max_order
-    )
+    return freq_moment(records, "value", n) / freq_moment(records, "volume", n)
 
 
 def vwap(records: Sequence[TradeRecord]) -> float:
@@ -82,23 +73,18 @@ def market_volatility(records: Sequence[TradeRecord]) -> float:
     return market_price_moment(records, 2) - market_price_moment(records, 1) ** 2
 
 
-def char_fn_taylor(
-    records: Sequence[TradeRecord],
-    x: float,
-    order: int,
-    max_order: int = DEFAULT_MAX_ORDER,
-) -> complex:
+def char_fn_taylor(records: Sequence[TradeRecord], x: float, order: int) -> complex:
     """Truncated Taylor series of the price characteristic function.
 
     1 + sum_{n=1..order} (i^n / n!) * p(n) * x^n, with p(n) the
     market-based price moments.
     """
-    _check_order(order, max_order)
+    _check_order(order)
     if not records:
         raise NoDataError("char_fn_taylor over empty window")
     total = complex(1.0, 0.0)
     for n in range(1, order + 1):
-        p_n = market_price_moment(records, n, max_order)
+        p_n = market_price_moment(records, n)
         total += (1j**n / math.factorial(n)) * p_n * x**n
     return total
 
@@ -154,7 +140,7 @@ def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[
     to 0 (ZeroDivisionError) or a price moment that is not finite
     (OverflowError naming the field and order).
     """
-    _check_order(max_order, DEFAULT_MAX_ORDER)
+    _check_order(max_order)
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
@@ -211,7 +197,7 @@ def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> Momen
 
     The one-window case of :func:`window_reports`, with the same errors.
     """
-    _check_order(max_order, DEFAULT_MAX_ORDER)
+    _check_order(max_order)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
     lo = int(tape.ticks.searchsorted(window.member_ticks[0]))

@@ -43,10 +43,9 @@ class SynthParams:
     mean_a: float = 0.0
     mean_b: float = 0.0
     seed: int = 0
-    epsilon: float = 1.0
 
     def __post_init__(self):
-        for name in ("persistence_a_ticks", "persistence_b_ticks", "epsilon"):
+        for name in ("persistence_a_ticks", "persistence_b_ticks"):
             if math.isnan(getattr(self, name)):
                 raise ValueError(f"{name} must not be NaN")
         for name in ("sigma_a", "sigma_b", "mean_a", "mean_b"):
@@ -60,8 +59,6 @@ class SynthParams:
             raise ValueError("persistence scales must be positive")
         if self.sigma_a < 0 or self.sigma_b < 0:
             raise ValueError("sigmas must be nonnegative")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 def _ar1_log_levels(
@@ -103,7 +100,7 @@ def gen_tape(params: SynthParams) -> TradeTape:
         a = np.exp(x)
         volume = np.exp(y)
         value = a * volume if params.mode == "price_volume" else a
-    return TradeTape(params.epsilon, np.arange(params.length_ticks), value, volume)
+    return TradeTape(np.arange(params.length_ticks), value, volume)
 
 
 def theoretical_log_acf(persistence_ticks: float, sigma: float, lag_ticks: int) -> float:

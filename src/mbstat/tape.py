@@ -1,9 +1,12 @@
 """Trade tape: tick/value/volume columns, grid bucketing and CSV round-trip.
 
-A tape is a time-ordered sequence of aggregated trades on a uniform grid
-with quantum ``epsilon`` seconds per tick, stored as columns: the tick,
-traded value (currency) and volume (asset units) of each record.  The trade
-price is always the derived ratio value/volume and is never stored.
+A tape is a time-ordered sequence of aggregated trades on a uniform time
+grid, stored as columns: the integer tick, traded value (currency) and
+volume (asset units) of each record.  The trade price is always the derived
+ratio value/volume and is never stored.  The engine works in ticks: every
+statistic and every output field is in ticks, and the grid quantum (seconds
+per tick) enters only where timestamps are mapped onto the grid, in
+:func:`quantize_tick`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ _HEADERS = {
 
 @dataclass(frozen=True)
 class TradeRecord:
-    """One aggregated trade at grid tick ``tick`` (time = epsilon * tick)."""
+    """One aggregated trade at grid tick ``tick`` (see :func:`quantize_tick`)."""
 
     tick: int
     value: float
@@ -49,20 +52,17 @@ class TradeRecord:
 
 @dataclass(frozen=True, eq=False)
 class TradeTape:
-    """Immutable, strictly tick-ordered trades on the epsilon grid.
+    """Immutable, strictly tick-ordered trades on the tick grid.
 
     ``ticks`` (int64), ``value`` and ``volume`` (float64) are read-only
     columns of equal length.  Gaps are allowed; at most one record per tick.
     """
 
-    epsilon: float
     ticks: np.ndarray
     value: np.ndarray
     volume: np.ndarray
 
     def __post_init__(self):
-        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         ticks = np.array(self.ticks, dtype=np.int64)
         value = np.array(self.value, dtype=np.float64)
         volume = np.array(self.volume, dtype=np.float64)
@@ -83,9 +83,9 @@ class TradeTape:
             object.__setattr__(self, name, col)
 
     @classmethod
-    def from_records(cls, epsilon: float, records: Iterable[TradeRecord]) -> TradeTape:
+    def from_records(cls, records: Iterable[TradeRecord]) -> TradeTape:
         """Tape of records that already hold one trade per tick, in tick order."""
-        return cls(epsilon, *_columns(list(records)))
+        return cls(*_columns(list(records)))
 
     def __len__(self) -> int:
         return len(self.ticks)
@@ -117,7 +117,7 @@ class TradeTape:
 
 
 def quantize_tick(time_seconds: float, epsilon: float) -> int:
-    """Map an irregular timestamp onto the grid, round-half-to-even."""
+    """The tick of a timestamp on a grid of ``epsilon`` seconds per tick, round-half-to-even."""
     return round(time_seconds / epsilon)
 
 
@@ -134,7 +134,7 @@ def _columns(records: list[TradeRecord]) -> tuple[np.ndarray, np.ndarray, np.nda
             np.array([r.volume for r in records], dtype=np.float64))
 
 
-def _merged(epsilon: float, ticks, value, volume) -> TradeTape:
+def _merged(ticks, value, volume) -> TradeTape:
     """Tape with one record per distinct tick, in tick order.
 
     The values (and volumes) of a tick are summed in input order starting
@@ -145,17 +145,17 @@ def _merged(epsilon: float, ticks, value, volume) -> TradeTape:
     with np.errstate(over="ignore"):  # an overflowing sum is rejected by the tape
         np.add.at(sums[0], index, value)
         np.add.at(sums[1], index, volume)
-    return TradeTape(epsilon, unique, sums[0], sums[1])
+    return TradeTape(unique, sums[0], sums[1])
 
 
-def bucket(raw: Iterable[TradeRecord], epsilon: float) -> TradeTape:
+def bucket(raw: Iterable[TradeRecord]) -> TradeTape:
     """Merge records sharing a tick by summing values and volumes.
 
     Total value and total volume are conserved; the result has one record
     per tick, sorted.  A merged sum that overflows is rejected by the tape,
     naming its tick.
     """
-    return _merged(epsilon, *_columns(list(raw)))
+    return _merged(*_columns(list(raw)))
 
 
 def _block_columns(rows: list[list[str]], price_form: bool):
@@ -196,7 +196,7 @@ def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[Tra
     return records
 
 
-def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> TradeTape:
+def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     """Parse a tape from CSV text or a file-like object.
 
     The header row must match the chosen format exactly.  In price form the
@@ -225,16 +225,12 @@ def parse_csv(text, format: str = "tick-value-volume", epsilon: float = 1.0) -> 
         cols = _block_columns(rows, price_form)
         blocks.append(cols if cols is not None else _columns(_row_records(rows, line, price_form)))
         line += len(rows)
-    return _merged(epsilon, *map(np.concatenate, zip(*blocks)))
+    return _merged(*map(np.concatenate, zip(*blocks)))
 
 
-def emit_csv(tape: TradeTape, format: str = "tick-value-volume") -> str:
-    """Serialize a tape to CSV with shortest round-tripping decimals."""
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-    ticks, second, volume = tape.ticks.tolist(), tape.value.tolist(), tape.volume.tolist()
-    if format == "tick-price-volume":
-        second = [c / u for c, u in zip(second, volume)]
-    lines = [",".join(_HEADERS[format])]
-    lines.extend(f"{t},{a!r},{u!r}" for t, a, u in zip(ticks, second, volume))
+def emit_csv(tape: TradeTape) -> str:
+    """Serialize a tape to tick,value,volume CSV with shortest round-tripping decimals."""
+    lines = [",".join(_HEADERS["tick-value-volume"])]
+    lines.extend(f"{t},{c!r},{u!r}" for t, c, u in
+                 zip(tape.ticks.tolist(), tape.value.tolist(), tape.volume.tolist()))
     return "\n".join(lines) + "\n"

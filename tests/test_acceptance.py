@@ -63,7 +63,6 @@ def test_criterion_01_vwap_first_moment_identity():
     start = time.perf_counter()
     for _ in range(100):
         tape = TradeTape.from_records(
-            1.0,
             tuple(
                 TradeRecord(t, rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0))
                 for t in range(202)
@@ -104,7 +103,7 @@ def test_criterion_03_zero_lag_is_volatility():
             for t in range(60)
             if rng.random() > 0.1
         )
-        tape = TradeTape.from_records(1.0, recs)
+        tape = TradeTape.from_records(recs)
         for w in plan_windows(tape, WindowSpec(11, 3)):
             if not w.valid:
                 continue
@@ -151,7 +150,7 @@ def test_criterion_05_brute_force_oracle_equivalence():
             for t in range(length)
             if rng.random() >= gap_prob
         )
-        tape = TradeTape.from_records(1.0, recs)
+        tape = TradeTape.from_records(recs)
         curve = acf_curve(tape, WindowSpec(101, 1), 50, aggregate="per-center")
         ref = oracle_curve(
             [(r.tick, r.value, r.volume) for r in tape.records], 101, 1, 50
@@ -298,7 +297,7 @@ def test_criterion_10_determinism_and_golden_file(tmp_path):
 
 
 def test_criterion_11_negative_volatility_surfaced():
-    w2 = TradeTape.from_records(1.0, (TradeRecord(0, 10, 1), TradeRecord(1, 6, 3)))
+    w2 = TradeTape.from_records((TradeRecord(0, 10, 1), TradeRecord(1, 6, 3)))
     rep = compute_report(Window(0, (0, 1), True), w2, max_order=2)
     assert rep.market_volatility == pytest.approx(-2.4, rel=1e-12)
     assert rep.volatility_negative is True

@@ -249,8 +249,8 @@ def test_stats_overflow_names_window_series_order(runner, tmp_path):
 
 @pytest.mark.parametrize(
     "config",
-    [{"window_n": "5"}, {"window_n": True}, {"lag_stepp": 3}],
-    ids=["string-for-int", "bool-for-int", "unknown-key"],
+    [{"window_n": "5"}, {"window_n": True}, {"lag_stepp": 3}, {"epsilon": 1.0}],
+    ids=["string-for-int", "bool-for-int", "unknown-key", "removed-epsilon"],
 )
 def test_config_rejects_bad_entries(runner, tmp_path, config):
     inp = tmp_path / "t.csv"
@@ -489,11 +489,36 @@ def test_threshold_out_of_range_fails_before_the_tape_is_read(runner, tmp_path):
     inp.write_text("tick,value,volume\n0,x,1\n")  # would fail with its line number
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"threshold": 1.5}))
-    for extra in (["--threshold", "1.5"], ["--threshold", "0"], ["--config", str(cfg)]):
+    cfg_nan = tmp_path / "nan.json"
+    cfg_nan.write_text(json.dumps({"threshold": float("nan")}))  # NaN, which json.load reads
+    for extra in (["--threshold", "1.5"], ["--threshold", "0"], ["--threshold", "nan"],
+                  ["--config", str(cfg)], ["--config", str(cfg_nan)]):
         res = runner.invoke(main, ["acf", "--input", str(inp), "--max-lag", "1", *extra])
         assert res.exit_code != 0
         (line,) = _error_lines(res.output)
         assert "--threshold" in line
+
+
+def test_acf_without_max_lag_names_the_option(runner):
+    res = runner.invoke(main, ["acf", "--input", str(DATA / "golden_tape.csv")])
+    assert res.exit_code == 2
+    assert _error_lines(res.output) == ["Error: Missing option '--max-lag'."]
+
+
+def test_config_max_lag_satisfies_the_required_option(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_lag": 50}))
+    res = run(runner, ["acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",
+                       "--lag-step", "1", "--aggregate", "mean", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (DATA / "golden_acf.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["stats", "acf", "compare", "synth"])
+def test_epsilon_option_is_gone(runner, command):
+    res = runner.invoke(main, [command, "--epsilon", "1"])
+    assert res.exit_code == 2
+    assert _error_lines(res.output) == ["Error: No such option '--epsilon'."]
 
 
 @pytest.mark.parametrize("args,line", [

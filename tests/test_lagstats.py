@@ -42,7 +42,7 @@ from oracle import oracle_curve
 
 
 def dense_tape(n, value=1.0, volume=1.0):
-    return TradeTape.from_records(1.0, tuple(TradeRecord(t, value, volume) for t in range(n)))
+    return TradeTape.from_records(tuple(TradeRecord(t, value, volume) for t in range(n)))
 
 
 def pairset(pairs, lag=1):
@@ -67,7 +67,7 @@ def test_lag_pairs_zero_lag_identity():
 
 def test_lag_pairs_gap_drops_member():
     ticks = [t for t in range(10) if t != 6]
-    tape = TradeTape.from_records(1.0, tuple(TradeRecord(t, 1, 1) for t in ticks))
+    tape = TradeTape.from_records(tuple(TradeRecord(t, 1, 1) for t in ticks))
     w = Window(2, tuple(range(5)), True)
     ps = lag_pairs(w, tape, 2)
     assert ps.pair_count == 4
@@ -80,7 +80,7 @@ def test_lag_moment2_examples():
     assert lag_moment2(lag_pairs(w, tape, 3), "value") == 4.0
 
     recs = [TradeRecord(t, float(t + 1), 1.0) for t in range(5)]
-    tape2 = TradeTape.from_records(1.0, tuple(recs))
+    tape2 = TradeTape.from_records(tuple(recs))
     ps = pairset([(recs[i], recs[i + 1]) for i in range(4)])
     assert lag_moment2(ps, "value") == (1 * 2 + 2 * 3 + 3 * 4 + 4 * 5) / 4
 
@@ -96,7 +96,7 @@ def test_lag_moment2_no_pairs():
 def test_market_price_lag_moment_examples():
     # constant price, varying volumes
     recs = [TradeRecord(t, 3.0 * (t + 1), float(t + 1)) for t in range(6)]
-    tape = TradeTape.from_records(1.0, tuple(recs))
+    tape = TradeTape.from_records(tuple(recs))
     ps = lag_pairs(Window(2, tuple(range(5)), True), tape, 1)
     assert market_price_lag_moment(ps) == pytest.approx(9.0, rel=1e-14)
 
@@ -121,7 +121,7 @@ def test_acf_zero_lag_is_volatility():
     recs = [
         TradeRecord(t, rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)) for t in range(9)
     ]
-    tape = TradeTape.from_records(1.0, tuple(recs))
+    tape = TradeTape.from_records(tuple(recs))
     w = Window(4, tuple(range(9)), True)
     ps = lag_pairs(w, tape, 0)
     assert acf(ps, "price") == pytest.approx(
@@ -189,7 +189,7 @@ def test_acf_curve_lag0_matches_volatility():
     recs = [
         TradeRecord(t, rng.uniform(0.5, 4), rng.uniform(0.5, 4)) for t in range(60)
     ]
-    tape = TradeTape.from_records(1.0, tuple(recs))
+    tape = TradeTape.from_records(tuple(recs))
     spec = WindowSpec(11, 2)
     curve = acf_curve(tape, spec, 10, aggregate="per-center")
     vols = {
@@ -208,7 +208,7 @@ def random_tape(rng, n, gap_prob=0.0):
         for t in range(n)
         if rng.random() >= gap_prob
     ]
-    return TradeTape.from_records(1.0, tuple(recs))
+    return TradeTape.from_records(tuple(recs))
 
 
 @pytest.mark.parametrize("gap_prob", [0.0, 0.15])
@@ -239,7 +239,7 @@ def test_acf_curve_joint_rescaling():
 
     def curve_of(scale_c, scale_u):
         tape = TradeTape.from_records(
-            1.0, tuple(TradeRecord(t, c * scale_c, u * scale_u) for t, c, u in recs)
+            tuple(TradeRecord(t, c * scale_c, u * scale_u) for t, c, u in recs)
         )
         return acf_curve(tape, spec, 8, aggregate="mean")
 
@@ -308,7 +308,7 @@ def test_npoint_moment_examples():
     recs = [
         TradeRecord(t, rng.uniform(0.5, 3), rng.uniform(0.5, 3)) for t in range(12)
     ]
-    tape = TradeTape.from_records(1.0, tuple(recs))
+    tape = TradeTape.from_records(tuple(recs))
     w = Window(3, tuple(range(7)), True)
     assert npoint_moment(w, tape, "value", []) == pytest.approx(
         freq_moment(members(w, tape), "value", 1), rel=1e-14
@@ -326,13 +326,13 @@ def test_market_price_npoint_examples():
     assert market_price_npoint(w, const, [1, 2]) == pytest.approx(27.0, rel=1e-14)
 
     recs = (TradeRecord(0, 10, 2), TradeRecord(1, 6, 2), TradeRecord(2, 5, 1))
-    tape = TradeTape.from_records(1.0, recs)
+    tape = TradeTape.from_records(recs)
     w = Window(1, (0, 1, 2), True)
     assert market_price_npoint(w, tape, [1, 2]) == pytest.approx(75.0, rel=1e-14)
 
     rng = random.Random(8)
     recs = [TradeRecord(t, rng.uniform(1, 2), rng.uniform(1, 2)) for t in range(9)]
-    tape = TradeTape.from_records(1.0, tuple(recs))
+    tape = TradeTape.from_records(tuple(recs))
     w = Window(4, tuple(range(9)), True)
     assert market_price_npoint(w, tape, [1]) == pytest.approx(
         market_price_lag_moment(lag_pairs(w, tape, 1)), rel=1e-12
@@ -546,7 +546,7 @@ def test_sweep_equals_reference_kernel(seed, n_ticks, gap_prob, half_width, step
     """
     tape = random_tape(random.Random(seed), n_ticks, gap_prob)
     value = np.where(np.arange(len(tape)) < neg_zeros, -0.0, tape.value)
-    tape = TradeTape(1.0, tape.ticks, value, tape.volume)
+    tape = TradeTape(tape.ticks, value, tape.volume)
     spec = WindowSpec(2 * half_width + 1, max(1, min(step, 2 * half_width + 1)), min_trades)
     max_lag = (n_lags - 1) * spec.lag_step_ticks
     try:

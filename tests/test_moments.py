@@ -86,7 +86,7 @@ def test_order_cap_rejected():
 
 
 def test_report_fields_and_identities():
-    tape = TradeTape.from_records(1.0, tuple(W2))
+    tape = TradeTape.from_records(tuple(W2))
     rep = compute_report(Window(0, (0, 1), True), tape, max_order=2)
     assert rep.effective_count == 2
     assert rep.market_price[0] == rep.vwap
@@ -171,7 +171,7 @@ def test_char_fn_taylor_remainder(prices, x):
 @settings(max_examples=100)
 def test_report_matches_reference_functions_bit_exact(pairs, max_order):
     members = [TradeRecord(i, c, u) for i, (c, u) in enumerate(pairs)]
-    tape = TradeTape.from_records(1.0, tuple(members))
+    tape = TradeTape.from_records(tuple(members))
     rep = compute_report(Window(0, tuple(range(len(members))), True), tape, max_order)
     assert rep.vwap == vwap(members)
     assert rep.market_volatility == market_volatility(members)
@@ -255,7 +255,7 @@ def gappy_tapes(draw):
 
     value = [size() for _ in gaps]
     volume = [abs(size()) or 1.0 for _ in gaps]
-    return TradeTape(1.0, ticks, value, volume)
+    return TradeTape(ticks, value, volume)
 
 
 @given(gappy_tapes(), st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=15),

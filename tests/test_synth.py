@@ -91,7 +91,6 @@ def test_param_validation():
 @pytest.mark.parametrize("field,value,message", [
     ("persistence_a_ticks", math.nan, "persistence_a_ticks must not be NaN"),
     ("persistence_b_ticks", math.nan, "persistence_b_ticks must not be NaN"),
-    ("epsilon", math.nan, "epsilon must not be NaN"),
     ("sigma_a", math.nan, "sigma_a must be finite, got nan"),
     ("sigma_b", math.inf, "sigma_b must be finite, got inf"),
     ("mean_a", -math.inf, "mean_a must be finite, got -inf"),

@@ -71,20 +71,20 @@ def test_parse_merges_duplicate_ticks():
 
 def test_bucket_merges_shared_ticks():
     raw = [TradeRecord(5, 1, 1), TradeRecord(5, 3, 1)]
-    t = bucket(raw, 1.0)
+    t = bucket(raw)
     (r,) = t.records
     assert (r.value, r.volume, r.price) == (4.0, 2.0, 2.0)
 
 
 def test_bucket_identity_on_unique_ticks():
     raw = [TradeRecord(0, 1, 1), TradeRecord(2, 3, 2)]
-    t = bucket(raw, 1.0)
+    t = bucket(raw)
     assert [(r.tick, r.value, r.volume) for r in t.records] == [(0, 1, 1), (2, 3, 2)]
 
 
 def test_bucket_three_trades_same_tick():
     raw = [TradeRecord(0, 2, 1), TradeRecord(0, 2, 1), TradeRecord(0, 2, 2)]
-    t = bucket(raw, 1.0)
+    t = bucket(raw)
     (r,) = t.records
     assert (r.value, r.volume) == (6.0, 4.0)
     assert r.price == 1.5
@@ -106,17 +106,17 @@ def test_record_invariants():
 
 def test_tape_requires_increasing_ticks():
     with pytest.raises(ValueError):
-        TradeTape.from_records(1.0, (TradeRecord(1, 1, 1), TradeRecord(0, 1, 1)))
+        TradeTape.from_records((TradeRecord(1, 1, 1), TradeRecord(0, 1, 1)))
 
 
 def test_tape_columns_read_only_and_validated_with_tick():
-    t = TradeTape(1.0, [0, 3], [2.0, 4.0], [1.0, 2.0])
+    t = TradeTape([0, 3], [2.0, 4.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         t.value[0] = 5.0
     assert [r.price for r in t.records] == [2.0, 2.0]
     assert t.record_at(3) is t.records[1] and t.record_at(1) is None
     with pytest.raises(ValueError, match="tick 3: volume must be positive"):
-        TradeTape(1.0, [0, 3], [2.0, 4.0], [1.0, 0.0])
+        TradeTape([0, 3], [2.0, 4.0], [1.0, 0.0])
 
 
 def test_quantize_round_half_even():
@@ -140,7 +140,7 @@ records_strategy = st.lists(
 @settings(max_examples=100)
 def test_bucket_conserves_totals(triples):
     raw = [TradeRecord(t, c, u) for t, c, u in triples]
-    tp = bucket(raw, 1.0)
+    tp = bucket(raw)
     assert math.isclose(
         sum(r.value for r in tp.records), math.fsum(c for _, c, _ in triples), rel_tol=1e-12
     )
@@ -153,15 +153,15 @@ def test_bucket_conserves_totals(triples):
 @settings(max_examples=100)
 def test_bucket_idempotent(triples):
     raw = [TradeRecord(t, c, u) for t, c, u in triples]
-    once = bucket(raw, 1.0)
-    twice = bucket(once.records, 1.0)
+    once = bucket(raw)
+    twice = bucket(once.records)
     assert once.records == twice.records
 
 
 @given(records_strategy)
 @settings(max_examples=100)
 def test_csv_round_trip(triples):
-    tp = bucket([TradeRecord(t, c, u) for t, c, u in triples], 1.0)
+    tp = bucket([TradeRecord(t, c, u) for t, c, u in triples])
     again = parse_csv(emit_csv(tp))
     assert again.records == tp.records
 
@@ -170,7 +170,7 @@ def test_csv_round_trip(triples):
 # The block-parsed, array-merged path against the row-by-row one it replaced.
 
 
-def reference_bucket(raw, epsilon):
+def reference_bucket(raw):
     """Dict merge of records sharing a tick, kept as a reference."""
     sums = {}
     for r in raw:
@@ -178,10 +178,10 @@ def reference_bucket(raw, epsilon):
         acc[0] += r.value
         acc[1] += r.volume
     ticks = sorted(sums)
-    return TradeTape(epsilon, ticks, [sums[t][0] for t in ticks], [sums[t][1] for t in ticks])
+    return TradeTape(ticks, [sums[t][0] for t in ticks], [sums[t][1] for t in ticks])
 
 
-def reference_parse_csv(text, format="tick-value-volume", epsilon=1.0):
+def reference_parse_csv(text, format="tick-value-volume"):
     """Row-by-row parse into TradeRecords, then the dict merge, kept as a reference."""
     reader = csv.reader(io.StringIO(text))
     try:
@@ -207,7 +207,7 @@ def reference_parse_csv(text, format="tick-value-volume", epsilon=1.0):
             raw.append(TradeRecord(tick, value, volume))
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from None
-    return reference_bucket(raw, epsilon)
+    return reference_bucket(raw)
 
 
 def outcome(fn, *args, **kwargs):
@@ -216,7 +216,7 @@ def outcome(fn, *args, **kwargs):
         tp = fn(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
         return type(exc), str(exc)
-    return tp.epsilon, tp.ticks.tobytes(), tp.value.tobytes(), tp.volume.tobytes()
+    return tp.ticks.tobytes(), tp.value.tobytes(), tp.volume.tobytes()
 
 
 magnitudes = st.one_of(
@@ -258,8 +258,8 @@ def test_parse_equals_row_by_row_reference(rows, fmt, block_rows):
     header = ",".join(tape_mod._HEADERS[fmt])
     text = "\n".join([header, *rows]) + "\n"
     with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
-        got = outcome(parse_csv, text, format=fmt, epsilon=0.5)
-    assert got == outcome(reference_parse_csv, text, format=fmt, epsilon=0.5)
+        got = outcome(parse_csv, text, format=fmt)
+    assert got == outcome(reference_parse_csv, text, format=fmt)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),
@@ -267,7 +267,7 @@ def test_parse_equals_row_by_row_reference(rows, fmt, block_rows):
 @settings(max_examples=200, deadline=None)
 def test_bucket_equals_dict_reference(triples):
     raw = [TradeRecord(t, c, abs(u) or 1.0) for t, c, u in triples]
-    assert outcome(bucket, raw, 2.0) == outcome(reference_bucket, raw, 2.0)
+    assert outcome(bucket, raw) == outcome(reference_bucket, raw)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from mbstat import TradeRecord, TradeTape, Window, WindowSpec, members, plan_win
 
 
 def dense_tape(ticks):
-    return TradeTape.from_records(1.0, tuple(TradeRecord(t, 1.0, 1.0) for t in ticks))
+    return TradeTape.from_records(tuple(TradeRecord(t, 1.0, 1.0) for t in ticks))
 
 
 def test_plan_centers_advance_by_lag_step():
@@ -29,7 +29,7 @@ def test_plan_short_tape_is_empty():
 
 
 def test_plan_flags_sparse_windows_invalid():
-    tape = TradeTape.from_records(1.0, (TradeRecord(0, 1, 1), TradeRecord(10, 1, 1)))
+    tape = TradeTape.from_records((TradeRecord(0, 1, 1), TradeRecord(10, 1, 1)))
     wins = plan_windows(tape, WindowSpec(n_ticks=3, lag_step_ticks=3, min_trades=2))
     assert wins
     assert all(not w.valid for w in wins)
