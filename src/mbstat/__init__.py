@@ -15,13 +15,8 @@ from .moments import (
 from .lagstats import (
     AcfCurve,
     AcfPoint,
-    LagPairSet,
-    acf,
     acf_curve,
     correlation_scale,
-    lag_moment2,
-    lag_pairs,
-    market_price_lag_moment,
     market_price_npoint,
     npoint_moment,
     regime_acf,

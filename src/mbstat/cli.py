@@ -111,15 +111,17 @@ def _with_common(fn):
     return fn
 
 
-def _window_setup(opts: dict):
+def _window_setup(opts: dict, check):
+    """The tape and the window spec; the spec and ``check(spec)`` run before the tape is read."""
+    spec = windows.WindowSpec(opts["window_n"], opts["lag_step"], opts["min_trades"])
+    check(spec)
     with open(opts["input_path"], newline="") as fh:
-        tp = tape.parse_csv(fh, format=opts["fmt"])
-    return tp, windows.WindowSpec(opts["window_n"], opts["lag_step"], opts["min_trades"])
+        return tape.parse_csv(fh, format=opts["fmt"]), spec
 
 
 def _window_reports(opts: dict):
     """Planned and valid window counts, and the valid windows' reports."""
-    tp, spec = _window_setup(opts)
+    tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
     centers, lo, hi = windows.window_grid(tp, spec)
     valid = hi - lo >= spec.min_trades
     if not valid.any():
@@ -149,11 +151,11 @@ def stats(**opts):
               default=0.05, callback=_not_nan, help="scale detection fraction")
 def acf(**opts):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
-    tp, spec = _window_setup(opts)
+    tp, spec = _window_setup(opts, lambda spec: spec.check_max_lag(opts["max_lag"]))
+    # A non-finite value fails here, before any output file is created.
     curve = lagstats.acf_curve(tp, spec, max_lag_ticks=opts["max_lag"],
                                aggregate=opts["aggregate"], threshold=opts["threshold"],
                                threads=opts["threads"])
-    curve.check_finite()  # before any output file is created
     base = opts["output_path"]
     if base is None:
         with _output(None) as out:

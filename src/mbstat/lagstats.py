@@ -11,6 +11,12 @@ autocorrelation is built from the value and volume moments:
 Base-time and lagged means are both taken over the surviving pairs, so the
 numerator and subtrahend always share one sample even when the tape has
 gaps; on a dense tape this coincides with full-window means.
+
+``acf_curve`` is the one implementation of these lagged statistics: it
+sweeps every window and lag at once, per center or as the pair-weighted
+mean.  ``npoint_moment`` and ``market_price_npoint`` take the n-point
+generalisation for one window; ``regime_acf`` and ``correlation_scale``
+work on a curve's values.
 """
 
 from __future__ import annotations
@@ -27,77 +33,10 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .errors import DomainError, NoDataError
-from .tape import TradeRecord, TradeTape
+from .tape import TradeTape
 from .windows import Window, WindowSpec, window_grid
 
 SERIES2 = ("value", "volume")
-
-
-@dataclass(frozen=True)
-class LagPairSet:
-    """Pairs (record at t_i, record at t_i + lag) surviving on the tape."""
-
-    center_tick: int
-    lag_ticks: int
-    pairs: tuple[tuple[TradeRecord, TradeRecord], ...]
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.pairs)
-
-
-def lag_pairs(window: Window, tape: TradeTape, lag_ticks: int) -> LagPairSet:
-    """Pair each window member with the record lag_ticks later, if present."""
-    if lag_ticks < 0:
-        raise ValueError(f"lag must be nonnegative, got {lag_ticks}")
-    pairs = []
-    for t in window.member_ticks:
-        partner = tape.record_at(t + lag_ticks)
-        if partner is not None:
-            pairs.append((tape.record_at(t), partner))
-    return LagPairSet(window.center_tick, lag_ticks, tuple(pairs))
-
-
-def _products(pairs: LagPairSet, series: str) -> list[float]:
-    if series == "value":
-        return [a.value * b.value for a, b in pairs.pairs]
-    if series == "volume":
-        return [a.volume * b.volume for a, b in pairs.pairs]
-    raise ValueError(f"unknown series {series!r}; expected one of {SERIES2}")
-
-
-def lag_moment2(pairs: LagPairSet, series: str) -> float:
-    """Mean product of the series at the two times, over surviving pairs."""
-    xs = _products(pairs, series)
-    if not xs:
-        raise NoDataError("lag_moment2 with no surviving pairs")
-    return math.fsum(xs) / len(xs)
-
-
-def market_price_lag_moment(pairs: LagPairSet) -> float:
-    """Lagged second price moment: value product mean over volume product mean."""
-    return lag_moment2(pairs, "value") / lag_moment2(pairs, "volume")
-
-
-def _pair_means(pairs: LagPairSet, attr: str) -> tuple[float, float]:
-    n = pairs.pair_count
-    now = math.fsum(getattr(a, attr) for a, _ in pairs.pairs) / n
-    lagged = math.fsum(getattr(b, attr) for _, b in pairs.pairs) / n
-    return now, lagged
-
-
-def acf(pairs: LagPairSet, series: str) -> float:
-    """Autocorrelation of value, volume or price at the pair set's lag."""
-    if pairs.pair_count == 0:
-        raise NoDataError("acf with no surviving pairs")
-    if series in SERIES2:
-        now, lagged = _pair_means(pairs, series)
-        return lag_moment2(pairs, series) - now * lagged
-    if series == "price":
-        c1, c1l = _pair_means(pairs, "value")
-        u1, u1l = _pair_means(pairs, "volume")
-        return market_price_lag_moment(pairs) - (c1 * c1l) / (u1 * u1l)
-    raise ValueError(f"unknown series {series!r}")
 
 
 def regime_acf(
@@ -220,7 +159,7 @@ class AcfCurve:
         d["points"] = [p.to_dict() for p in self.points]
         return d
 
-    def check_finite(self) -> None:
+    def __post_init__(self):
         """Raise ValueError naming the field, lag and center of the first non-finite value."""
         rows, ks = np.nonzero(~np.isfinite(self.stats.T))
         if len(rows):
@@ -235,10 +174,9 @@ class AcfCurve:
         The JSON is the bytes of ``json.dumps(self.to_dict(), indent=2)`` plus a
         newline; the CSV has one row per point, and per-center mode adds a
         center_tick column.  Rows go out in blocks, and each float is formatted
-        once for both outputs.  Raises ValueError (see ``check_finite``) before
-        anything is written if a value is not finite.
+        once for both outputs.  A curve holds only finite values: building one
+        with a value that is not raises ValueError.
         """
-        self.check_finite()
         per_center = self.center is not None
         if json_out is not None:
             head = json.dumps({key: getattr(self, key) for key in _HEADER}, indent=2)
@@ -298,8 +236,7 @@ def acf_curve(
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
-    if max_lag_ticks < 0 or max_lag_ticks % spec.lag_step_ticks != 0:
-        raise ValueError("max lag must be a nonnegative multiple of the lag step")
+    spec.check_max_lag(max_lag_ticks)
     first = tape.first_tick
     span = tape.last_tick - first + 1
     step = spec.lag_step_ticks
@@ -321,7 +258,7 @@ def acf_curve(
     lo0 = int(centers[0]) - spec.half_width - first
     stop = lo0 + (len(centers) - 1) * step + 1
     lo, hi = slice(lo0, stop, step), slice(lo0 + spec.n_ticks, stop + spec.n_ticks, step)
-    threads = min(threads, len(lags), os.cpu_count() or 1)
+    threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
     # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
     # fields, then the total pair count (0 when the lag has no pairs): the
     # mean-mode output, and the curve the scales are detected on in both modes.

@@ -35,7 +35,8 @@ def _values(records: Sequence[TradeRecord], series: str) -> list[float]:
     raise ValueError(f"unknown series {series!r}; expected one of {SERIES}")
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
+    """Raise ValueError unless 1 <= n <= DEFAULT_MAX_ORDER."""
     if n < 1:
         raise ValueError(f"moment order must be >= 1, got {n}")
     if n > DEFAULT_MAX_ORDER:
@@ -51,7 +52,7 @@ def _power_mean(xs: list[float], n: int, series: str) -> float:
 
 def freq_moment(records: Sequence[TradeRecord], series: str, n: int) -> float:
     """Mean of the n-th powers of the chosen per-trade series."""
-    _check_order(n)
+    check_order(n)
     xs = _values(records, series)
     if not xs:
         raise NoDataError("freq_moment over empty window")
@@ -79,7 +80,7 @@ def char_fn_taylor(records: Sequence[TradeRecord], x: float, order: int) -> comp
     1 + sum_{n=1..order} (i^n / n!) * p(n) * x^n, with p(n) the
     market-based price moments.
     """
-    _check_order(order)
+    check_order(order)
     if not records:
         raise NoDataError("char_fn_taylor over empty window")
     total = complex(1.0, 0.0)
@@ -140,7 +141,7 @@ def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[
     to 0 (ZeroDivisionError) or a price moment that is not finite
     (OverflowError naming the field and order).
     """
-    _check_order(max_order)
+    check_order(max_order)
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
@@ -197,7 +198,7 @@ def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> Momen
 
     The one-window case of :func:`window_reports`, with the same errors.
     """
-    _check_order(max_order)
+    check_order(max_order)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
     lo = int(tape.ticks.searchsorted(window.member_ticks[0]))

@@ -141,11 +141,10 @@ def _merged(ticks, value, volume) -> TradeTape:
     from 0.0, so a lone -0.0 comes back as 0.0.
     """
     unique, index = np.unique(ticks, return_inverse=True)
-    sums = np.zeros((2, len(unique)))
-    with np.errstate(over="ignore"):  # an overflowing sum is rejected by the tape
-        np.add.at(sums[0], index, value)
-        np.add.at(sums[1], index, volume)
-    return TradeTape(unique, sums[0], sums[1])
+    # An overflowing sum is rejected by the tape, naming its tick.
+    value, volume = (np.bincount(index, weights=col, minlength=len(unique))
+                     for col in (value, volume))
+    return TradeTape(unique, value, volume)
 
 
 def bucket(raw: Iterable[TradeRecord]) -> TradeTape:

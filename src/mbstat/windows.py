@@ -33,6 +33,11 @@ class WindowSpec:
         if self.min_trades < 1:
             raise ValueError(f"min_trades must be >= 1, got {self.min_trades}")
 
+    def check_max_lag(self, max_lag_ticks: int) -> None:
+        """Raise ValueError unless the largest swept lag is a nonnegative multiple of the step."""
+        if max_lag_ticks < 0 or max_lag_ticks % self.lag_step_ticks != 0:
+            raise ValueError("max lag must be a nonnegative multiple of the lag step")
+
     @property
     def half_width(self) -> int:
         return (self.n_ticks - 1) // 2

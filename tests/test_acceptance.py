@@ -20,12 +20,10 @@ from mbstat import (
     TradeRecord,
     TradeTape,
     WindowSpec,
-    acf,
     acf_curve,
     char_fn_taylor,
     freq_moment,
     gen_tape,
-    lag_pairs,
     market_price_moment,
     market_volatility,
     members,
@@ -104,11 +102,12 @@ def test_criterion_03_zero_lag_is_volatility():
             if rng.random() > 0.1
         )
         tape = TradeTape.from_records(recs)
-        for w in plan_windows(tape, WindowSpec(11, 3)):
-            if not w.valid:
-                continue
-            got = acf(lag_pairs(w, tape, 0), "price")
-            assert got == pytest.approx(
+        spec = WindowSpec(11, 3)
+        curve = acf_curve(tape, spec, 0, aggregate="per-center")
+        valid = [w for w in plan_windows(tape, spec) if w.valid]
+        assert curve.center.tolist() == [w.center_tick for w in valid]
+        for p, w in zip(curve.points, valid):
+            assert p.b_price == pytest.approx(
                 market_volatility(members(w, tape)), rel=1e-12
             )
             checked += 1

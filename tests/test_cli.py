@@ -499,6 +499,23 @@ def test_threshold_out_of_range_fails_before_the_tape_is_read(runner, tmp_path):
         assert "--threshold" in line
 
 
+@pytest.mark.parametrize("args, message", [
+    (["stats", "--window-n", "0"], "window width must be odd and >= 1, got 0"),
+    (["compare", "--lag-step", "0"], "lag step must satisfy 1 <= step <= 101, got 0"),
+    (["stats", "--max-order", "9"], "moment order 9 exceeds cap 8"),
+    (["acf", "--max-lag", "-1"], "max lag must be a nonnegative multiple of the lag step"),
+    (["acf", "--max-lag", "3", "--lag-step", "2", "--window-n", "5"],
+     "max lag must be a nonnegative multiple of the lag step"),
+], ids=["window-n", "lag-step", "max-order", "negative-max-lag", "max-lag-off-step"])
+def test_bad_option_fails_before_the_tape_is_read(runner, tmp_path, args, message):
+    inp = tmp_path / "bad.csv"
+    inp.write_text("tick,value,volume\n0,x,1\n")  # would fail with its line number
+    command, *rest = args
+    res = runner.invoke(main, [command, "--input", str(inp), *rest])
+    assert res.exit_code == 1
+    assert _error_lines(res.output) == [f"Error: {message}"]
+
+
 def test_acf_without_max_lag_names_the_option(runner):
     res = runner.invoke(main, ["acf", "--input", str(DATA / "golden_tape.csv")])
     assert res.exit_code == 2

@@ -20,12 +20,8 @@ from mbstat import (
     TradeRecord,
     TradeTape,
     WindowSpec,
-    acf,
     acf_curve,
     correlation_scale,
-    lag_moment2,
-    lag_pairs,
-    market_price_lag_moment,
     market_price_npoint,
     market_volatility,
     npoint_moment,
@@ -34,7 +30,6 @@ from mbstat import (
     regime_acf,
 )
 from mbstat import lagstats
-from mbstat.lagstats import LagPairSet
 from mbstat.moments import freq_moment
 from mbstat.windows import Window, members, window_grid
 
@@ -45,75 +40,81 @@ def dense_tape(n, value=1.0, volume=1.0):
     return TradeTape.from_records(tuple(TradeRecord(t, value, volume) for t in range(n)))
 
 
-def pairset(pairs, lag=1):
-    return LagPairSet(0, lag, tuple(pairs))
+def point_at(tape, spec, center, lag):
+    """The per-center curve's point at ``center`` and ``lag``, swept up to that lag."""
+    curve = acf_curve(tape, spec, lag)
+    (p,) = [p for p in curve.points if (p.center_tick, p.lag_ticks) == (center, lag)]
+    return p
 
 
-def test_lag_pairs_dense():
-    tape = dense_tape(10)
-    w = Window(2, tuple(range(5)), True)
-    ps = lag_pairs(w, tape, 2)
-    assert ps.pair_count == 5
-    assert [(a.tick, b.tick) for a, b in ps.pairs] == [(i, i + 2) for i in range(5)]
+def rising_tape(ticks):
+    """Records of value t + 1 and volume 1 at the given ticks."""
+    return TradeTape.from_records(tuple(TradeRecord(t, float(t + 1), 1.0) for t in ticks))
 
 
-def test_lag_pairs_zero_lag_identity():
-    tape = dense_tape(10)
-    w = Window(2, tuple(range(5)), True)
-    ps = lag_pairs(w, tape, 0)
-    assert ps.pair_count == w.count
-    assert all(a is b for a, b in ps.pairs)
+def test_acf_curve_pair_count_dense():
+    # Members 0..4 of the window at tick 2 pair with ticks 2..6.
+    p = point_at(rising_tape(range(10)), WindowSpec(5, 1), 2, 2)
+    assert p.pair_count == 5
+    assert p.lag2_value == pytest.approx(sum((i + 1) * (i + 3) for i in range(5)) / 5, rel=1e-14)
+    curve = acf_curve(dense_tape(10), WindowSpec(5, 1), 2)
+    counts = {p.center_tick: p.pair_count for p in curve.points if p.lag_ticks == 2}
+    assert counts == {c: min(5, 10 - c) for c in range(2, 8)}  # a partner past tick 9 is lost
 
 
-def test_lag_pairs_gap_drops_member():
-    ticks = [t for t in range(10) if t != 6]
-    tape = TradeTape.from_records(tuple(TradeRecord(t, 1, 1) for t in ticks))
-    w = Window(2, tuple(range(5)), True)
-    ps = lag_pairs(w, tape, 2)
-    assert ps.pair_count == 4
-    assert all(b.tick != 6 for _, b in ps.pairs)
+def test_acf_curve_lag0_pairs_every_member():
+    tape = rising_tape(range(10))
+    curve = acf_curve(tape, WindowSpec(5, 1), 0)
+    windows = plan_windows(tape, WindowSpec(5, 1))
+    assert [(p.center_tick, p.pair_count) for p in curve.points] == [
+        (w.center_tick, w.count) for w in windows]
+    for p, w in zip(curve.points, windows):
+        assert p.lag2_value == pytest.approx(freq_moment(members(w, tape), "value", 2), rel=1e-14)
 
 
-def test_lag_moment2_examples():
-    tape = dense_tape(8, value=2.0)
-    w = Window(2, tuple(range(5)), True)
-    assert lag_moment2(lag_pairs(w, tape, 3), "value") == 4.0
-
-    recs = [TradeRecord(t, float(t + 1), 1.0) for t in range(5)]
-    tape2 = TradeTape.from_records(tuple(recs))
-    ps = pairset([(recs[i], recs[i + 1]) for i in range(4)])
-    assert lag_moment2(ps, "value") == (1 * 2 + 2 * 3 + 3 * 4 + 4 * 5) / 4
-
-    ps0 = lag_pairs(Window(2, tuple(range(5)), True), tape2, 0)
-    assert lag_moment2(ps0, "value") == freq_moment(recs, "value", 2)
+def test_acf_curve_gap_drops_pair():
+    # Tick 6 is missing, so member 4 of the window at tick 2 has no partner at lag 2.
+    p = point_at(rising_tape([t for t in range(10) if t != 6]), WindowSpec(5, 1), 2, 2)
+    assert p.pair_count == 4
+    assert p.lag2_value == pytest.approx(sum((i + 1) * (i + 3) for i in range(4)) / 4, rel=1e-14)
 
 
-def test_lag_moment2_no_pairs():
+def test_acf_curve_lag2_value_examples():
+    assert point_at(dense_tape(8, value=2.0), WindowSpec(5, 1), 2, 3).lag2_value == 4.0
+    p = point_at(rising_tape(range(5)), WindowSpec(5, 1), 2, 1)
+    assert p.lag2_value == (1 * 2 + 2 * 3 + 3 * 4 + 4 * 5) / 4
+
+
+def test_acf_curve_drops_points_without_pairs():
+    # Records at ticks 0 and 4 only: the window at tick 2 is empty, and lags
+    # 1 to 3 pair no member with a record.
+    tape = TradeTape.from_records((TradeRecord(0, 2.0, 1.0), TradeRecord(4, 3.0, 1.0)))
+    curve = acf_curve(tape, WindowSpec(3, 1), 4)
+    assert [(p.center_tick, p.lag_ticks, p.pair_count) for p in curve.points] == [
+        (1, 0, 1), (1, 4, 1), (3, 0, 1)]
+    assert acf_curve(tape, WindowSpec(3, 1), 4, aggregate="mean").lag.tolist() == [0, 4]
     with pytest.raises(NoDataError):
-        lag_moment2(pairset([]), "value")
+        acf_curve(tape, WindowSpec(3, 1, min_trades=2), 4)
 
 
-def test_market_price_lag_moment_examples():
-    # constant price, varying volumes
-    recs = [TradeRecord(t, 3.0 * (t + 1), float(t + 1)) for t in range(6)]
-    tape = TradeTape.from_records(tuple(recs))
-    ps = lag_pairs(Window(2, tuple(range(5)), True), tape, 1)
-    assert market_price_lag_moment(ps) == pytest.approx(9.0, rel=1e-14)
-
-    a, b = TradeRecord(0, 10, 2), TradeRecord(1, 6, 2)
-    ps = pairset([(a, b), (b, a)])
-    assert market_price_lag_moment(ps) == 15.0
+def test_acf_curve_lag2_price_examples():
+    # constant price 3, varying volumes
+    tape = TradeTape.from_records(tuple(TradeRecord(t, 3.0 * (t + 1), t + 1.0) for t in range(6)))
+    assert point_at(tape, WindowSpec(5, 1), 2, 1).lag2_price == pytest.approx(9.0, rel=1e-14)
+    # At lag 1 the window at tick 1 pairs ticks (0, 1) and (1, 2): values 10, 6, 10.
+    tape = TradeTape.from_records((TradeRecord(0, 10, 2), TradeRecord(1, 6, 2),
+                                   TradeRecord(2, 10, 2)))
+    assert point_at(tape, WindowSpec(3, 1), 1, 1).lag2_price == 15.0
 
 
 def test_acf_examples():
-    a, b = TradeRecord(0, 10, 2), TradeRecord(1, 6, 2)
-    ps = pairset([(a, b), (b, a)])
-    assert acf(ps, "price") == pytest.approx(-1.0, rel=1e-14)
+    tape = TradeTape.from_records((TradeRecord(0, 10, 2), TradeRecord(1, 6, 2),
+                                   TradeRecord(2, 10, 2)))
+    assert point_at(tape, WindowSpec(3, 1), 1, 1).b_price == pytest.approx(-1.0, rel=1e-14)
     # constant series decorrelates exactly
-    tape = dense_tape(10, value=3.0, volume=2.0)
-    psc = lag_pairs(Window(3, tuple(range(7)), True), tape, 2)
-    assert acf(psc, "value") == pytest.approx(0.0, abs=1e-14)
-    assert acf(psc, "volume") == pytest.approx(0.0, abs=1e-14)
+    for p in acf_curve(dense_tape(10, value=3.0, volume=2.0), WindowSpec(7, 1), 2).points:
+        assert p.b_value == pytest.approx(0.0, abs=1e-14)
+        assert p.b_volume == pytest.approx(0.0, abs=1e-14)
 
 
 def test_acf_zero_lag_is_volatility():
@@ -122,10 +123,8 @@ def test_acf_zero_lag_is_volatility():
         TradeRecord(t, rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)) for t in range(9)
     ]
     tape = TradeTape.from_records(tuple(recs))
-    w = Window(4, tuple(range(9)), True)
-    ps = lag_pairs(w, tape, 0)
-    assert acf(ps, "price") == pytest.approx(
-        market_volatility(members(w, tape)), rel=1e-12
+    assert point_at(tape, WindowSpec(9, 1), 4, 0).b_price == pytest.approx(
+        market_volatility(recs), rel=1e-12
     )
 
 
@@ -276,8 +275,9 @@ def test_acf_curve_lags_past_span_have_no_pairs():
 
 @pytest.mark.parametrize(
     "threads, cpus, max_lag, pools",
-    [(64, 8, 2, [3]), (64, 8, 20, [8]), (3, 8, 20, [3]), (64, None, 20, []), (64, 8, 0, [])],
-    ids=["lags", "cpus", "requested", "no-cpu-count", "one-lag"],
+    [(64, 8, 2, [3]), (64, 8, 20, [8]), (3, 8, 20, [3]), (64, None, 20, []), (64, 8, 0, []),
+     (0, 8, 20, []), (-3, 8, 20, [])],
+    ids=["lags", "cpus", "requested", "no-cpu-count", "one-lag", "zero", "negative"],
 )
 def test_acf_curve_clamps_threads(monkeypatch, threads, cpus, max_lag, pools):
     made = []
@@ -314,7 +314,7 @@ def test_npoint_moment_examples():
         freq_moment(members(w, tape), "value", 1), rel=1e-14
     )
     assert npoint_moment(w, tape, "value", [2]) == pytest.approx(
-        lag_moment2(lag_pairs(w, tape, 2), "value"), rel=1e-14
+        point_at(tape, WindowSpec(7, 1), 3, 2).lag2_value, rel=1e-14
     )
     const = dense_tape(12, value=2.0)
     assert npoint_moment(Window(3, tuple(range(7)), True), const, "value", [1, 3]) == 8.0
@@ -335,7 +335,7 @@ def test_market_price_npoint_examples():
     tape = TradeTape.from_records(tuple(recs))
     w = Window(4, tuple(range(9)), True)
     assert market_price_npoint(w, tape, [1]) == pytest.approx(
-        market_price_lag_moment(lag_pairs(w, tape, 1)), rel=1e-12
+        point_at(tape, WindowSpec(9, 1), 4, 1).lag2_price, rel=1e-12
     )
 
 
@@ -348,6 +348,18 @@ def test_npoint_validation():
         npoint_moment(w, tape, "value", [1, 2, 3, 4, 5])
     with pytest.raises(NoDataError):
         npoint_moment(w, tape, "value", [100])
+
+
+def test_curve_rejects_non_finite_values():
+    curve = acf_curve(golden_tape(), WindowSpec(101, 25), 50)
+    stats = curve.stats.copy()
+    stats[0, 7] = math.inf
+    with pytest.raises(ValueError, match=(
+            f"^b_value is inf at lag {curve.lag[7]} of center tick {curve.center[7]}$")):
+        dataclasses.replace(curve, stats=stats)
+    stats[0, 7], stats[2, 3] = 1.0, math.nan  # the first bad row is named
+    with pytest.raises(ValueError, match=f"^b_price is nan at lag {curve.lag[3]} of"):
+        dataclasses.replace(curve, stats=stats)
 
 
 def test_curve_serialization():

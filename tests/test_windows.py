@@ -61,6 +61,12 @@ def test_spec_validation():
         WindowSpec(n_ticks=5, lag_step_ticks=6)
     with pytest.raises(ValueError):
         WindowSpec(n_ticks=5, lag_step_ticks=0)
+    spec = WindowSpec(n_ticks=5, lag_step_ticks=2)
+    spec.check_max_lag(0)
+    spec.check_max_lag(4)
+    for bad in (-2, 3):
+        with pytest.raises(ValueError, match="nonnegative multiple of the lag step"):
+            spec.check_max_lag(bad)
 
 
 def test_overlap_property_dense():
