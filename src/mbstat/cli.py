@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 import sys
 
@@ -48,10 +47,12 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = cfg
 
 
-def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    """Reject NaN, which passes click's ``FloatRange`` (it compares false against both ends)."""
-    if math.isnan(value):
-        raise click.BadParameter(f"must be a number, got {value}")
+def _threshold(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """The library's threshold rule, as a click error naming the option."""
+    try:
+        lagstats.check_threshold(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
     return value
 
 
@@ -147,8 +148,8 @@ def stats(**opts):
 @_with_common
 @click.option("--max-lag", type=int, required=True, help="multiple of the lag step")
 @click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default="per-center")
-@click.option("--threshold", type=click.FloatRange(0, 1, min_open=True, max_open=True),
-              default=0.05, callback=_not_nan, help="scale detection fraction")
+@click.option("--threshold", type=float, default=0.05, callback=_threshold,
+              help="scale detection fraction, 0 < t < 1")
 def acf(**opts):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
     tp, spec = _window_setup(opts, lambda spec: spec.check_max_lag(opts["max_lag"]))

@@ -26,11 +26,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, TextIO
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
 from .tape import TradeTape
@@ -65,6 +66,12 @@ def regime_acf(
     raise ValueError(f"unknown regime kind {kind!r}")
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless 0 < threshold < 1 (NaN fails too)."""
+    if not (0 < threshold < 1):
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+
+
 def correlation_scale(
     lags: list[int], b_values: list[float], threshold_fraction: float = 0.05
 ) -> int | None:
@@ -73,8 +80,7 @@ def correlation_scale(
     Returns 0 when B(0) == 0 (already decorrelated), None when the curve
     never reaches the threshold.
     """
-    if not (0 < threshold_fraction < 1):
-        raise ValueError(f"threshold must be in (0,1), got {threshold_fraction}")
+    check_threshold(threshold_fraction)
     if not lags:
         raise ValueError("empty curve")
     if lags[0] != 0:
@@ -109,23 +115,36 @@ class AcfPoint(NamedTuple):
         return d
 
 
+class Columns(NamedTuple):
+    """Consecutive rows of a curve: int64 ``lag`` and ``pair_count``, the
+    ``STATS`` fields as one (6, rows) float64 block ``stats``, and int64
+    ``center`` in per-center mode (None in mean mode)."""
+
+    lag: np.ndarray
+    stats: np.ndarray
+    pair_count: np.ndarray
+    center: np.ndarray | None
+
+
 #: The float fields of a curve point, in ``AcfPoint`` order.
 STATS = AcfPoint._fields[1:-2]
 _HEADER = ("window_n", "lag_step_ticks", "max_lag_ticks", "aggregate", "threshold",
            "scale_value", "scale_volume", "scale_price")
-#: Rows formatted per write; bounds the text held at once.
-_BLOCK = 4096
+#: Rows formatted per write, and about the rows of a per-center block of centers.
+_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class AcfCurve:
-    """Autocorrelation curve with detected correlation scales, stored as columns.
+    """Autocorrelation curve with detected correlation scales.
 
-    Row ``i`` is one point: ``lag[i]``, the ``STATS`` fields ``stats[:, i]``,
-    ``pair_count[i]`` and, in per-center mode, ``center[i]`` (``center`` is
-    None in mean mode).  Rows are ordered by lag (mean mode) or by center
-    then lag (per-center mode).  Scales are detected on the
-    pair-count-weighted mean curve in both modes.
+    ``blocks()`` yields the rows as consecutive ``Columns`` blocks, ordered by
+    lag (mean mode, one block) or by center then lag (per-center mode, one
+    block per run of centers, computed as it is read).  Scales are detected
+    on the pair-count-weighted mean curve in both modes.  The whole columns
+    ``lag``, ``stats``, ``pair_count`` and ``center`` (None in mean mode) and
+    the ``points`` are built from the blocks on first use and then kept;
+    ``write`` reads the blocks and keeps none of them.
     """
 
     window_n: int
@@ -136,16 +155,38 @@ class AcfCurve:
     scale_value: int | None
     scale_volume: int | None
     scale_price: int | None
-    lag: np.ndarray
-    stats: np.ndarray
-    pair_count: np.ndarray
-    center: np.ndarray | None
+    blocks: Callable[[], Iterator[Columns]]
+
+    @cached_property
+    def columns(self) -> Columns:
+        """Every row of the curve as one ``Columns``."""
+        parts = list(self.blocks())
+        center = None if parts[0].center is None else np.concatenate([p.center for p in parts])
+        return Columns(np.concatenate([p.lag for p in parts]),
+                       np.concatenate([p.stats for p in parts], axis=1),
+                       np.concatenate([p.pair_count for p in parts]), center)
+
+    @property
+    def lag(self) -> np.ndarray:
+        return self.columns.lag
+
+    @property
+    def stats(self) -> np.ndarray:
+        return self.columns.stats
+
+    @property
+    def pair_count(self) -> np.ndarray:
+        return self.columns.pair_count
+
+    @property
+    def center(self) -> np.ndarray | None:
+        return self.columns.center
 
     def __eq__(self, other):
         if not isinstance(other, AcfCurve):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
+        return (all(getattr(self, key) == getattr(other, key) for key in _HEADER)
+                and all(np.array_equal(a, b) for a, b in zip(self.columns, other.columns)))
 
     @cached_property
     def points(self) -> tuple[AcfPoint, ...]:
@@ -159,25 +200,15 @@ class AcfCurve:
         d["points"] = [p.to_dict() for p in self.points]
         return d
 
-    def __post_init__(self):
-        """Raise ValueError naming the field, lag and center of the first non-finite value."""
-        rows, ks = np.nonzero(~np.isfinite(self.stats.T))
-        if len(rows):
-            i, k = rows[0], ks[0]
-            where = "the mean curve" if self.center is None else f"center tick {self.center[i]}"
-            value = float(self.stats[k, i])
-            raise ValueError(f"{STATS[k]} is {value!r} at lag {self.lag[i]} of {where}")
-
     def write(self, json_out: TextIO | None = None, csv_out: TextIO | None = None) -> None:
         """Write the curve to text streams, as JSON and/or as flat plot-ready CSV.
 
         The JSON is the bytes of ``json.dumps(self.to_dict(), indent=2)`` plus a
         newline; the CSV has one row per point, and per-center mode adds a
-        center_tick column.  Rows go out in blocks, and each float is formatted
-        once for both outputs.  A curve holds only finite values: building one
-        with a value that is not raises ValueError.
+        center_tick column.  Rows go out ``_BLOCK`` at a time from each block
+        of ``blocks()``, and each float is formatted once for both outputs.
         """
-        per_center = self.center is not None
+        per_center = self.aggregate == "per-center"
         if json_out is not None:
             head = json.dumps({key: getattr(self, key) for key in _HEADER}, indent=2)
             json_out.write(head[:-2] + ',\n  "points": [')
@@ -188,20 +219,24 @@ class AcfCurve:
         names = AcfPoint._fields if per_center else AcfPoint._fields[:-1]
         json_point = ",\n    {\n" + ",\n".join(f'      "{k}": %s' for k in names) + "\n    }"
         csv_row = ",".join(["%s"] * (5 + per_center)) + "\n"
-        for lo in range(0, len(self.lag), _BLOCK):
-            cut = slice(lo, lo + _BLOCK)
-            lag, count = self.lag[cut].tolist(), self.pair_count[cut].tolist()
-            b_c, b_u, b_p, *lag2 = (list(map(float.__repr__, x))
-                                    for x in self.stats[:, cut].tolist())
-            center = [self.center[cut].tolist()] if per_center else []
-            if json_out is not None:
-                cols = zip(lag, b_c, b_u, b_p, *lag2, count, *center)
-                rows = list(map(json_point.__mod__, cols))
-                if lo == 0:
-                    rows[0] = rows[0][1:]
-                json_out.writelines(rows)
-            if csv_out is not None:
-                csv_out.writelines(map(csv_row.__mod__, zip(*center, lag, b_c, b_u, b_p, count)))
+        first = True
+        for block in self.blocks():
+            for lo in range(0, len(block.lag), _BLOCK):
+                cut = slice(lo, lo + _BLOCK)
+                lag, count = block.lag[cut].tolist(), block.pair_count[cut].tolist()
+                b_c, b_u, b_p, *lag2 = (list(map(float.__repr__, x))
+                                        for x in block.stats[:, cut].tolist())
+                center = [block.center[cut].tolist()] if per_center else []
+                if json_out is not None:
+                    cols = zip(lag, b_c, b_u, b_p, *lag2, count, *center)
+                    rows = list(map(json_point.__mod__, cols))
+                    if first:
+                        rows[0] = rows[0][1:]
+                    json_out.writelines(rows)
+                if csv_out is not None:
+                    cols = zip(*center, lag, b_c, b_u, b_p, count)
+                    csv_out.writelines(map(csv_row.__mod__, cols))
+                first = False
         if json_out is not None:
             json_out.write("\n  ]\n}\n")
 
@@ -210,6 +245,47 @@ class AcfCurve:
         buf = io.StringIO()
         self.write(csv_out=buf)
         return buf.getvalue()
+
+
+def _first_nonfinite(stats: np.ndarray, keep=True) -> tuple[int, int] | None:
+    """(row, field) of the first non-finite value of ``stats`` (6, rows) in rows
+    ``keep``, in row then field order; None when there is none."""
+    rows, ks = np.nonzero(~np.isfinite(stats.T) & np.reshape(keep, (-1, 1)))
+    return (int(rows[0]), int(ks[0])) if len(rows) else None
+
+
+def _center_rows(ps, lo: slice, hi: slice, d: np.ndarray, out: np.ndarray, head: int = 0) -> None:
+    """Fill ``out`` with the per-center rows b_value, b_volume, b_price,
+    lag2_value, lag2_volume, lag2_price and the pair count n.
+
+    Along its last axis, ``ps`` holds the prefix sums of m, c0·m, u0·m, c0·cl,
+    u0·ul, cl·m and ul·m (m the pair mask, cl and ul the lagged value and
+    volume); window i sums the difference of the i-th prefixes of ``hi`` and
+    ``lo``.  ``d`` (longdouble, 7 rows) takes the window sums and then the
+    means.  Rows n, c1 and u1 of the first ``head`` windows are kept in ``d``
+    from an earlier call.
+    """
+    tail = (..., slice(head, None))
+    np.subtract(ps[:3, ..., hi][tail], ps[:3, ..., lo][tail], out=d[:3][tail])
+    np.subtract(ps[3:, ..., hi], ps[3:, ..., lo], out=d[3:])
+    np.divide(d[1:3][tail], d[0][tail], out=d[1:3][tail])
+    np.divide(d[3:], d[0], out=d[3:])
+    n, c1, u1, lag2_c, lag2_u, c1l, u1l = d
+    c_means = np.multiply(c1, c1l, out=c1l)
+    u_means = np.multiply(u1, u1l, out=u1l)
+    np.subtract(lag2_c, c_means, out=out[0])
+    np.subtract(lag2_u, u_means, out=out[1])
+    ratio = np.divide(c_means, u_means, out=c1l)
+    lag2_p = np.divide(lag2_c, lag2_u, out=u1l)
+    np.subtract(lag2_p, ratio, out=out[2])
+    out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
+
+
+def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
+    """Centers per per-center block: about ``_BLOCK`` rows, and at least a
+    window's width of ticks, so that the window each block sums again costs
+    at most as much as the block's own ticks."""
+    return max(_BLOCK // n_lags, -(-n_ticks // step))
 
 
 def acf_curve(
@@ -226,28 +302,40 @@ def acf_curve(
     O(span).  Centers step by the lag step, so every window sum is one
     strided slice difference of the prefix block.  On a dense tape (one
     record per tick) the pair-count, value and volume prefixes are the lag-0
-    ones held flat past span - lag, so a lag needs 4 cumulative sums, not 7.
+    ones held flat past span - lag, so a lag needs 4 cumulative sums, not 7,
+    and windows that end by span - lag keep their count and one-sided means.
     Lags of span ticks or more have no pairs and are not swept.  Lags are
     computed independently (optionally across threads, at most one per lag
     and per CPU), and each reduces its own row of the pair-count-weighted
-    mean, so output is identical for any thread count.  Mean mode holds
-    O(span) per thread plus O(lags); per-center mode also holds its output,
-    the (lags, 7, centers) block.
+    mean, so output is identical for any thread count.  This sweep holds
+    O(span) per thread plus O(lags).  It gives the mean curve and its scales
+    and, in per-center mode, finds the first non-finite per-center value, so
+    that error comes before any output.
+
+    Per-center mode then computes its rows as they are read, on the calling
+    thread, a block of consecutive centers at a time and all lags at once.
+    A block sums prefixes only over its own ticks, starting from the prefix
+    values carried over from the previous block; a longdouble cumsum is
+    sequential, so each prefix equals the full-span one, and so does every
+    output byte.  A block holds O(lags x (block + window)) values.
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
+    check_threshold(threshold)
     spec.check_max_lag(max_lag_ticks)
     first = tape.first_tick
     span = tape.last_tick - first + 1
-    step = spec.lag_step_ticks
+    step, n_ticks = spec.lag_step_ticks, spec.n_ticks
     centers, rec_lo, rec_hi = window_grid(tape, spec)
     if not len(centers):
         raise NoDataError("tape span shorter than the averaging window")
     # A window with fewer than min_trades records (its lag-0 pair count) gets
     # a zero pair count at every lag, so it drops out as stats drops it.
-    dropped = np.flatnonzero(rec_hi - rec_lo < spec.min_trades)
+    invalid = rec_hi - rec_lo < spec.min_trades
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
+    lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
+    per_center = aggregate == "per-center"
 
     # Zero-padded by the largest lag, so a lagged series is a view.
     c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
@@ -257,18 +345,19 @@ def acf_curve(
     # Window i sums prefix rows lo0 + i * step up to lo0 + i * step + N.
     lo0 = int(centers[0]) - spec.half_width - first
     stop = lo0 + (len(centers) - 1) * step + 1
-    lo, hi = slice(lo0, stop, step), slice(lo0 + spec.n_ticks, stop + spec.n_ticks, step)
+    lo, hi = slice(lo0, stop, step), slice(lo0 + n_ticks, stop + n_ticks, step)
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
     # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
     # fields, then the total pair count (0 when the lag has no pairs): the
     # mean-mode output, and the curve the scales are detected on in both modes.
     mean = np.zeros((len(lags), 7))
-    # sweep[j]: per-center rows of the same fields at lags[j] (per-center mode only).
-    sweep = np.empty((len(lags), 7, len(centers))) if aggregate == "per-center" else None
+    # (center index, lag index, field, value) of a lag's first non-finite
+    # per-center value (per-center mode only).
+    nonfinite = []
 
     @np.errstate(all="ignore")
     def sweep_lags(start: int) -> None:
-        """Fill mean[j] (and sweep[j]) for j = start, start + threads, ....
+        """Fill mean[j] for j = start, start + threads, ....
 
         One set of buffers serves all the worker's lags: buffers allocated per
         lag would go back to the OS and fault in again on every lag.  Extended
@@ -276,18 +365,18 @@ def acf_curve(
         cumsum would lose ~span/window relative digits in the windowed
         differences.
         """
-        # Prefix rows of m, c0·m, u0·m, c0·cl, u0·ul, cl·m, ul·m, with m the pair mask.
         ps = np.zeros((7, span + 1), dtype=np.longdouble)
         m, x = np.empty((2, span))
         d = np.empty((7, len(centers)), dtype=np.longdouble)
-        buf = np.empty((7, len(centers)))
+        out = np.empty((7, len(centers)))
         for j in range(start, len(lags), threads):
             tau = lags[j]
             cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
             np.multiply(p0, present[tau : tau + span], out=m)
             # On a dense tape m is 1 up to span - tau and 0 past it, so after the
             # worker's first lag the rows of m, c0·m and u0·m only need to be held
-            # flat past span - tau; lags only grow, so their heads stay valid.
+            # flat past span - tau; lags only grow, so their heads stay valid, and
+            # so do the n, c1 and u1 of the windows that end by span - tau.
             held = dense and j > start
             if held:
                 ps[:3, span - tau + 1 :] = ps[:3, span - tau, None]
@@ -296,24 +385,17 @@ def acf_curve(
             pairs = zip(ps[1:], (c0, u0, c0, u0, cl, ul), (m, m, cl, ul, m, m))
             for row, a, b in list(pairs)[2 * held :]:
                 np.cumsum(np.multiply(a, b, out=x), dtype=np.longdouble, out=row[1:])
-            # Window sums, then the six means in place.
-            np.subtract(ps[:, hi], ps[:, lo], out=d)
-            n, c1, u1, lag2_c, lag2_u, c1l, u1l = d
-            np.divide(d[1:], n, out=d[1:])
-            c_means = np.multiply(c1, c1l, out=c1)
-            u_means = np.multiply(u1, u1l, out=u1)
-            lag2_p = np.divide(lag2_c, lag2_u, out=c1l)
-            out = buf if sweep is None else sweep[j]
-            np.subtract(lag2_c, c_means, out=out[0])
-            np.subtract(lag2_u, u_means, out=out[1])
-            np.subtract(lag2_p, np.divide(c_means, u_means, out=u1l), out=out[2])
-            out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
-            out[6, dropped] = 0
+            head = max(0, (span - tau - n_ticks - lo0) // step + 1) if held else 0
+            _center_rows(ps, lo, hi, d, out, head)
+            out[6, invalid] = 0
             ok = out[6] >= 1
             if np.any(ok):
-                w = out[6, ok]
+                rows = slice(None) if ok.all() else ok
+                w = out[6, rows]
                 wtot = w.sum()
-                mean[j] = [*((col[ok] * w).sum() / wtot for col in out[:-1]), wtot]
+                mean[j] = [*((col[rows] * w).sum() / wtot for col in out[:-1]), wtot]
+            if per_center and (bad := _first_nonfinite(out[:6], ok)):
+                nonfinite.append((bad[0], j, bad[1], float(out[bad[1], bad[0]])))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -324,20 +406,74 @@ def acf_curve(
     has = mean[:, -1] >= 1
     if not np.any(has):
         raise NoDataError("no window produced any lag pairs")
-    lag_arr = np.array(lags)
     mean_lags, mean_block = lag_arr[has], mean[has].T
-
-    if sweep is None:
-        lag, block, center = mean_lags, mean_block, None
-    else:
-        # centers x lags; row-major nonzero gives (center, lag) order.
-        grid = sweep.transpose(1, 2, 0)
-        ci, li = np.nonzero(grid[-1] >= 1)
-        lag, block, center = lag_arr[li], grid[:, ci, li], centers[ci]
-
     scales = [correlation_scale(mean_lags.tolist(), b, threshold) for b in mean_block[:3].tolist()]
+
+    if per_center:
+        if nonfinite:
+            ci, j, k, value = min(nonfinite)
+            raise ValueError(
+                f"{STATS[k]} is {value!r} at lag {lags[j]} of center tick {centers[ci]}")
+    elif bad := _first_nonfinite(mean_block[:-1]):
+        i, k = bad
+        raise ValueError(
+            f"{STATS[k]} is {float(mean_block[k, i])!r} at lag {mean_lags[i]} of the mean curve")
+
+    def center_blocks() -> Iterator[Columns]:
+        """The per-center rows, one block of consecutive centers at a time."""
+        k = _block_centers(len(lags), n_ticks, step)
+        # Prefix column 0 carries each (row, lag) prefix over from the previous
+        # block.  The first block starts at tick 0 from -0.0, since -0.0 + x is
+        # x for every x, including -0.0.
+        ps = np.empty((7, len(lags), lo0 + (k - 1) * step + n_ticks + 1), dtype=np.longdouble)
+        ps[..., 0] = -0.0
+        m, x = np.empty((2, *ps.shape[1:]))
+        d = np.empty((7, len(lags), k), dtype=np.longdouble)
+        out = np.empty((7, len(lags), k))
+
+        # Each block runs under errstate, not the generator, whose state would
+        # hold in the reader's code between yields.
+        @np.errstate(all="ignore")
+        def block(a: int) -> Columns:
+            b = min(a + k, len(centers))
+            s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
+            width = lo0 + (b - 1) * step + n_ticks - s
+            seg, mb, xb = ps[..., : width + 1], m[:, :width], x[:, :width]
+            # Row j of a lagged view is the series over the block's ticks plus lags[j].
+            lagged = [sliding_window_view(arr[s : s + lags[-1] + width], width)[::step]
+                      for arr in (c_arr, u_arr, present)]
+            cl, ul = lagged[:2]
+            np.multiply(p0[s : s + width], lagged[2], out=mb)
+            seg[0, :, 1:] = mb
+            c0b, u0b = c0[s : s + width], u0[s : s + width]
+            for row, f, g in zip(seg[1:], (c0b, u0b, c0b, u0b, cl, ul), (mb, mb, cl, ul, mb, mb)):
+                row[:, 1:] = np.multiply(f, g, out=xb)
+            np.cumsum(seg, axis=-1, out=seg)
+            if a == 0:
+                seg[..., 0] = 0.0
+            first_lo = lo0 + a * step - s
+            lo_b = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
+            hi_b = slice(lo_b.start + n_ticks, lo_b.stop + n_ticks, step)
+            db, ob = d[..., : b - a], out[..., : b - a]
+            _center_rows(seg, lo_b, hi_b, db, ob)
+            ps[..., 0] = seg[..., first_lo + (b - a) * step]
+            ob[6][:, invalid[a:b]] = 0
+            # centers x lags; row-major nonzero gives (center, lag) order.
+            grid = ob.transpose(0, 2, 1)
+            ci, li = np.nonzero(grid[6] >= 1)
+            return Columns(lag_arr[li], grid[:6, ci, li], grid[6, ci, li].astype(np.int64),
+                           centers[a + ci])
+
+        for a in range(0, len(centers), k):
+            yield block(a)
+
+    if per_center:
+        blocks = center_blocks
+    else:
+        mean_columns = Columns(mean_lags, mean_block[:-1], mean_block[-1].astype(np.int64), None)
+        blocks = lambda: iter((mean_columns,))  # noqa: E731
     return AcfCurve(
-        window_n=spec.n_ticks,
+        window_n=n_ticks,
         lag_step_ticks=step,
         max_lag_ticks=max_lag_ticks,
         aggregate=aggregate,
@@ -345,10 +481,7 @@ def acf_curve(
         scale_value=scales[0],
         scale_volume=scales[1],
         scale_price=scales[2],
-        lag=lag,
-        stats=block[:-1],
-        pair_count=block[-1].astype(np.int64),
-        center=center,
+        blocks=blocks,
     )
 
 

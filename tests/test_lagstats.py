@@ -350,16 +350,52 @@ def test_npoint_validation():
         npoint_moment(w, tape, "value", [100])
 
 
-def test_curve_rejects_non_finite_values():
-    curve = acf_curve(golden_tape(), WindowSpec(101, 25), 50)
-    stats = curve.stats.copy()
-    stats[0, 7] = math.inf
+def test_curve_rejects_non_finite_values(monkeypatch):
+    """acf_curve names the field, lag and center of the first non-finite
+    per-center value, in (center, lag, field) order, before it returns."""
+    tape, spec = golden_tape(), WindowSpec(101, 25)
+    curve = acf_curve(tape, spec, 50)
+    centers = window_grid(tape, spec)[0].tolist()
+    real = lagstats._center_rows
+
+    def poison(cells):
+        """Put ``value`` in field k of the sweep's rows at (center tick, lag), for each
+        ((center tick, lag), (k, value)) of ``cells``.  One thread sweeps the lags in order."""
+        swept = []
+
+        def center_rows(ps, lo, hi, d, out, head=0):
+            real(ps, lo, hi, d, out, head)
+            lag = len(swept) * spec.lag_step_ticks
+            swept.append(lag)
+            for (center, at), (k, value) in cells.items():
+                if at == lag:
+                    out[k, centers.index(center)] = value
+
+        monkeypatch.setattr(lagstats, "_center_rows", center_rows)
+
+    row7, row3 = ((int(curve.center[i]), int(curve.lag[i])) for i in (7, 3))
+    poison({row7: (0, math.inf)})
     with pytest.raises(ValueError, match=(
             f"^b_value is inf at lag {curve.lag[7]} of center tick {curve.center[7]}$")):
-        dataclasses.replace(curve, stats=stats)
-    stats[0, 7], stats[2, 3] = 1.0, math.nan  # the first bad row is named
+        acf_curve(tape, spec, 50)
+    poison({row7: (0, math.inf), row3: (2, math.nan)})  # the first bad row is named
     with pytest.raises(ValueError, match=f"^b_price is nan at lag {curve.lag[3]} of"):
-        dataclasses.replace(curve, stats=stats)
+        acf_curve(tape, spec, 50)
+    assert curve.lag[7] != 0
+    poison({(row7[0], 0): (4, math.nan), row7: (0, math.inf)})  # then its first lag
+    with pytest.raises(ValueError, match=f"^lag2_volume is nan at lag 0 of center tick {row7[0]}$"):
+        acf_curve(tape, spec, 50)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_first_non_finite_value_is_named_for_any_thread_count(threads):
+    # 1e154 * 1e155 overflows at lag 5 in window 90..100 (swept by the second
+    # thread), before 1e155 ** 2 overflows at lag 0 in window 95..105.
+    value, volume = np.ones(300), np.ones(300)
+    value[100], value[105] = 1e154, 1e155
+    tape = TradeTape(np.arange(300), value, volume)
+    with pytest.raises(ValueError, match="^b_value is inf at lag 5 of center tick 95$"):
+        acf_curve(tape, WindowSpec(11, 5), 20, threads=threads)
 
 
 def test_curve_serialization():
@@ -444,10 +480,11 @@ SCALE = st.none() | st.integers(0, 30)
                  max_size=8),
     scales=st.none() | st.tuples(SCALE, SCALE, SCALE),
     block=st.integers(1, 40),
+    cuts=st.lists(st.integers(0, 10**6), max_size=4),
 )
 def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
     seed, n_ticks, gap_prob, half_width, step, n_lags, min_trades, aggregate, threshold, odd,
-    scales, block,
+    scales, block, cuts,
 ):
     tape = random_tape(random.Random(seed), n_ticks, gap_prob)
     spec = WindowSpec(2 * half_width + 1, step, min_trades)
@@ -459,7 +496,12 @@ def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
     stats = curve.stats.copy()
     for k, i, x in odd:
         stats[k, i % stats.shape[1]] = x
-    changes = {"stats": stats}
+    # The rows, split into column blocks at the cuts.
+    cols = curve.columns._replace(stats=stats)
+    bounds = [0, *sorted(c % (len(cols.lag) + 1) for c in cuts), len(cols.lag)]
+    parts = [lagstats.Columns(*(None if x is None else x[..., a:b] for x in cols))
+             for a, b in zip(bounds, bounds[1:])]
+    changes = {"blocks": lambda: iter(parts)}
     if scales is not None:
         changes.update(zip(("scale_value", "scale_volume", "scale_price"), scales))
     curve = dataclasses.replace(curve, **changes)
@@ -548,13 +590,15 @@ def reference_columns(tape, spec, max_lag, aggregate):
     aggregate=st.sampled_from(["per-center", "mean"]),
     threads=st.sampled_from([1, 2]),
     neg_zeros=st.integers(0, 12),
+    block=st.sampled_from([None, 1, 2, 3, 7]),
 )
 def test_sweep_equals_reference_kernel(seed, n_ticks, gap_prob, half_width, step, n_lags,
-                                       min_trades, aggregate, threads, neg_zeros):
+                                       min_trades, aggregate, threads, neg_zeros, block):
     """The strided, dense-prefix, reduce-per-lag sweep is exactly the reference sweep.
 
     A head of -0.0 values checks that no sign of zero differs where a dense
-    prefix is held flat instead of summed.
+    prefix is held flat instead of summed, or where a per-center block of
+    ``block`` centers (None: the default size) starts from a carried prefix.
     """
     tape = random_tape(random.Random(seed), n_ticks, gap_prob)
     value = np.where(np.arange(len(tape)) < neg_zeros, -0.0, tape.value)
@@ -565,6 +609,12 @@ def test_sweep_equals_reference_kernel(seed, n_ticks, gap_prob, half_width, step
         curve = acf_curve(tape, spec, max_lag, aggregate=aggregate, threads=threads)
     except NoDataError:
         reject()
+    if block is not None:
+        with mock.patch.object(lagstats, "_block_centers", lambda *_: block):
+            blocks = list(curve.blocks())
+        n_centers = len(window_grid(tape, spec)[0])
+        assert len(blocks) == (1 if aggregate == "mean" else -(-n_centers // block))
+        curve = dataclasses.replace(curve, blocks=lambda: iter(blocks))
     lag, center, pair_count, stats = reference_columns(tape, spec, max_lag, aggregate)
     assert curve.lag.tolist() == lag.tolist()
     assert curve.pair_count.tolist() == pair_count.tolist()
@@ -585,3 +635,33 @@ def test_mean_mode_memory_is_bounded_by_span_not_lags_times_centers():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+class Discard(io.TextIOBase):
+    """A text stream that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_per_center_memory_is_bounded_by_blocks_not_lags_times_centers():
+    """Per-center mode holds O(span) per sweep thread, then one block of centers
+    and one block of text at a time.  Holding all 29,500 rows (the sweep block,
+    its gather and the columns), then writing 4,096 rows at a time, peaked at 8.2 MB."""
+    tape = random_tape(random.Random(21), 600)
+    tracemalloc.start()
+    try:
+        acf_curve(tape, WindowSpec(11, 1), 49, threads=2).write(Discard(), Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, 1.0, -0.5, 1.5])
+def test_threshold_is_checked_before_the_tape(threshold):
+    short = dense_tape(3)  # shorter than the window: NoDataError once swept
+    with pytest.raises(ValueError, match="^threshold must be in"):
+        acf_curve(short, WindowSpec(5, 1), 0, threshold=threshold)
+    with pytest.raises(ValueError, match="^threshold must be in"):
+        correlation_scale([0, 1], [1.0, 0.0], threshold)
