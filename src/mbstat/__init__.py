@@ -1,7 +1,7 @@
 """Market-based trade-tape statistics engine."""
 
 from .errors import DomainError, FormatError, NoDataError
-from .tape import TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick
+from .tape import TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick, write_csv
 from .windows import Window, WindowSpec, members, plan_windows
 from .moments import (
     MomentReport,

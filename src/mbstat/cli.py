@@ -120,16 +120,15 @@ def _window_setup(opts: dict, check):
         return tape.parse_csv(fh, format=opts["fmt"]), spec
 
 
-def _window_reports(opts: dict):
-    """Planned and valid window counts, and the valid windows' reports."""
+def _window_columns(opts: dict):
+    """The planned window count and the valid windows' moment columns, all checked."""
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
     centers, lo, hi = windows.window_grid(tp, spec)
     valid = hi - lo >= spec.min_trades
     if not valid.any():
         raise NoDataError("no valid windows on this tape")
-    reports = moments.window_reports(tp, centers[valid].tolist(), lo[valid].tolist(),
-                                     hi[valid].tolist(), opts["max_order"])
-    return len(centers), len(reports), reports
+    cols = moments.window_columns(tp, centers[valid], lo[valid], hi[valid], opts["max_order"])
+    return len(centers), cols
 
 
 @main.command()
@@ -137,9 +136,10 @@ def _window_reports(opts: dict):
 @click.option("--max-order", type=int, default=4, help="cap 8")
 def stats(**opts):
     """Per-window moment reports as JSON lines."""
-    planned, valid, reports = _window_reports(opts)
+    planned, cols = _window_columns(opts)
     with _output(opts["output_path"]) as out:
-        out.writelines(json.dumps(rep.to_dict(), allow_nan=False) + "\n" for rep in reports)
+        cols.write_jsonl(out)
+    valid = len(cols.center)
     summary = {"windows": planned, "valid": valid, "invalid_skipped": planned - valid}
     print(json.dumps(summary), file=sys.stderr)
 
@@ -171,12 +171,9 @@ def acf(**opts):
 @click.option("--max-order", type=int, default=4, help="cap 8")
 def compare(**opts):
     """Per-window divergence of frequency vs market-based price moments."""
-    _, _, reports = _window_reports(opts)
+    _, cols = _window_columns(opts)
     with _output(opts["output_path"]) as out:
-        out.write("center_tick,n,freq_price,market_price,difference\n")
-        out.writelines(f"{rep.center_tick},{n},{freq!r},{market!r},{freq - market!r}\n"
-                       for rep in reports for n, (freq, market)
-                       in enumerate(zip(rep.freq_price, rep.market_price), start=1))
+        cols.write_compare_csv(out)
 
 
 @main.command("synth")
@@ -195,9 +192,9 @@ def compare(**opts):
 def synth_cmd(mode, output_path, **params):
     """Generate a synthetic tape as tick-value-volume CSV."""
     params = synth.SynthParams(mode=_MODE_ALIASES[mode], **params)
-    text = tape.emit_csv(synth.gen_tape(params))  # before the file is created
+    tp = synth.gen_tape(params)  # every check runs before the file is created
     with _output(output_path) as out:
-        out.write(text)
+        tape.write_csv(tp, out)
 
 
 if __name__ == "__main__":

@@ -3,19 +3,25 @@
 Frequency-based moments are plain arithmetic means of n-th powers over the
 trades in a window.  Market-based price moments are the ratio of the value
 moment to the volume moment of the same order, which weights each trade by
-its size instead of counting trades equally.  All within-window sums use
-``math.fsum`` (exact accumulation), so results are independent of member
-order down to the last bit.
+its size instead of counting trades equally.  Every within-window sum is the
+correctly rounded exact sum, so results are independent of member order
+down to the last bit: the per-record functions use ``math.fsum``, and
+:func:`window_columns` takes each window's sum as a difference of exact
+integer prefix sums (:func:`window_means`), which gives the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence, TextIO
+
+import numpy as np
 
 from .errors import NoDataError
-from .tape import TradeRecord, TradeTape
+from .tape import WRITE_BLOCK_ROWS, TradeRecord, TradeTape
 from .windows import Window, members  # noqa: F401  (perfbench traces moments.members)
 
 SERIES = ("value", "volume", "price")
@@ -129,48 +135,172 @@ def _or_nan(fn, *args) -> float:
         return math.nan
 
 
-def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[int],
-                   max_order: int = 4) -> list[MomentReport]:
-    """Reports of the windows centered at ``centers`` holding tape rows [lo, hi).
+def _int_prefix(col: np.ndarray) -> tuple[list[int], int]:
+    """Exact prefix sums of finite ``col`` as Python ints ``P``, and the scale
+    ``2**s`` for which ``P[b] - P[a]`` is ``sum(col[a:b]) * 2**s``."""
+    mant, exp = np.frexp(col)
+    nonzero = mant != 0
+    shift = max(0, 53 - int(exp[nonzero].min())) if nonzero.any() else 0
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    shifts = np.where(nonzero, exp + (shift - 53), 0).tolist()
+    return list(itertools.accumulate(map(int.__lshift__, ints, shifts), initial=0)), 1 << shift
+
+
+def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``math.fsum(col[a:b]) / (b - a)`` for each window [a, b) of ``lo``/``hi``,
+    bit for bit, and NaN where that ``fsum`` overflows.
+
+    Each finite value is an integer times ``2**-s``, for one shift ``s >= 0``
+    of the whole column, so the integers' prefix sums are exact and a window's sum
+    is one Python int true division, which is correctly rounded as ``fsum``
+    is (and raises OverflowError where ``fsum`` does).  This takes
+    O(rows + windows) for any window width.  A window holding a NaN or an
+    inf is summed by ``fsum`` itself, whose result there depends on where
+    the inf sits.
+    """
+    finite = np.isfinite(col)
+    prefix, scale = _int_prefix(np.where(finite, col, 0.0))
+    starts, stops = lo.tolist(), hi.tolist()
+    try:
+        sums = [(prefix[b] - prefix[a]) / scale for a, b in zip(starts, stops)]
+    except OverflowError:
+        sums = [_or_nan(operator.truediv, prefix[b] - prefix[a], scale)
+                for a, b in zip(starts, stops)]
+    if not finite.all():
+        bad = np.concatenate(([0], np.cumsum(~finite)))
+        for i in np.flatnonzero(bad[hi] > bad[lo]).tolist():
+            sums[i] = _or_nan(math.fsum, col[starts[i]:stops[i]].tolist())
+    return np.array(sums) / (hi - lo)
+
+
+class WindowColumns(NamedTuple):
+    """Moments of consecutive windows as columns, one entry per window.
+
+    ``center`` and ``count`` (the window's rows) are int64.  ``means`` is a
+    float64 ``(3k, windows)`` block of the value, volume and price moments
+    of orders 1..k, with k = max(max_order, 2); ``market`` is the ``(k,
+    windows)`` market-based price moments and ``volatility`` the market
+    volatility.  Reports hold orders 1..max_order.
+    """
+
+    center: np.ndarray
+    count: np.ndarray
+    means: np.ndarray
+    market: np.ndarray
+    volatility: np.ndarray
+    max_order: int
+
+    def _rows(self, cut: slice) -> tuple[list, list, list, list]:
+        """The freq_price, value, volume and market_price rows of orders
+        1..max_order over the windows of ``cut``, as lists of Python floats."""
+        m, k = self.max_order, len(self.market)
+        return (self.means[2 * k:2 * k + m, cut].tolist(), self.means[:m, cut].tolist(),
+                self.means[k:k + m, cut].tolist(), self.market[:m, cut].tolist())
+
+    def reports(self) -> list[MomentReport]:
+        """One ``MomentReport`` per window."""
+        freq, value, volume, market = (list(zip(*rows)) for rows in self._rows(slice(None)))
+        return [MomentReport(c, n, f, v, u, mp, mp[0], vol) for c, n, f, v, u, mp, vol in zip(
+            self.center.tolist(), self.count.tolist(), freq, value, volume, market,
+            self.volatility.tolist())]
+
+    def write_jsonl(self, out: TextIO) -> None:
+        """Write one JSON object per window: for each report the bytes of
+        ``json.dumps(report.to_dict(), allow_nan=False)`` plus a newline,
+        ``WRITE_BLOCK_ROWS`` windows at a time."""
+        floats = "[" + ", ".join(["%r"] * self.max_order) + "]"
+        line = ('{"center_tick": %d, "effective_count": %d, "vwap": %r, '
+                '"market_volatility": %r, "volatility_negative": %s, '
+                f'"freq_price": {floats}, "value": {floats}, "volume": {floats}, '
+                f'"market_price": {floats}}}\n')
+        for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
+            cut = slice(lo, lo + WRITE_BLOCK_ROWS)
+            freq, value, volume, market = self._rows(cut)
+            vol = self.volatility[cut].tolist()
+            negative = ["true" if x < 0 else "false" for x in vol]
+            cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0], vol,
+                       negative, *freq, *value, *volume, *market)
+            out.writelines(map(line.__mod__, cols))
+
+    def write_compare_csv(self, out: TextIO) -> None:
+        """Write the frequency and market-based price moments of each window
+        and order, and their difference, as CSV rows."""
+        out.write("center_tick,n,freq_price,market_price,difference\n")
+        m, k = self.max_order, len(self.market)
+        orders = list(range(1, m + 1))
+        for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
+            cut = slice(lo, lo + WRITE_BLOCK_ROWS)
+            freq, market = self.means[2 * k:2 * k + m, cut].T, self.market[:m, cut].T
+            center = np.repeat(self.center[cut], m).tolist()
+            cols = (center, orders * len(freq), freq.ravel().tolist(), market.ravel().tolist(),
+                    (freq - market).ravel().tolist())
+            out.writelines(map("%d,%d,%r,%r,%r\n".__mod__, zip(*cols)))
+
+
+def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> WindowColumns:
+    """Moment columns of the windows centered at ``centers`` holding tape rows [lo, hi).
 
     Each record's value, volume and price is raised to each order once, for
-    all the windows that hold it; every window mean is an exact ``fsum``
-    over its rows.  A window with no rows is not allowed.  The first window,
-    in order, whose moments fail raises: an overflowing moment
-    (OverflowError, by series then order), a volume moment that underflows
-    to 0 (ZeroDivisionError) or a price moment that is not finite
-    (OverflowError naming the field and order).
+    all the windows that hold it (Python ``x**n``, the libm ``pow``); every
+    window mean is the exact-sum mean of :func:`window_means`.  A window with
+    no rows is not allowed.  Every window is checked before this returns,
+    with vectorised masks; the first window, in order, whose moments fail
+    is then checked alone, and raises: an overflowing moment (OverflowError,
+    by series then order), a volume moment that underflows to 0
+    (ZeroDivisionError), a price moment that is not finite (OverflowError
+    naming the field and order) or a VWAP whose square, in the volatility,
+    overflows (OverflowError).
     """
     check_order(max_order)
     # Orders up to 2 at least: the volatility needs the second moment even
     # when the report holds only the first.
     orders = range(1, max(max_order, 2) + 1)
-    start = lo[0]
-    value, volume = tape.value[start:hi[-1]].tolist(), tape.volume[start:hi[-1]].tolist()
-    price = [c / u for c, u in zip(value, volume)]
-    bounds = [(a - start, b - start) for a, b in zip(lo, hi)]
-    means = []  # one list per (series, order), over the windows; NaN marks an overflow
-    for xs in (value, volume, price):
+    k = len(orders)
+    centers, lo, hi = (np.asarray(x, dtype=np.int64) for x in (centers, lo, hi))
+    start, stop = int(lo[0]), int(hi[-1])
+    value, volume = tape.value[start:stop], tape.volume[start:stop]
+    with np.errstate(over="ignore"):
+        price = value / volume  # may overflow to inf, as Python's float division does
+    lo, hi = lo - start, hi - start
+    means = np.empty((3 * k, len(centers)))  # NaN marks an overflow
+    rows = iter(means)
+    for xs in map(np.ndarray.tolist, (value, volume, price)):
         for n in orders:
             try:
                 col = [x**n for x in xs]
             except OverflowError:
                 col = [_or_nan(pow, x, n) for x in xs]
-            means.append([_or_nan(math.fsum, col[a:b]) / (b - a) for a, b in bounds])
+            next(rows)[:] = window_means(np.array(col), lo, hi)
             del col  # one power column at a time
-    k = len(orders)
-    return [_report(c, b - a, row[:k], row[k:2 * k], row[2 * k:], max_order)
-            for c, (a, b), row in zip(centers, bounds, zip(*means))]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        market = means[:k] / means[k:2 * k]
+    vwap = market[0].tolist()
+    try:
+        square = [x**2 for x in vwap]
+    except OverflowError:
+        square = [_or_nan(pow, x, 2) for x in vwap]
+    with np.errstate(invalid="ignore"):
+        volatility = market[1] - square
+    failing = (np.isnan(means).any(axis=0) | (means[k:2 * k] == 0).any(axis=0)
+               | ~np.isfinite(means[2 * k:]).all(axis=0) | ~np.isfinite(market).all(axis=0)
+               | np.isnan(volatility))
+    # The masks are ``_check_window``'s checks; it raises at the first marked window.
+    for i in np.flatnonzero(failing).tolist():
+        _check_window(int(centers[i]), *means[:, i].reshape(3, k).tolist())
+    return WindowColumns(centers, hi - lo, means, market, volatility, max_order)
 
 
-def _report(center: int, count: int, value_m, volume_m, freq_price, max_order: int):
+def _check_window(center: int, value_m, volume_m, freq_price) -> None:
+    """Raise the error of one window's moments, if they fail: an overflowing
+    moment (by series then order), a volume moment of 0, a price moment that
+    is not finite (by field then order) or an overflowing volatility."""
     for series, ms in zip(SERIES, (value_m, volume_m, freq_price)):
         for n, m in enumerate(ms, start=1):
             if math.isnan(m):
                 raise OverflowError(
                     f"window at tick {center}: {series} moment of order {n} overflows")
     try:
-        market_price = tuple(c / u for c, u in zip(value_m, volume_m))
+        market_price = [c / u for c, u in zip(value_m, volume_m)]
     except ZeroDivisionError:
         n = volume_m.index(0.0) + 1
         raise ZeroDivisionError(
@@ -181,16 +311,17 @@ def _report(center: int, count: int, value_m, volume_m, freq_price, max_order: i
             if not math.isfinite(x):
                 raise OverflowError(f"window at tick {center}: {name} moment "
                                     f"of order {n} is {x!r}")
-    return MomentReport(
-        center_tick=center,
-        effective_count=count,
-        freq_price=freq_price[:max_order],
-        value=value_m[:max_order],
-        volume=volume_m[:max_order],
-        market_price=market_price[:max_order],
-        vwap=market_price[0],
-        market_volatility=market_price[1] - market_price[0] ** 2,
-    )
+    # The volatility squares the VWAP; that raises OverflowError if it overflows.
+    pow(market_price[0], 2)
+
+
+def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[int],
+                   max_order: int = 4) -> list[MomentReport]:
+    """Reports of the windows centered at ``centers`` holding tape rows [lo, hi).
+
+    A ``MomentReport`` view of :func:`window_columns`, with its errors.
+    """
+    return window_columns(tape, centers, lo, hi, max_order).reports()
 
 
 def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:

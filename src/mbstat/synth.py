@@ -61,46 +61,55 @@ class SynthParams:
             raise ValueError("sigmas must be nonnegative")
 
 
+#: Normal draws taken from the generator at a time.  PCG64 draws in chunks
+#: are the same numbers as one draw of the whole path.
+DRAW_BLOCK = 4096
+
+
 def _ar1_log_levels(
     rng: np.random.Generator, n: int, persistence: float, sigma: float, mean: float
 ) -> np.ndarray:
     """Stationary AR(1) path: phi = exp(-1/persistence), sd sigma, mean mean."""
     phi = math.exp(-1.0 / persistence)
-    z = iter(rng.standard_normal(n).tolist())
     innov_sd = sigma * math.sqrt(1.0 - phi * phi)
+    x = np.empty(n)
     # The loop runs on Python floats: the same double operations as on
     # numpy scalars, in the same order, but without their overhead.
-    prev = mean + sigma * next(z)
-    x = [prev]
-    for zi in z:
-        prev = mean + phi * (prev - mean) + innov_sd * zi
-        x.append(prev)
-    return np.array(x)
+    z = rng.standard_normal(min(DRAW_BLOCK, n)).tolist()
+    prev = x[0] = mean + sigma * z[0]
+    done, z = 1, z[1:]
+    while z:
+        x[done:done + len(z)] = [prev := mean + phi * (prev - mean) + innov_sd * zi for zi in z]
+        done += len(z)
+        z = rng.standard_normal(min(DRAW_BLOCK, n - done)).tolist()
+    return x
 
 
 def gen_tape(params: SynthParams) -> TradeTape:
     """Dense tape on ticks 0..length-1; identical seeds give identical tapes."""
     seq_a, seq_b = np.random.SeedSequence(params.seed).spawn(2)
-    x = _ar1_log_levels(
+    a = _ar1_log_levels(
         np.random.Generator(np.random.PCG64(seq_a)),
         params.length_ticks,
         params.persistence_a_ticks,
         params.sigma_a,
         params.mean_a,
     )
-    y = _ar1_log_levels(
+    volume = _ar1_log_levels(
         np.random.Generator(np.random.PCG64(seq_b)),
         params.length_ticks,
         params.persistence_b_ticks,
         params.sigma_b,
         params.mean_b,
     )
-    # A level that overflows to inf is left to the tape's own check.
+    # Levels are taken in place.  A level that overflows to inf is left to
+    # the tape's own check.
     with np.errstate(over="ignore"):
-        a = np.exp(x)
-        volume = np.exp(y)
-        value = a * volume if params.mode == "price_volume" else a
-    return TradeTape(np.arange(params.length_ticks), value, volume)
+        np.exp(a, out=a)
+        np.exp(volume, out=volume)
+        if params.mode == "price_volume":
+            np.multiply(a, volume, out=a)
+    return TradeTape(np.arange(params.length_ticks), a, volume)
 
 
 def theoretical_log_acf(persistence_ticks: float, sigma: float, lag_ticks: int) -> float:

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -227,9 +227,22 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 
+#: Rows formatted per ``writelines`` call by the writers.
+WRITE_BLOCK_ROWS = 1024
+
+
+def write_csv(tape: TradeTape, out: TextIO) -> None:
+    """Write a tape to a text stream as tick,value,volume CSV with shortest
+    round-tripping decimals, ``WRITE_BLOCK_ROWS`` rows at a time."""
+    out.write(",".join(_HEADERS["tick-value-volume"]) + "\n")
+    for lo in range(0, len(tape), WRITE_BLOCK_ROWS):
+        cut = slice(lo, lo + WRITE_BLOCK_ROWS)
+        cols = tape.ticks[cut].tolist(), tape.value[cut].tolist(), tape.volume[cut].tolist()
+        out.writelines(map("%d,%r,%r\n".__mod__, zip(*cols)))
+
+
 def emit_csv(tape: TradeTape) -> str:
-    """Serialize a tape to tick,value,volume CSV with shortest round-tripping decimals."""
-    lines = [",".join(_HEADERS["tick-value-volume"])]
-    lines.extend(f"{t},{c!r},{u!r}" for t, c, u in
-                 zip(tape.ticks.tolist(), tape.value.tolist(), tape.volume.tolist()))
-    return "\n".join(lines) + "\n"
+    """The CSV that ``write_csv`` writes, as a string."""
+    buf = io.StringIO()
+    write_csv(tape, buf)
+    return buf.getvalue()

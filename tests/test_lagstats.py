@@ -230,6 +230,22 @@ def test_acf_curve_matches_oracle(gap_prob):
     assert checked > 100
 
 
+@pytest.mark.xfail(strict=True, reason="window sums are differences of longdouble prefix sums "
+                   "over the whole tape (README, Known limitation)")
+def test_one_large_value_leaves_later_windows_exact():
+    # The product 1e24 sits in every later prefix, whose 64-bit mantissa
+    # then cannot hold a window's sum of about 10.
+    tape = random_tape(random.Random(11), 400)
+    value = tape.value.copy()
+    value[50] = 1e12
+    tape = TradeTape(tape.ticks, value, tape.volume)
+    (p,) = [p for p in acf_curve(tape, WindowSpec(11, 1), 0).points if p.center_tick == 300]
+    rows = list(zip(tape.ticks.tolist(), value.tolist(), tape.volume.tolist()))
+    n, b_c, _, _ = oracle_curve(rows, 11, 1, 0)[(300, 0)]
+    assert p.pair_count == n
+    assert p.b_value == pytest.approx(b_c, rel=1e-10, abs=1e-10)
+
+
 def test_acf_curve_joint_rescaling():
     rng = random.Random(3)
     recs = [(t, rng.uniform(0.5, 4), rng.uniform(0.5, 4)) for t in range(80)]

@@ -5,12 +5,18 @@ has prices (10,2).
 """
 
 import cmath
+import json
 import math
 import random
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 from mbstat import (
     NoDataError,
@@ -21,9 +27,14 @@ from mbstat import (
     market_volatility,
     vwap,
 )
-from mbstat.moments import MomentReport, compute_report, window_reports
+from mbstat import emit_csv, moments, parse_csv
+from mbstat.cli import main
+from mbstat.moments import (MomentReport, compute_report, window_columns, window_means,
+                            window_reports)
 from mbstat.tape import TradeTape
 from mbstat.windows import Window, WindowSpec, plan_windows, window_grid
+
+from test_lagstats import Discard
 
 W1 = [TradeRecord(0, 10, 2), TradeRecord(1, 6, 2)]
 W2 = [TradeRecord(0, 10, 1), TradeRecord(1, 6, 3)]
@@ -277,3 +288,112 @@ def test_window_reports_equal_per_window_reference(tape, half, step, min_trades,
     for w in valid:  # the one-window case powers only its own rows
         assert (report_outcome(lambda: [compute_report(w, tape, max_order)])
                 == report_outcome(lambda: [reference_compute_report(w, tape, max_order)]))
+
+
+# --------------------------------------------------------------------------
+# Exact integer-prefix window means against fsum.
+
+#: Values where an exact sum matters: signed zeros, the smallest subnormal,
+#: widely apart magnitudes, and 1.7e308, two of which overflow a sum.
+SPECIAL = [0.0, -0.0, 5e-324, 1e-200, 1e200, 1.7e308]
+
+
+def fsum_mean(xs):
+    """``math.fsum(xs) / len(xs)``, NaN where the sum overflows."""
+    try:
+        return math.fsum(xs) / len(xs)
+    except OverflowError:
+        return math.nan
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3, 101, 2001]),
+       st.sampled_from([0.0, 0.01, 0.3, 1.0]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_window_means_equal_fsum_bit_for_bit(seed, max_width, special_share, nonfinite):
+    rng = np.random.default_rng(seed)
+    n = max_width + int(rng.integers(0, 2 * max_width + 50))
+    col = rng.lognormal(0.0, 5.0, n)
+    pick = rng.random(n) < special_share
+    col[pick] = rng.choice(SPECIAL + ([math.inf, math.nan] if nonfinite else []), pick.sum())
+    width = rng.integers(1, max_width + 1, 300)
+    lo = rng.integers(0, n - width + 1)
+    hi = lo + width
+    got = window_means(col, lo, hi)
+    want = [fsum_mean(col[a:b].tolist()) for a, b in zip(lo.tolist(), hi.tolist())]
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+
+def test_window_means_overflow_is_nan_and_inf_follows_fsum():
+    col = np.array([1.7e308, 1.7e308, 1.0, math.inf, 1.7e308, 1.0, 1.7e308])
+    lo, hi = np.array([0, 1, 0, 2, 1, 3]), np.array([2, 3, 4, 5, 6, 7])
+    # [1.7e308, 1.7e308, ..., inf] overflows before fsum reaches the inf;
+    # [1.7e308, inf, 1.7e308] does not, and sums to inf.
+    want = [math.nan, 1.7e308 / 2, math.nan, math.inf, math.inf, math.nan]
+    assert list(map(float.hex, window_means(col, lo, hi).tolist())) == list(map(float.hex, want))
+
+
+# --------------------------------------------------------------------------
+# The columnar writers against the per-report serialization they replaced.
+
+
+def _report_lines(command, reports):
+    if command == "stats":
+        return "".join(json.dumps(rep.to_dict(), allow_nan=False) + "\n" for rep in reports)
+    return "center_tick,n,freq_price,market_price,difference\n" + "".join(
+        f"{rep.center_tick},{n},{freq!r},{market!r},{freq - market!r}\n"
+        for rep in reports
+        for n, (freq, market) in enumerate(zip(rep.freq_price, rep.market_price), start=1))
+
+
+@given(gappy_tapes(), st.integers(min_value=0, max_value=7), st.integers(min_value=1, max_value=15),
+       st.integers(min_value=1, max_value=8), st.sampled_from(["stats", "compare"]))
+@settings(max_examples=150, deadline=None)
+def test_writers_equal_per_report_serialization(tape, half, step, max_order, command):
+    spec = WindowSpec(2 * half + 1, min(step, 2 * half + 1))
+    text = emit_csv(tape)
+    parsed = parse_csv(text)  # the CLI sees the tape through its CSV
+    centers, lo, hi = window_grid(parsed, spec)
+    keep = hi - lo >= 1
+    assume(keep.any())
+    try:
+        want = _report_lines(command, window_reports(
+            parsed, centers[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(), max_order))
+        error = None
+    except ArithmeticError as exc:
+        error = f"Error: {type(exc).__name__}: {exc}"
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(moments, "WRITE_BLOCK_ROWS", 1):
+        inp, out = Path(tmp) / "tape.csv", Path(tmp) / "out"
+        inp.write_text(text)
+        res = CliRunner().invoke(main, [
+            command, "--input", str(inp), "--window-n", str(spec.n_ticks), "--lag-step",
+            str(spec.lag_step_ticks), "--max-order", str(max_order), "--output", str(out)])
+        if error is None:
+            assert res.exit_code == 0
+            assert out.read_text() == want
+        else:
+            assert res.exit_code == 1
+            assert res.output.splitlines() == [error]
+            assert not out.exists()
+
+
+# --------------------------------------------------------------------------
+# Memory
+
+
+def test_stats_memory_is_bounded_by_columns_and_one_block():
+    """Columns of 20,000 windows, one power column and one block of text
+    peak at about 6.4 MB.  One report object per window, each serialized by
+    ``json.dumps``, peaked at 18.9 MB."""
+    rng = np.random.default_rng(4)
+    n = 20_100
+    tape = TradeTape(np.arange(n), rng.lognormal(0.0, 0.5, n), rng.lognormal(0.0, 0.5, n))
+    centers, lo, hi = window_grid(tape, WindowSpec(101, 1))
+    assert len(centers) >= 20_000
+    tracemalloc.start()
+    try:
+        window_columns(tape, centers, lo, hi, 2).write_jsonl(Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20

@@ -1,11 +1,14 @@
 """Synthetic tape generator and its reference autocovariance."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mbstat import SynthParams, gen_tape, synth, theoretical_log_acf
+from mbstat import SynthParams, gen_tape, synth, tape, theoretical_log_acf
+
+from test_lagstats import Discard
 
 
 def params(**kw):
@@ -131,3 +134,49 @@ def test_ar1_on_python_floats_is_bit_identical(monkeypatch, mode, seed):
     want = gen_tape(p)
     for name in ("ticks", "value", "volume"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _one_shot_tape(p):
+    """The generator as one draw of each whole path, with levels taken out of
+    place: the reference for the chunked draws and the in-place levels."""
+    paths = []
+    for seq, tau, sigma, mean in zip(np.random.SeedSequence(p.seed).spawn(2),
+                                     (p.persistence_a_ticks, p.persistence_b_ticks),
+                                     (p.sigma_a, p.sigma_b), (p.mean_a, p.mean_b)):
+        rng = np.random.Generator(np.random.PCG64(seq))
+        z = iter(rng.standard_normal(p.length_ticks).tolist())
+        phi = math.exp(-1.0 / tau)
+        innov_sd = sigma * math.sqrt(1.0 - phi * phi)
+        prev = mean + sigma * next(z)
+        x = [prev]
+        for zi in z:
+            prev = mean + phi * (prev - mean) + innov_sd * zi
+            x.append(prev)
+        paths.append(np.array(x))
+    a, volume = np.exp(paths[0]), np.exp(paths[1])
+    value = a * volume if p.mode == "price_volume" else a
+    return np.arange(p.length_ticks), value, volume
+
+
+@pytest.mark.parametrize("mode", ["price_volume", "value_volume"])
+@pytest.mark.parametrize("length", [2, synth.DRAW_BLOCK - 1, synth.DRAW_BLOCK,
+                                    synth.DRAW_BLOCK + 1, 2 * synth.DRAW_BLOCK + 1])
+def test_chunked_draws_equal_one_shot_path(mode, length):
+    p = params(mode=mode, length_ticks=length, seed=5, sigma_a=0.2, mean_a=0.75, mean_b=-1.25)
+    got = gen_tape(p)
+    for col, want in zip((got.ticks, got.value, got.volume), _one_shot_tape(p)):
+        assert col.tobytes() == want.tobytes()
+
+
+def test_gen_and_write_memory_is_bounded_by_blocks():
+    """Generating and writing 100k ticks holds the tape's columns and one
+    block of draws and of text, about 5.6 MB; whole Python-float paths and
+    the whole CSV text, then written at once, peaked at 22.4 MB."""
+    p = params(length_ticks=100_000, persistence_a_ticks=10.0, persistence_b_ticks=40.0)
+    tracemalloc.start()
+    try:
+        tape.write_csv(gen_tape(p), Discard())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
