@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
-from .tape import TradeTape
+from .tape import TradeTape, reprs
 from .windows import Window, WindowSpec, window_grid
 
 SERIES2 = ("value", "volume")
@@ -224,18 +224,17 @@ class AcfCurve:
             for lo in range(0, len(block.lag), _BLOCK):
                 cut = slice(lo, lo + _BLOCK)
                 lag, count = block.lag[cut].tolist(), block.pair_count[cut].tolist()
-                b_c, b_u, b_p, *lag2 = (list(map(float.__repr__, x))
-                                        for x in block.stats[:, cut].tolist())
+                b_c, b_u, b_p, *lag2 = map(reprs, block.stats[:, cut])
                 center = [block.center[cut].tolist()] if per_center else []
                 if json_out is not None:
                     cols = zip(lag, b_c, b_u, b_p, *lag2, count, *center)
                     rows = list(map(json_point.__mod__, cols))
                     if first:
                         rows[0] = rows[0][1:]
-                    json_out.writelines(rows)
+                    json_out.write("".join(rows))
                 if csv_out is not None:
                     cols = zip(*center, lag, b_c, b_u, b_p, count)
-                    csv_out.writelines(map(csv_row.__mod__, cols))
+                    csv_out.write("".join(map(csv_row.__mod__, cols)))
                 first = False
         if json_out is not None:
             json_out.write("\n  ]\n}\n")

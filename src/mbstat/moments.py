@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import NoDataError
-from .tape import WRITE_BLOCK_ROWS, TradeRecord, TradeTape
+from .tape import WRITE_BLOCK_ROWS, TradeRecord, TradeTape, reprs
 from .windows import Window, members  # noqa: F401  (perfbench traces moments.members)
 
 SERIES = ("value", "volume", "price")
@@ -154,9 +154,10 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     of the whole column, so the integers' prefix sums are exact and a window's sum
     is one Python int true division, which is correctly rounded as ``fsum``
     is (and raises OverflowError where ``fsum`` does).  This takes
-    O(rows + windows) for any window width.  A window holding a NaN or an
-    inf is summed by ``fsum`` itself, whose result there depends on where
-    the inf sits.
+    O(rows + windows) for any window width.  A window holding an inf is
+    summed by ``fsum`` itself, whose result there depends on where the inf
+    sits; a window holding a NaN and no inf is NaN, as its ``fsum`` is, found
+    from a prefix count of the NaNs.
     """
     finite = np.isfinite(col)
     prefix, scale = _int_prefix(np.where(finite, col, 0.0))
@@ -166,11 +167,17 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     except OverflowError:
         sums = [_or_nan(operator.truediv, prefix[b] - prefix[a], scale)
                 for a, b in zip(starts, stops)]
+    sums = np.array(sums)
     if not finite.all():
-        bad = np.concatenate(([0], np.cumsum(~finite)))
-        for i in np.flatnonzero(bad[hi] > bad[lo]).tolist():
+        # A NaN makes ``fsum`` NaN (or an OverflowError, which is NaN here) unless
+        # the window also holds both infinities; only windows with an inf need it.
+        nans, infs = (np.concatenate(([0], np.cumsum(mask)))
+                      for mask in (np.isnan(col), np.isinf(col)))
+        has_inf = infs[hi] > infs[lo]
+        sums[(nans[hi] > nans[lo]) & ~has_inf] = math.nan
+        for i in np.flatnonzero(has_inf).tolist():
             sums[i] = _or_nan(math.fsum, col[starts[i]:stops[i]].tolist())
-    return np.array(sums) / (hi - lo)
+    return sums / (hi - lo)
 
 
 class WindowColumns(NamedTuple):
@@ -190,16 +197,17 @@ class WindowColumns(NamedTuple):
     volatility: np.ndarray
     max_order: int
 
-    def _rows(self, cut: slice) -> tuple[list, list, list, list]:
+    def _rows(self, cut: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The freq_price, value, volume and market_price rows of orders
-        1..max_order over the windows of ``cut``, as lists of Python floats."""
+        1..max_order over the windows of ``cut``."""
         m, k = self.max_order, len(self.market)
-        return (self.means[2 * k:2 * k + m, cut].tolist(), self.means[:m, cut].tolist(),
-                self.means[k:k + m, cut].tolist(), self.market[:m, cut].tolist())
+        return (self.means[2 * k:2 * k + m, cut], self.means[:m, cut],
+                self.means[k:k + m, cut], self.market[:m, cut])
 
     def reports(self) -> list[MomentReport]:
         """One ``MomentReport`` per window."""
-        freq, value, volume, market = (list(zip(*rows)) for rows in self._rows(slice(None)))
+        freq, value, volume, market = (list(zip(*rows.tolist()))
+                                       for rows in self._rows(slice(None)))
         return [MomentReport(c, n, f, v, u, mp, mp[0], vol) for c, n, f, v, u, mp, vol in zip(
             self.center.tolist(), self.count.tolist(), freq, value, volume, market,
             self.volatility.tolist())]
@@ -208,19 +216,19 @@ class WindowColumns(NamedTuple):
         """Write one JSON object per window: for each report the bytes of
         ``json.dumps(report.to_dict(), allow_nan=False)`` plus a newline,
         ``WRITE_BLOCK_ROWS`` windows at a time."""
-        floats = "[" + ", ".join(["%r"] * self.max_order) + "]"
-        line = ('{"center_tick": %d, "effective_count": %d, "vwap": %r, '
-                '"market_volatility": %r, "volatility_negative": %s, '
+        floats = "[" + ", ".join(["%s"] * self.max_order) + "]"
+        line = ('{"center_tick": %d, "effective_count": %d, "vwap": %s, '
+                '"market_volatility": %s, "volatility_negative": %s, '
                 f'"freq_price": {floats}, "value": {floats}, "volume": {floats}, '
                 f'"market_price": {floats}}}\n')
         for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
             cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-            freq, value, volume, market = self._rows(cut)
-            vol = self.volatility[cut].tolist()
-            negative = ["true" if x < 0 else "false" for x in vol]
-            cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0], vol,
-                       negative, *freq, *value, *volume, *market)
-            out.writelines(map(line.__mod__, cols))
+            freq, value, volume, market = ([reprs(row) for row in rows] for rows in self._rows(cut))
+            negative = ["true" if x else "false" for x in (self.volatility[cut] < 0).tolist()]
+            # The VWAP is market_price[0]: formatted once, written twice.
+            cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0],
+                       reprs(self.volatility[cut]), negative, *freq, *value, *volume, *market)
+            out.write("".join(map(line.__mod__, cols)))
 
     def write_compare_csv(self, out: TextIO) -> None:
         """Write the frequency and market-based price moments of each window
@@ -232,9 +240,9 @@ class WindowColumns(NamedTuple):
             cut = slice(lo, lo + WRITE_BLOCK_ROWS)
             freq, market = self.means[2 * k:2 * k + m, cut].T, self.market[:m, cut].T
             center = np.repeat(self.center[cut], m).tolist()
-            cols = (center, orders * len(freq), freq.ravel().tolist(), market.ravel().tolist(),
-                    (freq - market).ravel().tolist())
-            out.writelines(map("%d,%d,%r,%r,%r\n".__mod__, zip(*cols)))
+            cols = (center, orders * len(freq), reprs(freq.ravel()), reprs(market.ravel()),
+                    reprs((freq - market).ravel()))
+            out.write("".join(map("%d,%d,%s,%s,%s\n".__mod__, zip(*cols))))
 
 
 def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> WindowColumns:

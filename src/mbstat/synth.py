@@ -109,7 +109,7 @@ def gen_tape(params: SynthParams) -> TradeTape:
         np.exp(volume, out=volume)
         if params.mode == "price_volume":
             np.multiply(a, volume, out=a)
-    return TradeTape(np.arange(params.length_ticks), a, volume)
+    return TradeTape._owning(np.arange(params.length_ticks), a, volume)
 
 
 def theoretical_log_acf(persistence_ticks: float, sigma: float, lag_ticks: int) -> float:

@@ -20,6 +20,7 @@ from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
+import orjson
 
 from .errors import FormatError, NoDataError
 
@@ -63,9 +64,21 @@ class TradeTape:
     volume: np.ndarray
 
     def __post_init__(self):
-        ticks = np.array(self.ticks, dtype=np.int64)
-        value = np.array(self.value, dtype=np.float64)
-        volume = np.array(self.volume, dtype=np.float64)
+        # A copy: the columns are made read-only, and a caller's arrays stay writeable.
+        self._adopt(np.array(self.ticks, dtype=np.int64), np.array(self.value, dtype=np.float64),
+                    np.array(self.volume, dtype=np.float64))
+
+    @classmethod
+    def _owning(cls, ticks: np.ndarray, value: np.ndarray, volume: np.ndarray) -> TradeTape:
+        """Tape that takes over fresh columns no one else holds, copying one
+        only where its dtype is not int64/float64; checked as the constructor checks."""
+        tape = object.__new__(cls)
+        tape._adopt(np.asarray(ticks, dtype=np.int64), np.asarray(value, dtype=np.float64),
+                    np.asarray(volume, dtype=np.float64))
+        return tape
+
+    def _adopt(self, ticks: np.ndarray, value: np.ndarray, volume: np.ndarray) -> None:
+        """Check the columns, make them read-only and set them as this tape's."""
         if not (ticks.ndim == 1 and ticks.shape == value.shape == volume.shape):
             raise ValueError("ticks, value and volume must be 1-D columns of one length")
         if np.any(ticks[1:] <= ticks[:-1]):
@@ -144,7 +157,7 @@ def _merged(ticks, value, volume) -> TradeTape:
     # An overflowing sum is rejected by the tape, naming its tick.
     value, volume = (np.bincount(index, weights=col, minlength=len(unique))
                      for col in (value, volume))
-    return TradeTape(unique, value, volume)
+    return TradeTape._owning(unique, value, volume)
 
 
 def bucket(raw: Iterable[TradeRecord]) -> TradeTape:
@@ -227,18 +240,39 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 
-#: Rows formatted per ``writelines`` call by the writers.
+#: Rows formatted per ``write`` call by the writers.
 WRITE_BLOCK_ROWS = 1024
+
+
+def reprs(a: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each element of the 1-D float64 array ``a``, bit for bit.
+
+    orjson's Ryu shortest round-trip digits are ``repr``'s digits, and its
+    text equals ``repr``'s for ±0.0 and every finite x with 1e-4 <= |x| <
+    1e16.  The other elements, whose ``repr`` has an exponent (orjson writes
+    ``1e16`` and ``0.00001`` for ``1e+16`` and ``1e-05``) or which are not
+    finite (orjson writes ``null``), take ``float.__repr__`` itself.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    if not len(a):
+        return []
+    out = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    mag = np.abs(a)
+    with np.errstate(invalid="ignore"):
+        other = np.flatnonzero(~((mag >= 1e-4) & (mag < 1e16)) & (a != 0))
+    for i, x in zip(other.tolist(), a[other].tolist()):
+        out[i] = repr(x)
+    return out
 
 
 def write_csv(tape: TradeTape, out: TextIO) -> None:
     """Write a tape to a text stream as tick,value,volume CSV with shortest
-    round-tripping decimals, ``WRITE_BLOCK_ROWS`` rows at a time."""
+    round-tripping decimals (:func:`reprs`), ``WRITE_BLOCK_ROWS`` rows at a time."""
     out.write(",".join(_HEADERS["tick-value-volume"]) + "\n")
     for lo in range(0, len(tape), WRITE_BLOCK_ROWS):
         cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-        cols = tape.ticks[cut].tolist(), tape.value[cut].tolist(), tape.volume[cut].tolist()
-        out.writelines(map("%d,%r,%r\n".__mod__, zip(*cols)))
+        cols = tape.ticks[cut].tolist(), reprs(tape.value[cut]), reprs(tape.volume[cut])
+        out.write("".join([f"{t},{v},{u}\n" for t, v, u in zip(*cols)]))
 
 
 def emit_csv(tape: TradeTape) -> str:

@@ -8,6 +8,7 @@ import cmath
 import json
 import math
 import random
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -330,6 +331,18 @@ def test_window_means_overflow_is_nan_and_inf_follows_fsum():
     # [1.7e308, inf, 1.7e308] does not, and sums to inf.
     want = [math.nan, 1.7e308 / 2, math.nan, math.inf, math.inf, math.nan]
     assert list(map(float.hex, window_means(col, lo, hi).tolist())) == list(map(float.hex, want))
+
+
+def test_window_means_nan_windows_without_inf_are_nan_and_both_infs_raise_as_fsum():
+    col = np.array([1.0, math.nan, 2.0, math.inf, 3.0, -math.inf, 1.7e308, 1.7e308])
+    lo, hi = np.array([0, 1, 0, 1, 5, 4]), np.array([2, 3, 3, 4, 8, 8])
+    want = [math.nan, math.nan, math.nan, math.nan, math.nan, math.nan]
+    assert list(map(float.hex, window_means(col, lo, hi).tolist())) == list(map(float.hex, want))
+    for a, b in ((1, 6), (3, 6)):
+        with pytest.raises(ValueError) as ref:
+            math.fsum(col[a:b].tolist())
+        with pytest.raises(ValueError, match=re.escape(str(ref.value))):
+            window_means(col, np.array([a]), np.array([b]))
 
 
 # --------------------------------------------------------------------------

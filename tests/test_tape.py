@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from mbstat import FormatError, TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick
 from mbstat import tape as tape_mod
+from mbstat.tape import reprs
 
 
 def test_parse_value_volume():
@@ -117,6 +118,14 @@ def test_tape_columns_read_only_and_validated_with_tick():
     assert t.record_at(3) is t.records[1] and t.record_at(1) is None
     with pytest.raises(ValueError, match="tick 3: volume must be positive"):
         TradeTape([0, 3], [2.0, 4.0], [1.0, 0.0])
+
+
+def test_tape_leaves_the_callers_arrays_writeable():
+    ticks, value, volume = np.array([0, 3]), np.array([2.0, 4.0]), np.array([1.0, 2.0])
+    t = TradeTape(ticks, value, volume)
+    assert all(col.flags.writeable for col in (ticks, value, volume))
+    value[0] = 5.0
+    assert t.value.tolist() == [2.0, 4.0] and not t.value.flags.writeable
 
 
 def test_quantize_round_half_even():
@@ -323,3 +332,50 @@ def test_overflows_raise_errors_not_runtime_warnings():
             parse_csv("tick,value,volume\n4,1e308,1\n4,1e308,1\n")
         with pytest.raises(FormatError, match="^line 2: volume must be positive"):
             parse_csv("tick,price,volume\n0,inf,0\n", format="tick-price-volume")
+
+
+# --------------------------------------------------------------------------
+# reprs: float.__repr__ of every element, from orjson's shortest digits.
+
+
+def repr_reference(a):
+    return list(map(float.__repr__, np.asarray(a, dtype=np.float64).tolist()))
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=50))
+@settings(max_examples=500, deadline=None)
+def test_reprs_equal_float_repr(xs):
+    a = np.array(xs, dtype=np.float64)
+    assert reprs(a) == repr_reference(a)
+
+
+def test_reprs_equal_float_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(20220218)
+    bits = rng.integers(0, 2**64, 1_000_000, dtype=np.uint64, endpoint=False)
+    a = bits.view(np.float64)
+    assert reprs(a) == repr_reference(a)
+    # Patterns that mostly land inside the band orjson formats by itself.
+    b = rng.standard_normal(200_000) * 10.0 ** rng.integers(-6, 19, 200_000)
+    assert reprs(b) == repr_reference(b)
+
+
+def test_reprs_equal_float_repr_at_powers_of_ten_and_band_edges():
+    tens = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    xs = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    xs = np.concatenate([xs, -xs, [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max,
+                                    np.finfo(float).tiny, np.inf, -np.inf, np.nan]])
+    assert reprs(xs) == repr_reference(xs)
+    assert reprs(np.array([])) == []
+    # A strided view formats as its elements.
+    assert reprs(xs[::3]) == repr_reference(xs[::3])
+
+
+def test_write_csv_bytes_equal_row_wise_repr_reference():
+    value = [1e-05, 9.99e-05, 0.0001, 0.1, 1e15, 1e16, 1.2345e17, 1.7e308, 5e-324, 0.0]
+    volume = [2.5e-05, 1e16, 3.0, 1e-300, 7.5e21, 1e-04, 0.5, 1.0, 2e-310, 4e18]
+    ticks = list(range(-3, 3 * len(value) - 3, 3))
+    t = TradeTape(ticks, value, volume)
+    want = "tick,value,volume\n" + "".join(map("%d,%r,%r\n".__mod__, zip(ticks, value, volume)))
+    for block_rows in (1, 3, 1024):
+        with patch.object(tape_mod, "WRITE_BLOCK_ROWS", block_rows):
+            assert emit_csv(t) == want
