@@ -24,10 +24,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -501,12 +502,13 @@ def npoint_moment(
         raise ValueError(f"at most {MAX_NPOINT} lags supported, got {len(lags)}")
     if any(b <= a for a, b in zip(lags, lags[1:])) or any(t <= 0 for t in lags):
         raise ValueError("lags must be strictly ascending positive integers")
-    products = []
-    for t in window.member_ticks:
-        recs = [tape.record_at(t + tau) for tau in (0, *lags)]
-        if any(r is None for r in recs):
-            continue
-        products.append(math.prod(getattr(r, series) for r in recs))
+    ticks = np.array(window.member_ticks, dtype=np.int64)
+    partners = [tape._find(ticks, tau) for tau in (0, *lags)]
+    keep = np.logical_and.reduce([found for _, found in partners])
+    col = getattr(tape, series)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Each member's x0 * x1 * ..., multiplied in offset order.
+        products = reduce(operator.mul, [col[rows[keep]] for rows, _ in partners]).tolist()
     if not products:
         raise NoDataError("no member has all lagged partners on the tape")
     return math.fsum(products) / len(products)

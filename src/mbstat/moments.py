@@ -323,23 +323,14 @@ def _check_window(center: int, value_m, volume_m, freq_price) -> None:
     pow(market_price[0], 2)
 
 
-def window_reports(tape: TradeTape, centers: list[int], lo: list[int], hi: list[int],
-                   max_order: int = 4) -> list[MomentReport]:
-    """Reports of the windows centered at ``centers`` holding tape rows [lo, hi).
-
-    A ``MomentReport`` view of :func:`window_columns`, with its errors.
-    """
-    return window_columns(tape, centers, lo, hi, max_order).reports()
-
-
 def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:
     """Evaluate all moments of orders 1..max_order for one window.
 
-    The one-window case of :func:`window_reports`, with the same errors.
+    The one-window case of :func:`window_columns`, with the same errors.
     """
     check_order(max_order)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
     lo = int(tape.ticks.searchsorted(window.member_ticks[0]))
     hi = int(tape.ticks.searchsorted(window.member_ticks[-1], side="right"))
-    return window_reports(tape, [window.center_tick], [lo], [hi], max_order)[0]
+    return window_columns(tape, [window.center_tick], [lo], [hi], max_order).reports()[0]

@@ -16,7 +16,6 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -51,6 +50,11 @@ class TradeRecord:
         return self.value / self.volume
 
 
+def _valid_rows(value: np.ndarray, volume: np.ndarray) -> np.ndarray:
+    """Mask of the rows that pass TradeRecord's checks: volume > 0, value >= 0, both finite."""
+    return (volume > 0) & np.isfinite(volume) & (value >= 0) & np.isfinite(value)
+
+
 @dataclass(frozen=True, eq=False)
 class TradeTape:
     """Immutable, strictly tick-ordered trades on the tick grid.
@@ -83,7 +87,7 @@ class TradeTape:
             raise ValueError("ticks, value and volume must be 1-D columns of one length")
         if np.any(ticks[1:] <= ticks[:-1]):
             raise ValueError("records must be strictly increasing in tick")
-        ok = (volume > 0) & np.isfinite(volume) & (value >= 0) & np.isfinite(value)
+        ok = _valid_rows(value, volume)
         if not ok.all():
             # The first bad row fails TradeRecord's checks; name its tick.
             i = int(np.argmin(ok))
@@ -103,18 +107,14 @@ class TradeTape:
     def __len__(self) -> int:
         return len(self.ticks)
 
-    @cached_property
-    def records(self) -> tuple[TradeRecord, ...]:
-        """One ``TradeRecord`` per row, built on first use and then kept."""
-        cols = (self.ticks.tolist(), self.value.tolist(), self.volume.tolist())
-        return tuple(map(TradeRecord, *cols))
-
-    def record_at(self, tick: int) -> TradeRecord | None:
-        """The record at ``tick`` (the same object on every call), or None."""
-        i = int(np.searchsorted(self.ticks, tick))
-        if i < len(self.ticks) and self.ticks[i] == tick:
-            return self.records[i]
-        return None
+    def _find(self, ticks: np.ndarray, offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """The row of each int64 ``ticks + offset`` (offset >= 0) and a mask of
+        those on the tape; a sum past the int64 top is off the tape, not wrapped."""
+        top = np.iinfo(np.int64).max - offset
+        rows = np.searchsorted(self.ticks, np.minimum(ticks, top) + offset)
+        found = (ticks <= top) & (rows < len(self))
+        found[found] = self.ticks[rows[found]] == ticks[found] + offset
+        return rows, found
 
     @property
     def first_tick(self) -> int:
@@ -183,8 +183,7 @@ def _block_columns(rows: list[list[str]], price_form: bool):
         return None
     with np.errstate(over="ignore", invalid="ignore"):
         value = a * volume if price_form else a
-        ok = (volume > 0) & np.isfinite(volume) & (value >= 0) & np.isfinite(value)
-    return (ticks, value, volume) if ok.all() else None
+    return (ticks, value, volume) if _valid_rows(value, volume).all() else None
 
 
 def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[TradeRecord]:
@@ -220,23 +219,26 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
     if isinstance(text, str):
-        text = io.StringIO(text)
+        # UTF-8 bytes (a StringIO holds UCS-4), split into lines as open(newline="") does.
+        text = io.TextIOWrapper(io.BytesIO(text.encode(errors="surrogatepass")),
+                                encoding="utf-8", errors="surrogatepass", newline="")
     reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("missing header row", line=1)
-    expected = _HEADERS[format]
-    if tuple(h.strip() for h in header) != expected:
-        raise FormatError(f"header must be {','.join(expected)}", line=1)
-
     price_form = format == "tick-price-volume"
     blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
     line = 2
-    while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
-        cols = _block_columns(rows, price_form)
-        blocks.append(cols if cols is not None else _columns(_row_records(rows, line, price_form)))
-        line += len(rows)
+    try:
+        if (header := next(reader, None)) is None:
+            raise FormatError("missing header row", line=1)
+        expected = _HEADERS[format]
+        if tuple(h.strip() for h in header) != expected:
+            raise FormatError(f"header must be {','.join(expected)}", line=1)
+        while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
+            cols = _block_columns(rows, price_form)
+            blocks.append(cols if cols is not None
+                          else _columns(_row_records(rows, line, price_form)))
+            line += len(rows)
+    except csv.Error as exc:  # a field over the module's size limit, say
+        raise FormatError(str(exc), line=reader.line_num) from None
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 

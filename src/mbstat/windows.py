@@ -82,6 +82,9 @@ def plan_windows(tape: TradeTape, spec: WindowSpec) -> list[Window]:
     ]
 
 
-def members(window: Window, tape: TradeTape) -> list[TradeRecord]:
-    """Records at the window's member ticks, in tick order."""
-    return [tape.record_at(t) for t in window.member_ticks]
+def members(window: Window, tape: TradeTape) -> list[TradeRecord | None]:
+    """Records at the window's member ticks, in their order; None for a tick not on the tape."""
+    rows, found = tape._find(np.array(window.member_ticks, dtype=np.int64))
+    cols = (col[rows[found]].tolist() for col in (tape.ticks, tape.value, tape.volume))
+    recs = map(TradeRecord, *cols)
+    return [next(recs) if f else None for f in found.tolist()]

@@ -36,6 +36,7 @@ from mbstat.moments import compute_report
 from mbstat.windows import Window
 
 from oracle import oracle_curve
+from test_tape import rows
 
 DATA = Path(__file__).parent / "data"
 EFOLD_THRESHOLD = -math.log(0.05)  # lag at which exp decay hits the 5% floor
@@ -151,9 +152,7 @@ def test_criterion_05_brute_force_oracle_equivalence():
         )
         tape = TradeTape.from_records(recs)
         curve = acf_curve(tape, WindowSpec(101, 1), 50, aggregate="per-center")
-        ref = oracle_curve(
-            [(r.tick, r.value, r.volume) for r in tape.records], 101, 1, 50
-        )
+        ref = oracle_curve(rows(tape), 101, 1, 50)
         for p in curve.points:
             n, b_c, b_u, b_p = ref[(p.center_tick, p.lag_ticks)]
             assert p.pair_count == n

@@ -356,6 +356,16 @@ def test_tick_outside_int64_names_line(runner, tmp_path):
     assert line == "Error: line 3: tick 99999999999999999999 is outside the int64 range"
 
 
+def test_oversized_csv_field_names_line(runner, tmp_path):
+    # The csv module's field limit is 131,072 characters.
+    inp = tmp_path / "big.csv"
+    inp.write_text("tick,value,volume\n0," + "1" * 200_000 + ",1\n")
+    res = runner.invoke(main, ["stats", "--input", str(inp)])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == "Error: line 2: field larger than field limit (131072)"
+
+
 @pytest.mark.parametrize("aggregate", ["per-center", "mean"])
 def test_acf_stdout_is_the_json_file(runner, tmp_path, aggregate):
     args = ["acf", "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",

@@ -34,6 +34,7 @@ from mbstat.moments import freq_moment
 from mbstat.windows import Window, members, window_grid
 
 from oracle import oracle_curve
+from test_tape import rows
 
 
 def dense_tape(n, value=1.0, volume=1.0):
@@ -216,9 +217,7 @@ def test_acf_curve_matches_oracle(gap_prob):
     tape = random_tape(rng, 400, gap_prob)
     spec = WindowSpec(51, 1)
     curve = acf_curve(tape, spec, 20, aggregate="per-center")
-    ref = oracle_curve(
-        [(r.tick, r.value, r.volume) for r in tape.records], 51, 1, 20
-    )
+    ref = oracle_curve(rows(tape), 51, 1, 20)
     checked = 0
     for p in curve.points:
         n, b_c, b_u, b_p = ref[(p.center_tick, p.lag_ticks)]
@@ -353,6 +352,99 @@ def test_market_price_npoint_examples():
     assert market_price_npoint(w, tape, [1]) == pytest.approx(
         point_at(tape, WindowSpec(9, 1), 4, 1).lag2_price, rel=1e-12
     )
+
+
+def reference_npoint_moment(window, tape, series, lags):
+    """The per-record loop that ``npoint_moment`` replaced, kept as a reference."""
+    at = {t: TradeRecord(t, c, u) for t, c, u in rows(tape)}
+    products = []
+    for t in window.member_ticks:
+        recs = [at.get(t + tau) for tau in (0, *lags)]
+        if any(r is None for r in recs):
+            continue
+        products.append(math.prod(getattr(r, series) for r in recs))
+    if not products:
+        raise NoDataError("no member has all lagged partners on the tape")
+    return math.fsum(products) / len(products)
+
+
+def reference_members(window, tape):
+    at = {t: TradeRecord(t, c, u) for t, c, u in rows(tape)}
+    return [at.get(t) for t in window.member_ticks]
+
+
+def npoint_outcome(fn, *args):
+    """``repr`` of what ``fn`` returns (NaN included), or the type and message of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+sized = st.one_of(st.floats(min_value=0.01, max_value=100.0),
+                  st.sampled_from([1e-200, 1e-160, 1e150, 1e200]))
+
+
+@st.composite
+def npoint_cases(draw):
+    """A gappy tape, maybe at either end of int64, and a window planned on its run of
+    ticks or built by hand."""
+    gaps = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=40))
+    offsets = np.cumsum([0, *gaps[1:]]).tolist()
+    first = draw(st.sampled_from([0, -17, 2**63 - 1 - offsets[-1], -(2**63)]))
+    ticks = [first + o for o in offsets]
+    near = st.integers(max(ticks[0] - 4, -(2**63)), min(ticks[-1] + 4, 2**63 - 1))
+    ones, spec = [1.0] * len(ticks), WindowSpec(2 * draw(st.integers(0, 6)) + 1, 1)
+    windows = plan_windows(TradeTape(ticks, ones, ones), spec)
+    if ticks[-1] == 2**63 - 1 and draw(st.booleans()):
+        ticks = [-(2**63), -(2**63) + 1, -(2**63) + 2, *ticks]  # where a wrapped sum lands
+    value = [draw(st.one_of(sized, st.just(0.0))) for _ in ticks]
+    tape = TradeTape(ticks, value, [draw(sized) for _ in ticks])
+    if windows and draw(st.booleans()):
+        window = draw(st.sampled_from(windows))
+    else:
+        window = Window(0, tuple(draw(st.lists(near, max_size=12))), True)
+    lags = sorted(draw(st.sets(st.integers(1, 12), max_size=lagstats.MAX_NPOINT)))
+    return tape, window, lags
+
+
+@given(npoint_cases())
+@settings(max_examples=300, deadline=None)
+def test_members_and_npoint_equal_per_record_reference(case):
+    tape, window, lags = case
+    assert members(window, tape) == reference_members(window, tape)
+    for series in ("value", "volume"):
+        assert (npoint_outcome(npoint_moment, window, tape, series, lags)
+                == npoint_outcome(reference_npoint_moment, window, tape, series, lags))
+    assert (npoint_outcome(market_price_npoint, window, tape, lags)
+            == npoint_outcome(lambda: reference_npoint_moment(window, tape, "value", lags)
+                              / reference_npoint_moment(window, tape, "volume", lags)))
+
+
+def test_npoint_moment_multiplies_as_python_floats_in_offset_order():
+    def one_member(values, lags):
+        tape = TradeTape(range(len(values)), values, [1.0] * len(values))
+        return npoint_moment(Window(0, (0,), True), tape, "value", lags)
+
+    # (0.1 * 0.2) * 0.3 is 0.006000000000000001; 0.1 * (0.2 * 0.3) and (0.3 * 0.2) * 0.1 are 0.006.
+    assert one_member([0.1, 0.2, 0.3], [1, 2]) == (0.1 * 0.2) * 0.3 != 0.006
+    # 1e200 * 1e200 overflows to inf, and inf * 0.0 is NaN, as with Python floats.
+    assert one_member([1e200, 1e200], [1]) == math.inf
+    assert math.isnan(one_member([1e200, 1e200, 0.0], [1, 2]))
+
+
+def test_npoint_moment_at_the_int64_top():
+    # t + tau past 2**63 - 1 has no partner; the sum must not wrap to a tape tick.
+    top = 2**63 - 1
+    tape = TradeTape([top - 2, top - 1, top], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+    w = Window(top - 1, (top - 2, top - 1, top), True)
+    assert npoint_moment(w, tape, "value", [1]) == 4.0
+    assert npoint_moment(w, tape, "value", [2]) == 3.0
+    with pytest.raises(NoDataError):
+        npoint_moment(w, tape, "value", [3])
+    wrapping = TradeTape([-(2**63), top], [5.0, 7.0], [1.0, 1.0])
+    with pytest.raises(NoDataError):
+        npoint_moment(Window(0, (top,), True), wrapping, "value", [1])
 
 
 def test_npoint_validation():

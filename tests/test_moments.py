@@ -30,8 +30,7 @@ from mbstat import (
 )
 from mbstat import emit_csv, moments, parse_csv
 from mbstat.cli import main
-from mbstat.moments import (MomentReport, compute_report, window_columns, window_means,
-                            window_reports)
+from mbstat.moments import MomentReport, compute_report, window_columns, window_means
 from mbstat.tape import TradeTape
 from mbstat.windows import Window, WindowSpec, plan_windows, window_grid
 
@@ -283,8 +282,8 @@ def test_window_reports_equal_per_window_reference(tape, half, step, min_trades,
     if not valid:
         return
     want = report_outcome(lambda: [reference_compute_report(w, tape, max_order) for w in valid])
-    got = report_outcome(window_reports, tape, centers[keep].tolist(), lo[keep].tolist(),
-                         hi[keep].tolist(), max_order)
+    got = report_outcome(lambda: window_columns(tape, centers[keep].tolist(), lo[keep].tolist(),
+                                                hi[keep].tolist(), max_order).reports())
     assert got == want
     for w in valid:  # the one-window case powers only its own rows
         assert (report_outcome(lambda: [compute_report(w, tape, max_order)])
@@ -369,8 +368,9 @@ def test_writers_equal_per_report_serialization(tape, half, step, max_order, com
     keep = hi - lo >= 1
     assume(keep.any())
     try:
-        want = _report_lines(command, window_reports(
-            parsed, centers[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(), max_order))
+        want = _report_lines(command, window_columns(
+            parsed, centers[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
+            max_order).reports())
         error = None
     except ArithmeticError as exc:
         error = f"Error: {type(exc).__name__}: {exc}"

@@ -9,6 +9,7 @@ import pytest
 from mbstat import SynthParams, gen_tape, synth, tape, theoretical_log_acf
 
 from test_lagstats import Discard
+from test_tape import rows
 
 
 def params(**kw):
@@ -26,38 +27,37 @@ def params(**kw):
 def test_same_seed_same_tape():
     a = gen_tape(params())
     b = gen_tape(params())
-    assert a.records == b.records
+    assert rows(a) == rows(b)
 
 
 def test_different_seed_differs():
-    assert gen_tape(params()).records != gen_tape(params(seed=2)).records
+    assert rows(gen_tape(params())) != rows(gen_tape(params(seed=2)))
 
 
 def test_zero_sigma_constant_levels():
     t = gen_tape(params(sigma_a=0.0, sigma_b=0.0, mean_a=1.0, mean_b=0.5))
-    assert all(r.price == pytest.approx(math.e) for r in t.records)
-    assert all(r.volume == pytest.approx(math.exp(0.5)) for r in t.records)
+    assert t.value / t.volume == pytest.approx(math.e)
+    assert t.volume == pytest.approx(math.exp(0.5))
 
 
 def test_tape_is_dense_and_positive():
     t = gen_tape(params(length_ticks=300))
-    assert [r.tick for r in t.records] == list(range(300))
-    assert all(r.value > 0 and r.volume > 0 for r in t.records)
+    assert t.ticks.tolist() == list(range(300))
+    assert (t.value > 0).all() and (t.volume > 0).all()
 
 
 def test_value_volume_mode_value_is_exp_a():
     pv = gen_tape(params(seed=3))
     vv = gen_tape(params(seed=3, mode="value_volume"))
     # same streams: pv value = price * volume, vv value = price process alone
-    for a, b in zip(pv.records, vv.records):
-        assert a.volume == b.volume
-        assert a.value == pytest.approx(b.value * a.volume, rel=1e-12)
+    assert pv.volume.tolist() == vv.volume.tolist()
+    assert pv.value == pytest.approx(vv.value * pv.volume, rel=1e-12)
 
 
 def test_log_volume_stationary_mean():
     p = params(length_ticks=100_000, mean_b=0.7, persistence_b_ticks=20.0)
     t = gen_tape(p)
-    logs = np.log([r.volume for r in t.records])
+    logs = np.log(t.volume)
     # effective sample size for an AR(1) with e-folding scale tau is about
     # n / (2 tau); allow four standard errors
     n_eff = p.length_ticks / (2 * p.persistence_b_ticks)
@@ -67,7 +67,7 @@ def test_log_volume_stationary_mean():
 def test_log_acf_matches_theory():
     p = params(length_ticks=100_000, persistence_a_ticks=10.0)
     t = gen_tape(p)
-    x = np.log([r.price for r in t.records])
+    x = np.log(t.value / t.volume)
     x = x - x.mean()
     for lag in (0, 5, 10, 20):
         emp = float(np.dot(x[: len(x) - lag], x[lag:]) / (len(x) - lag))

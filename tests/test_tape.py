@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 from unittest.mock import patch
 
@@ -10,21 +11,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbstat import FormatError, TradeRecord, TradeTape, bucket, emit_csv, parse_csv, quantize_tick
+from mbstat import (FormatError, SynthParams, TradeRecord, TradeTape, bucket, emit_csv, gen_tape,
+                    parse_csv, quantize_tick)
 from mbstat import tape as tape_mod
 from mbstat.tape import reprs
+
+
+def rows(tape):
+    """The tape's (tick, value, volume) rows, read from its columns."""
+    return list(zip(tape.ticks.tolist(), tape.value.tolist(), tape.volume.tolist()))
 
 
 def test_parse_value_volume():
     t = parse_csv("tick,value,volume\n0,10,2\n1,6,2\n")
     assert len(t) == 2
-    assert [r.price for r in t.records] == [5.0, 3.0]
+    assert (t.value / t.volume).tolist() == [5.0, 3.0]
 
 
 def test_parse_price_volume_converts_to_value():
     t = parse_csv("tick,price,volume\n0,5,2\n", format="tick-price-volume")
-    assert t.records[0].value == 10.0
-    assert t.records[0].volume == 2.0
+    assert t.value[0] == 10.0
+    assert t.volume[0] == 2.0
 
 
 def test_parse_rejects_nonpositive_volume_with_line_number():
@@ -66,29 +73,28 @@ def test_parse_rejects_malformed_row():
 def test_parse_merges_duplicate_ticks():
     t = parse_csv("tick,value,volume\n5,1,1\n5,3,1\n")
     assert len(t) == 1
-    assert t.records[0].value == 4.0
-    assert t.records[0].volume == 2.0
+    assert t.value[0] == 4.0
+    assert t.volume[0] == 2.0
 
 
 def test_bucket_merges_shared_ticks():
     raw = [TradeRecord(5, 1, 1), TradeRecord(5, 3, 1)]
     t = bucket(raw)
-    (r,) = t.records
-    assert (r.value, r.volume, r.price) == (4.0, 2.0, 2.0)
+    assert rows(t) == [(5, 4.0, 2.0)]
+    assert t.value[0] / t.volume[0] == 2.0
 
 
 def test_bucket_identity_on_unique_ticks():
     raw = [TradeRecord(0, 1, 1), TradeRecord(2, 3, 2)]
     t = bucket(raw)
-    assert [(r.tick, r.value, r.volume) for r in t.records] == [(0, 1, 1), (2, 3, 2)]
+    assert rows(t) == [(0, 1, 1), (2, 3, 2)]
 
 
 def test_bucket_three_trades_same_tick():
     raw = [TradeRecord(0, 2, 1), TradeRecord(0, 2, 1), TradeRecord(0, 2, 2)]
     t = bucket(raw)
-    (r,) = t.records
-    assert (r.value, r.volume) == (6.0, 4.0)
-    assert r.price == 1.5
+    assert rows(t) == [(0, 6.0, 4.0)]
+    assert t.value[0] / t.volume[0] == 1.5
 
 
 def test_price_of():
@@ -114,8 +120,7 @@ def test_tape_columns_read_only_and_validated_with_tick():
     t = TradeTape([0, 3], [2.0, 4.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         t.value[0] = 5.0
-    assert [r.price for r in t.records] == [2.0, 2.0]
-    assert t.record_at(3) is t.records[1] and t.record_at(1) is None
+    assert (t.value / t.volume).tolist() == [2.0, 2.0]
     with pytest.raises(ValueError, match="tick 3: volume must be positive"):
         TradeTape([0, 3], [2.0, 4.0], [1.0, 0.0])
 
@@ -151,10 +156,10 @@ def test_bucket_conserves_totals(triples):
     raw = [TradeRecord(t, c, u) for t, c, u in triples]
     tp = bucket(raw)
     assert math.isclose(
-        sum(r.value for r in tp.records), math.fsum(c for _, c, _ in triples), rel_tol=1e-12
+        sum(tp.value.tolist()), math.fsum(c for _, c, _ in triples), rel_tol=1e-12
     )
     assert math.isclose(
-        sum(r.volume for r in tp.records), math.fsum(u for _, _, u in triples), rel_tol=1e-12
+        sum(tp.volume.tolist()), math.fsum(u for _, _, u in triples), rel_tol=1e-12
     )
 
 
@@ -163,8 +168,8 @@ def test_bucket_conserves_totals(triples):
 def test_bucket_idempotent(triples):
     raw = [TradeRecord(t, c, u) for t, c, u in triples]
     once = bucket(raw)
-    twice = bucket(once.records)
-    assert once.records == twice.records
+    twice = bucket(TradeRecord(*row) for row in rows(once))
+    assert rows(once) == rows(twice)
 
 
 @given(records_strategy)
@@ -172,7 +177,7 @@ def test_bucket_idempotent(triples):
 def test_csv_round_trip(triples):
     tp = bucket([TradeRecord(t, c, u) for t, c, u in triples])
     again = parse_csv(emit_csv(tp))
-    assert again.records == tp.records
+    assert rows(again) == rows(tp)
 
 
 # --------------------------------------------------------------------------
@@ -314,6 +319,48 @@ def test_header_only_and_blank_lines():
     assert t.ticks.tolist() == [0, 2]
     with pytest.raises(FormatError, match="^line 4: "):
         parse_csv("tick,value,volume\n\n0,1,1\n1,-1,1\n")
+
+
+def parse_result(text_or_file):
+    """The tape's rows, or the type and message of the FormatError raised."""
+    try:
+        return rows(parse_csv(text_or_file))
+    except FormatError as exc:
+        return FormatError, str(exc)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("lines, want", [
+    (["tick,value,volume", "0,10,2", '1,"6",2', "", "3,1,1"],
+     [(0, 10.0, 2.0), (1, 6.0, 2.0), (3, 1.0, 1.0)]),
+    (["tick,value,volume", "0,10,2", "", "1,-1,2"],
+     (FormatError, "line 4: value must be nonnegative and finite, got -1.0")),
+])
+def test_parse_text_equals_parse_of_the_file(tmp_path, newline, lines, want):
+    text = newline.join(lines) + newline
+    path = tmp_path / "tape.csv"
+    path.write_bytes(text.encode())
+    with open(path, newline="") as fh:
+        assert parse_result(fh) == want
+    assert parse_result(text) == want
+
+
+def test_parse_text_holds_no_ucs4_copy():
+    # A StringIO of the text held it as UCS-4, four bytes a character: the
+    # parse then peaked above 6 times the text's length.
+    text = emit_csv(gen_tape(SynthParams("price_volume", 100_000, 5.0, 20.0, seed=1)))
+    tracemalloc.start()
+    try:
+        parse_csv(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
+
+
+def test_csv_module_error_names_line():
+    with pytest.raises(FormatError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        parse_csv("tick,value,volume\n0,1,1\n1," + "1" * 200_000 + ",1\n")
 
 
 @pytest.mark.parametrize("row, n", [("0,1", 2), ("0,1,1,1", 4)])

@@ -1,8 +1,11 @@
 """Window planning and membership resolution."""
 
+import tracemalloc
+
 import pytest
 
-from mbstat import TradeRecord, TradeTape, Window, WindowSpec, members, plan_windows
+from mbstat import (SynthParams, TradeRecord, TradeTape, Window, WindowSpec, gen_tape, members,
+                    plan_windows)
 
 
 def dense_tape(ticks):
@@ -52,6 +55,27 @@ def test_members_with_gap():
 def test_members_empty_window():
     tape = dense_tape(range(10))
     assert members(Window(2, (), False), tape) == []
+
+
+def test_members_builds_records_of_its_window_only():
+    tape = gen_tape(SynthParams("price_volume", 100_000, 5.0, 20.0, seed=1))
+    w = Window(50_000, tuple(range(49_950, 50_051)), True)
+    tracemalloc.start()
+    try:
+        recs = members(w, tape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert [(r.tick, r.value, r.volume) for r in recs] == list(zip(
+        w.member_ticks, tape.value[49_950:50_051].tolist(), tape.volume[49_950:50_051].tolist()))
+
+
+def test_members_none_off_the_tape():
+    tape = dense_tape([0, 1, 2, 4])
+    assert [r and r.tick for r in members(Window(3, (4, 3, 2, 9, -1, 2), True), tape)] == [
+        4, None, 2, None, None, 2]
+    assert members(Window(0, (0,), True), TradeTape([], [], [])) == [None]
 
 
 def test_spec_validation():
