@@ -14,10 +14,14 @@ import json
 import os
 import sys
 
-import click
+# mbstat makes no BLAS call, so numpy's OpenBLAS needs no worker threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import lagstats, moments, synth, tape, windows
-from .errors import FormatError, NoDataError
+import click  # noqa: E402
+
+# Each command imports the other layers it runs, so a command pays only for its own.
+from . import tape  # noqa: E402
+from .errors import FormatError, NoDataError  # noqa: E402
 
 _MODE_ALIASES = {"pv": "price_volume", "vv": "value_volume"}
 
@@ -49,6 +53,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
 
 def _threshold(ctx: click.Context, param: click.Parameter, value: float) -> float:
     """The library's threshold rule, as a click error naming the option."""
+    from . import lagstats
     try:
         lagstats.check_threshold(value)
     except ValueError as exc:
@@ -114,6 +119,7 @@ def _with_common(fn):
 
 def _window_setup(opts: dict, check):
     """The tape and the window spec; the spec and ``check(spec)`` run before the tape is read."""
+    from . import windows
     spec = windows.WindowSpec(opts["window_n"], opts["lag_step"], opts["min_trades"])
     check(spec)
     with open(opts["input_path"], newline="") as fh:
@@ -122,6 +128,7 @@ def _window_setup(opts: dict, check):
 
 def _window_columns(opts: dict):
     """The planned window count and the valid windows' moment columns, all checked."""
+    from . import moments, windows
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
     centers, lo, hi = windows.window_grid(tp, spec)
     valid = hi - lo >= spec.min_trades
@@ -152,6 +159,7 @@ def stats(**opts):
               help="scale detection fraction, 0 < t < 1")
 def acf(**opts):
     """Autocorrelation curve as JSON plus CSV (paths <output>.json/.csv)."""
+    from . import lagstats
     tp, spec = _window_setup(opts, lambda spec: spec.check_max_lag(opts["max_lag"]))
     # A non-finite value fails here, before any output file is created.
     curve = lagstats.acf_curve(tp, spec, max_lag_ticks=opts["max_lag"],
@@ -191,6 +199,7 @@ def compare(**opts):
 @click.option("--output", "output_path")
 def synth_cmd(mode, output_path, **params):
     """Generate a synthetic tape as tick-value-volume CSV."""
+    from . import synth
     params = synth.SynthParams(mode=_MODE_ALIASES[mode], **params)
     tp = synth.gen_tape(params)  # every check runs before the file is created
     with _output(output_path) as out:

@@ -265,6 +265,8 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     orders = range(1, max(max_order, 2) + 1)
     k = len(orders)
     centers, lo, hi = (np.asarray(x, dtype=np.int64) for x in (centers, lo, hi))
+    if len(centers) > 1:  # a failing first window raises before the full pass
+        window_columns(tape, centers[:1], lo[:1], hi[:1], max_order)
     start, stop = int(lo[0]), int(hi[-1])
     value, volume = tape.value[start:stop], tape.volume[start:stop]
     with np.errstate(over="ignore"):

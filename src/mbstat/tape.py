@@ -187,9 +187,11 @@ def _block_columns(rows: list[list[str]], price_form: bool):
 
 
 def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[TradeRecord]:
-    """Rows parsed one at a time, skipping blank ones; ``line`` is the first row's line."""
+    """Rows parsed one at a time, skipping blank ones; ``line`` is the first row's file line."""
     records = []
-    for lineno, row in enumerate(rows, start=line):
+    for row in rows:
+        lineno = line  # then step past this row's quoted line breaks too (CRLF is one)
+        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 3:
@@ -225,18 +227,18 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     reader = csv.reader(text)
     price_form = format == "tick-price-volume"
     blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
-    line = 2
     try:
         if (header := next(reader, None)) is None:
             raise FormatError("missing header row", line=1)
         expected = _HEADERS[format]
         if tuple(h.strip() for h in header) != expected:
             raise FormatError(f"header must be {','.join(expected)}", line=1)
+        line = reader.line_num + 1  # the physical line of the block's first row
         while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
             cols = _block_columns(rows, price_form)
             blocks.append(cols if cols is not None
                           else _columns(_row_records(rows, line, price_form)))
-            line += len(rows)
+            line = reader.line_num + 1
     except csv.Error as exc:  # a field over the module's size limit, say
         raise FormatError(str(exc), line=reader.line_num) from None
     return _merged(*map(np.concatenate, zip(*blocks)))

@@ -247,6 +247,19 @@ def test_stats_overflow_names_window_series_order(runner, tmp_path):
     assert line == "Error: OverflowError: window at tick 1: value moment of order 3 overflows"
 
 
+@pytest.mark.parametrize("big, center", [(0, 1), (50, 49)], ids=["first-window", "later-window"])
+def test_stats_overflow_in_first_or_later_window_names_it(runner, tmp_path, big, center):
+    inp = tmp_path / "pow.csv"
+    inp.write_text("tick,value,volume\n"
+                   + "".join(f"{t},{1e40 if t == big else 1.0},1\n" for t in range(100)))
+    res = run(runner, ["stats", "--input", str(inp), "--window-n", "3", "--lag-step", "1",
+                       "--max-order", "8"])
+    assert res.exit_code == 1
+    (line,) = res.output.strip().splitlines()
+    assert line == ("Error: OverflowError: "
+                    f"window at tick {center}: value moment of order 8 overflows")
+
+
 @pytest.mark.parametrize(
     "config",
     [{"window_n": "5"}, {"window_n": True}, {"lag_stepp": 3}, {"epsilon": 1.0}],

@@ -290,6 +290,24 @@ def test_window_reports_equal_per_window_reference(tape, half, step, min_trades,
                 == report_outcome(lambda: [reference_compute_report(w, tape, max_order)]))
 
 
+@pytest.mark.parametrize("big, center, sizes", [(0, 1, {1}), (50, 49, {1, 98})],
+                         ids=["first-window", "later-window"])
+def test_first_window_fails_before_the_full_pass(monkeypatch, big, center, sizes):
+    # 1e40**8 overflows; the first window alone raises before all 98 are computed.
+    value = np.ones(100)
+    value[big] = 1e40
+    tape = TradeTape(np.arange(100), value, np.ones(100))
+    centers, lo, hi = window_grid(tape, WindowSpec(3, 1))
+    seen = set()
+    means = moments.window_means
+    monkeypatch.setattr(moments, "window_means",
+                        lambda col, lo, hi: seen.add(len(lo)) or means(col, lo, hi))
+    with pytest.raises(OverflowError,
+                       match=f"^window at tick {center}: value moment of order 8 overflows$"):
+        window_columns(tape, centers, lo, hi, 8)
+    assert seen == sizes
+
+
 # --------------------------------------------------------------------------
 # Exact integer-prefix window means against fsum.
 

@@ -321,6 +321,27 @@ def test_header_only_and_blank_lines():
         parse_csv("tick,value,volume\n\n0,1,1\n1,-1,1\n")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_bad_row_after_a_quoted_line_break_names_its_line(newline):
+    # Row 0's value spans lines 2-3, so the bad row sits on line 4.
+    with pytest.raises(FormatError, match="^line 4: could not convert string to float: 'x'$"):
+        parse_csv(f'tick,value,volume{newline}0,"1{newline}",1{newline}1,x,1{newline}')
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("quoted, bad, line", [
+    (10, 500, 504),  # both in the first block: the row-by-row parse counts the breaks
+    (10, 1500, 1504),  # the bad row's block starts below the first block's breaks
+], ids=["same-block", "later-block"])
+def test_quoted_line_breaks_move_later_rows_down(newline, quoted, bad, line):
+    rows = [f"{i},1.5,2" for i in range(2000)]
+    # Data row i sits on line i + 2; two line breaks in one field move later rows down 2.
+    rows[quoted] = f'{quoted},"1.5{newline}{newline}",2'
+    rows[bad] = f"{bad},1.5,0"
+    with pytest.raises(FormatError, match=f"^line {line}: volume must be positive"):
+        parse_csv(newline.join(["tick,value,volume", *rows]) + newline)
+
+
 def parse_result(text_or_file):
     """The tape's rows, or the type and message of the FormatError raised."""
     try:
