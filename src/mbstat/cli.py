@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import stat
 import sys
 
 # mbstat makes no BLAS call, so numpy's OpenBLAS needs no worker threads.
@@ -62,13 +63,40 @@ def _threshold(ctx: click.Context, param: click.Parameter, value: float) -> floa
 
 
 @contextlib.contextmanager
+def _files(*paths: str):
+    """The files at ``paths`` opened for writing with untranslated newlines.
+
+    No file changes unless every one opens: each is opened without
+    truncating, and truncated once all are open.  When an open fails, the
+    files this call created are removed and the error is raised.
+    """
+    opened = []
+    try:
+        for path in paths:
+            created = not os.path.lexists(path)
+            opened.append((os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), path, created))
+    except OSError:
+        for fd, path, created in opened:
+            os.close(fd)
+            if created:
+                os.remove(path)
+        raise
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(fd, "w", newline="")) for fd, _, _ in opened]
+        for fh in files:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # O_TRUNC skips FIFOs and devices
+                fh.truncate()
+        yield files
+
+
+@contextlib.contextmanager
 def _output(path: str | None):
-    """Stdout, or the file at ``path`` opened for writing with untranslated newlines."""
+    """Stdout, or the file at ``path`` as ``_files`` opens it."""
     if path is None:
         yield sys.stdout
         sys.stdout.flush()  # a reader that went away fails here, inside the command
     else:
-        with open(path, "w", newline="") as fh:
+        with _files(path) as (fh,):
             yield fh
 
 
@@ -170,7 +198,7 @@ def acf(**opts):
         with _output(None) as out:
             curve.write(out)
     else:
-        with _output(base + ".json") as json_out, _output(base + ".csv") as csv_out:
+        with _files(base + ".json", base + ".csv") as (json_out, csv_out):
             curve.write(json_out, csv_out)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
-from .tape import TradeTape, reprs
+from .tape import WRITE_BLOCK_ROWS, TradeTape, reprs
 from .windows import Window, WindowSpec, window_grid
 
 SERIES2 = ("value", "volume")
@@ -131,8 +131,6 @@ class Columns(NamedTuple):
 STATS = AcfPoint._fields[1:-2]
 _HEADER = ("window_n", "lag_step_ticks", "max_lag_ticks", "aggregate", "threshold",
            "scale_value", "scale_volume", "scale_price")
-#: Rows formatted per write, and about the rows of a per-center block of centers.
-_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +204,9 @@ class AcfCurve:
 
         The JSON is the bytes of ``json.dumps(self.to_dict(), indent=2)`` plus a
         newline; the CSV has one row per point, and per-center mode adds a
-        center_tick column.  Rows go out ``_BLOCK`` at a time from each block
-        of ``blocks()``, and each float is formatted once for both outputs.
+        center_tick column.  Rows go out ``WRITE_BLOCK_ROWS`` at a time from
+        each block of ``blocks()``, and each float is formatted once for both
+        outputs.
         """
         per_center = self.aggregate == "per-center"
         if json_out is not None:
@@ -222,8 +221,8 @@ class AcfCurve:
         csv_row = ",".join(["%s"] * (5 + per_center)) + "\n"
         first = True
         for block in self.blocks():
-            for lo in range(0, len(block.lag), _BLOCK):
-                cut = slice(lo, lo + _BLOCK)
+            for lo in range(0, len(block.lag), WRITE_BLOCK_ROWS):
+                cut = slice(lo, lo + WRITE_BLOCK_ROWS)
                 lag, count = block.lag[cut].tolist(), block.pair_count[cut].tolist()
                 b_c, b_u, b_p, *lag2 = map(reprs, block.stats[:, cut])
                 center = [block.center[cut].tolist()] if per_center else []
@@ -247,10 +246,10 @@ class AcfCurve:
         return buf.getvalue()
 
 
-def _first_nonfinite(stats: np.ndarray, keep=True) -> tuple[int, int] | None:
-    """(row, field) of the first non-finite value of ``stats`` (6, rows) in rows
-    ``keep``, in row then field order; None when there is none."""
-    rows, ks = np.nonzero(~np.isfinite(stats.T) & np.reshape(keep, (-1, 1)))
+def _first_nonfinite(stats: np.ndarray) -> tuple[int, int] | None:
+    """(row, field) of the first non-finite value of ``stats`` (6, rows), in row
+    then field order; None when there is none."""
+    rows, ks = np.nonzero(~np.isfinite(stats.T))
     return (int(rows[0]), int(ks[0])) if len(rows) else None
 
 
@@ -282,10 +281,10 @@ def _center_rows(ps, lo: slice, hi: slice, d: np.ndarray, out: np.ndarray, head:
 
 
 def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
-    """Centers per per-center block: about ``_BLOCK`` rows, and at least a
-    window's width of ticks, so that the window each block sums again costs
-    at most as much as the block's own ticks."""
-    return max(_BLOCK // n_lags, -(-n_ticks // step))
+    """Centers per per-center block: about ``WRITE_BLOCK_ROWS`` rows, and at
+    least a window's width of ticks, so that the window each block sums again
+    costs at most as much as the block's own ticks."""
+    return max(WRITE_BLOCK_ROWS // n_lags, -(-n_ticks // step))
 
 
 def acf_curve(
@@ -300,24 +299,32 @@ def acf_curve(
 
     Uses prefix sums over a dense tick-indexed array, so one lag costs
     O(span).  Centers step by the lag step, so every window sum is one
-    strided slice difference of the prefix block.  On a dense tape (one
-    record per tick) the pair-count, value and volume prefixes are the lag-0
-    ones held flat past span - lag, so a lag needs 4 cumulative sums, not 7,
-    and windows that end by span - lag keep their count and one-sided means.
-    Lags of span ticks or more have no pairs and are not swept.  Lags are
-    computed independently (optionally across threads, at most one per lag
-    and per CPU), and each reduces its own row of the pair-count-weighted
-    mean, so output is identical for any thread count.  This sweep holds
-    O(span) per thread plus O(lags).  It gives the mean curve and its scales
-    and, in per-center mode, finds the first non-finite per-center value, so
-    that error comes before any output.
+    strided slice difference of the prefix block.  One routine fills the
+    prefix rows for any lags over any run of ticks, and one turns prefix
+    columns into center rows; both passes below call them.
+
+    Pass 1 is the mean sweep, in both modes: one lag over the whole span at
+    a time.  On a dense tape (one record per tick) the pair-count, value and
+    volume prefixes are the lag-0 ones held flat past span - lag, so a lag
+    needs 4 cumulative sums, not 7, and windows that end by span - lag keep
+    their count and one-sided means.  Lags of span ticks or more have no
+    pairs and are not swept.  Lags are computed independently (optionally
+    across threads, at most one per lag and per CPU), and each reduces its
+    own row of the pair-count-weighted mean, so output is identical for any
+    thread count.  This pass holds O(span) per thread plus O(lags) and gives
+    the mean curve and its scales.
 
     Per-center mode then computes its rows as they are read, on the calling
     thread, a block of consecutive centers at a time and all lags at once.
-    A block sums prefixes only over its own ticks, starting from the prefix
+    A block sums prefixes only over its own ticks, continuing from the prefix
     values carried over from the previous block; a longdouble cumsum is
     sequential, so each prefix equals the full-span one, and so does every
     output byte.  A block holds O(lags x (block + window)) values.
+
+    A per-center row with pairs enters its lag's mean with a weight of at
+    least 1, so a finite mean curve proves every row finite.  Only when the
+    mean curve is not finite are the rows read, in output order, to name the
+    first non-finite value; that error comes before any output.
     """
     if aggregate not in ("per-center", "mean"):
         raise ValueError(f"unknown aggregate mode {aggregate!r}")
@@ -335,67 +342,89 @@ def acf_curve(
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
-    per_center = aggregate == "per-center"
 
     # Zero-padded by the largest lag, so a lagged series is a view.
     c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
     idx = tape.ticks - first
     c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
     c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
-    # Window i sums prefix rows lo0 + i * step up to lo0 + i * step + N.
+    # Window i sums prefix columns lo0 + i * step up to lo0 + i * step + N.
     lo0 = int(centers[0]) - spec.half_width - first
-    stop = lo0 + (len(centers) - 1) * step + 1
-    lo, hi = slice(lo0, stop, step), slice(lo0 + n_ticks, stop + n_ticks, step)
+
+    def buffers(n_lags: int, width: int, n_centers: int):
+        """The prefix block (zeroed), the pair mask, the window sums and the
+        rows of ``n_lags`` lags over ``width`` ticks and ``n_centers`` centers.
+        Extended precision: prefix magnitudes grow with the tape span and plain
+        double cumsum would lose ~span/window relative digits in the windowed
+        differences."""
+        return (np.zeros((7, n_lags, width + 1), dtype=np.longdouble),
+                np.empty((n_lags, width)),
+                np.empty((7, n_lags, n_centers), dtype=np.longdouble),
+                np.empty((7, n_lags, n_centers)))
+
+    def prefixes(ps, m, s: int, lagged, rows: int = 0, carry: bool = False) -> None:
+        """Fill prefix rows ``rows``.. of ``ps`` (7, lags, width + 1) over ticks
+        s .. s + width, given the (lags, width) views ``lagged`` of the value,
+        volume and presence series at each lag; ``m`` takes the pair mask.
+
+        Column 0 stays 0.0, or with ``carry`` holds the prefixes of the ticks
+        before s, which the sums continue bit for bit.
+        """
+        width = ps.shape[-1] - 1
+        cl, ul, pl = lagged
+        c0s, u0s, p0s = c0[s : s + width], u0[s : s + width], p0[s : s + width]
+        np.multiply(p0s, pl, out=m)
+        factors = ((p0s, pl), (c0s, m), (u0s, m), (c0s, cl), (u0s, ul), (cl, m), (ul, m))
+        for row in range(rows, 7):
+            # The float64 product, widened: the ufunc loop follows its inputs.
+            np.multiply(*factors[row], out=ps[row, ..., 1:])
+        if carry:
+            ps[rows:, ..., 1] += ps[rows:, ..., 0]
+        np.cumsum(ps[rows:, ..., 1:], axis=-1, out=ps[rows:, ..., 1:])
+
+    def window_rows(ps, first_lo: int, a: int, b: int, d, out, head: int = 0) -> np.ndarray:
+        """The rows (7, lags, b - a) of centers a..b, whose first window starts
+        at prefix column ``first_lo`` of ``ps``; invalid windows get no pairs."""
+        lo = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
+        hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
+        out = out[..., : b - a]
+        _center_rows(ps, lo, hi, d[..., : b - a], out, head)
+        out[6][..., invalid[a:b]] = 0
+        return out
+
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
     # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
     # fields, then the total pair count (0 when the lag has no pairs): the
     # mean-mode output, and the curve the scales are detected on in both modes.
     mean = np.zeros((len(lags), 7))
-    # (center index, lag index, field, value) of a lag's first non-finite
-    # per-center value (per-center mode only).
-    nonfinite = []
 
     @np.errstate(all="ignore")
     def sweep_lags(start: int) -> None:
         """Fill mean[j] for j = start, start + threads, ....
 
         One set of buffers serves all the worker's lags: buffers allocated per
-        lag would go back to the OS and fault in again on every lag.  Extended
-        precision: prefix magnitudes grow with the tape span and plain double
-        cumsum would lose ~span/window relative digits in the windowed
-        differences.
+        lag would go back to the OS and fault in again on every lag.
         """
-        ps = np.zeros((7, span + 1), dtype=np.longdouble)
-        m, x = np.empty((2, span))
-        d = np.empty((7, len(centers)), dtype=np.longdouble)
-        out = np.empty((7, len(centers)))
+        ps, m, d, out = buffers(1, span, len(centers))
         for j in range(start, len(lags), threads):
             tau = lags[j]
-            cl, ul = c_arr[tau : tau + span], u_arr[tau : tau + span]
-            np.multiply(p0, present[tau : tau + span], out=m)
             # On a dense tape m is 1 up to span - tau and 0 past it, so after the
             # worker's first lag the rows of m, c0·m and u0·m only need to be held
             # flat past span - tau; lags only grow, so their heads stay valid, and
             # so do the n, c1 and u1 of the windows that end by span - tau.
             held = dense and j > start
             if held:
-                ps[:3, span - tau + 1 :] = ps[:3, span - tau, None]
-            else:
-                np.cumsum(m, dtype=np.longdouble, out=ps[0, 1:])
-            pairs = zip(ps[1:], (c0, u0, c0, u0, cl, ul), (m, m, cl, ul, m, m))
-            for row, a, b in list(pairs)[2 * held :]:
-                np.cumsum(np.multiply(a, b, out=x), dtype=np.longdouble, out=row[1:])
+                ps[:3, 0, span - tau + 1 :] = ps[:3, 0, span - tau, None]
+            lagged = [arr[None, tau : tau + span] for arr in (c_arr, u_arr, present)]
+            prefixes(ps, m, 0, lagged, rows=3 * held)
             head = max(0, (span - tau - n_ticks - lo0) // step + 1) if held else 0
-            _center_rows(ps, lo, hi, d, out, head)
-            out[6, invalid] = 0
-            ok = out[6] >= 1
+            rows = window_rows(ps, lo0, 0, len(centers), d, out, head)[:, 0]
+            ok = rows[6] >= 1
             if np.any(ok):
-                rows = slice(None) if ok.all() else ok
-                w = out[6, rows]
+                cut = slice(None) if ok.all() else ok
+                w = rows[6, cut]
                 wtot = w.sum()
-                mean[j] = [*((col[rows] * w).sum() / wtot for col in out[:-1]), wtot]
-            if per_center and (bad := _first_nonfinite(out[:6], ok)):
-                nonfinite.append((bad[0], j, bad[1], float(out[bad[1], bad[0]])))
+                mean[j] = [*((col[cut] * w).sum() / wtot for col in rows[:-1]), wtot]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -409,27 +438,10 @@ def acf_curve(
     mean_lags, mean_block = lag_arr[has], mean[has].T
     scales = [correlation_scale(mean_lags.tolist(), b, threshold) for b in mean_block[:3].tolist()]
 
-    if per_center:
-        if nonfinite:
-            ci, j, k, value = min(nonfinite)
-            raise ValueError(
-                f"{STATS[k]} is {value!r} at lag {lags[j]} of center tick {centers[ci]}")
-    elif bad := _first_nonfinite(mean_block[:-1]):
-        i, k = bad
-        raise ValueError(
-            f"{STATS[k]} is {float(mean_block[k, i])!r} at lag {mean_lags[i]} of the mean curve")
-
     def center_blocks() -> Iterator[Columns]:
         """The per-center rows, one block of consecutive centers at a time."""
         k = _block_centers(len(lags), n_ticks, step)
-        # Prefix column 0 carries each (row, lag) prefix over from the previous
-        # block.  The first block starts at tick 0 from -0.0, since -0.0 + x is
-        # x for every x, including -0.0.
-        ps = np.empty((7, len(lags), lo0 + (k - 1) * step + n_ticks + 1), dtype=np.longdouble)
-        ps[..., 0] = -0.0
-        m, x = np.empty((2, *ps.shape[1:]))
-        d = np.empty((7, len(lags), k), dtype=np.longdouble)
-        out = np.empty((7, len(lags), k))
+        ps, m, d, out = buffers(len(lags), lo0 + (k - 1) * step + n_ticks, k)
 
         # Each block runs under errstate, not the generator, whose state would
         # hold in the reader's code between yields.
@@ -438,28 +450,16 @@ def acf_curve(
             b = min(a + k, len(centers))
             s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
             width = lo0 + (b - 1) * step + n_ticks - s
-            seg, mb, xb = ps[..., : width + 1], m[:, :width], x[:, :width]
             # Row j of a lagged view is the series over the block's ticks plus lags[j].
             lagged = [sliding_window_view(arr[s : s + lags[-1] + width], width)[::step]
                       for arr in (c_arr, u_arr, present)]
-            cl, ul = lagged[:2]
-            np.multiply(p0[s : s + width], lagged[2], out=mb)
-            seg[0, :, 1:] = mb
-            c0b, u0b = c0[s : s + width], u0[s : s + width]
-            for row, f, g in zip(seg[1:], (c0b, u0b, c0b, u0b, cl, ul), (mb, mb, cl, ul, mb, mb)):
-                row[:, 1:] = np.multiply(f, g, out=xb)
-            np.cumsum(seg, axis=-1, out=seg)
-            if a == 0:
-                seg[..., 0] = 0.0
+            seg = ps[..., : width + 1]
+            prefixes(seg, m[:, :width], s, lagged, carry=a > 0)
             first_lo = lo0 + a * step - s
-            lo_b = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
-            hi_b = slice(lo_b.start + n_ticks, lo_b.stop + n_ticks, step)
-            db, ob = d[..., : b - a], out[..., : b - a]
-            _center_rows(seg, lo_b, hi_b, db, ob)
-            ps[..., 0] = seg[..., first_lo + (b - a) * step]
-            ob[6][:, invalid[a:b]] = 0
+            rows = window_rows(seg, first_lo, a, b, d, out)
+            ps[..., 0] = seg[..., first_lo + (b - a) * step]  # the next block's carry
             # centers x lags; row-major nonzero gives (center, lag) order.
-            grid = ob.transpose(0, 2, 1)
+            grid = rows.transpose(0, 2, 1)
             ci, li = np.nonzero(grid[6] >= 1)
             return Columns(lag_arr[li], grid[:6, ci, li], grid[6, ci, li].astype(np.int64),
                            centers[a + ci])
@@ -467,11 +467,18 @@ def acf_curve(
         for a in range(0, len(centers), k):
             yield block(a)
 
-    if per_center:
+    if aggregate == "per-center":
         blocks = center_blocks
     else:
         mean_columns = Columns(mean_lags, mean_block[:-1], mean_block[-1].astype(np.int64), None)
         blocks = lambda: iter((mean_columns,))  # noqa: E731
+    if _first_nonfinite(mean_block[:-1]):
+        for cols in blocks():
+            if bad := _first_nonfinite(cols.stats):
+                i, k = bad
+                at = "the mean curve" if cols.center is None else f"center tick {cols.center[i]}"
+                raise ValueError(
+                    f"{STATS[k]} is {float(cols.stats[k, i])!r} at lag {cols.lag[i]} of {at}")
     return AcfCurve(
         window_n=n_ticks,
         lag_step_ticks=step,

@@ -135,8 +135,8 @@ def quantize_tick(time_seconds: float, epsilon: float) -> int:
 
 
 #: Rows that ``parse_csv`` converts at a time.  Small blocks keep the
-#: parse's peak memory low; a block that fails a check is parsed again row
-#: by row, which names the line of its first bad row.
+#: parse's peak memory low; a block that fails a check is walked row by
+#: row, which names the line of its first bad row.
 PARSE_BLOCK_ROWS = 1024
 
 
@@ -170,11 +170,19 @@ def bucket(raw: Iterable[TradeRecord]) -> TradeTape:
     return _merged(*_columns(list(raw)))
 
 
+def _blank(row: list[str]) -> bool:
+    """Whether a CSV row is a blank line, which the parse skips."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
 def _block_columns(rows: list[list[str]], price_form: bool):
-    """Tick, value and volume columns of a block of rows, or None if a row fails a check."""
+    """Tick, value and volume columns of a block of rows, skipping blank ones,
+    or None if a row fails a check."""
     if any(len(row) != 3 for row in rows):
-        return None
-    ticks, first, second = zip(*rows)
+        rows = [row for row in rows if not _blank(row)]
+        if any(len(row) != 3 for row in rows):
+            return None
+    ticks, first, second = zip(*rows) if rows else ((), (), ())
     try:
         ticks = np.array(list(map(int, ticks)), dtype=np.int64)
         a = np.array(list(map(float, first)))
@@ -186,13 +194,14 @@ def _block_columns(rows: list[list[str]], price_form: bool):
     return (ticks, value, volume) if _valid_rows(value, volume).all() else None
 
 
-def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[TradeRecord]:
-    """Rows parsed one at a time, skipping blank ones; ``line`` is the first row's file line."""
-    records = []
+def _raise_first_bad_row(rows: list[list[str]], line: int, price_form: bool) -> None:
+    """Raise FormatError naming the first row that fails a check, and its file
+    line; ``line`` is the first row's.  Rows are checked one at a time, with
+    TradeRecord's checks."""
     for row in rows:
         lineno = line  # then step past this row's quoted line breaks too (CRLF is one)
         line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
-        if not row or (len(row) == 1 and not row[0].strip()):
+        if _blank(row):
             continue
         if len(row) != 3:
             raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
@@ -202,11 +211,9 @@ def _row_records(rows: list[list[str]], line: int, price_form: bool) -> list[Tra
                 raise ValueError(f"tick {tick} is outside the int64 range")
             a = float(row[1])
             volume = float(row[2])
-            value = a * volume if price_form else a
-            records.append(TradeRecord(tick, value, volume))
+            TradeRecord(tick, a * volume if price_form else a, volume)
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from None
-    return records
 
 
 def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
@@ -235,9 +242,9 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
             raise FormatError(f"header must be {','.join(expected)}", line=1)
         line = reader.line_num + 1  # the physical line of the block's first row
         while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
-            cols = _block_columns(rows, price_form)
-            blocks.append(cols if cols is not None
-                          else _columns(_row_records(rows, line, price_form)))
+            if (cols := _block_columns(rows, price_form)) is None:
+                _raise_first_bad_row(rows, line, price_form)
+            blocks.append(cols)
             line = reader.line_num + 1
     except csv.Error as exc:  # a field over the module's size limit, say
         raise FormatError(str(exc), line=reader.line_num) from None

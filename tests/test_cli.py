@@ -318,6 +318,26 @@ def test_acf_nonfinite_is_clean_error(runner, tmp_path):
             assert list(tmp_path.iterdir()) == [inp]
 
 
+def test_acf_output_changes_no_file_unless_both_open(runner, tmp_path):
+    inp = tmp_path / "t.csv"
+    inp.write_text("tick,value,volume\n0,1,1\n1,2,1\n2,3,1\n")
+    base = tmp_path / "pf"
+    args = ["acf", "--input", str(inp), "--window-n", "1", "--max-lag", "0",
+            "--aggregate", "mean", "--output", str(base)]
+    (tmp_path / "pf.csv").mkdir()  # the second file cannot be opened
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1
+    assert res.stderr == f"Error: [Errno 21] Is a directory: '{base}.csv'\n"
+    assert not (tmp_path / "pf.json").exists()  # a missing file is not created
+    old = "an earlier result, longer than the new one\n" * 100
+    (tmp_path / "pf.json").write_text(old)
+    assert runner.invoke(main, args).stderr == res.stderr
+    assert (tmp_path / "pf.json").read_text() == old  # an existing file keeps its bytes
+    (tmp_path / "pf.csv").rmdir()
+    assert run(runner, args).exit_code == 0
+    assert (tmp_path / "pf.json").read_text() == run(runner, args[:-2]).stdout
+
+
 def test_acf_min_trades_keeps_stats_valid_centers(runner, tmp_path):
     # Gaps leave windows of 1 to 5 records; --min-trades 4 drops some.
     present = [t for t in range(60) if t % 7 not in (2, 3) and t % 11 != 5]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import json
 import math
 import random
@@ -460,39 +461,55 @@ def test_npoint_validation():
 
 def test_curve_rejects_non_finite_values(monkeypatch):
     """acf_curve names the field, lag and center of the first non-finite
-    per-center value, in (center, lag, field) order, before it returns."""
-    tape, spec = golden_tape(), WindowSpec(101, 25)
-    curve = acf_curve(tape, spec, 50)
-    centers = window_grid(tape, spec)[0].tolist()
+    per-center value, in (center, lag, field) order, before it returns, for any
+    thread count and wherever the value lands in the blocks of centers; mean
+    mode names the first one of the mean curve.  Each tape is 300 dense ticks
+    of ones with a few large values, swept with N=11 and step 5."""
+    cases = [
+        # An earlier (center, lag) row wins: 1e154 * 1e155 overflows at lag 5 in
+        # window 90..100 before 1e155 ** 2 overflows at lag 0 in window 95..105.
+        # Within that row b_value, b_price, lag2_value and lag2_price are all inf.
+        ({100: 1e154, 105: 1e155}, {}, 1.0, 20, "b_value is inf at lag 5 of center tick 95",
+         "b_value is nan at lag 0"),
+        # With volumes of 1e-10, lag2_price overflows at lag 0 in window 90..100:
+        # the earlier lag wins over lag 5, whose b_value is inf, and so does the
+        # earlier center over window 95..105's b_value at lag 0.
+        ({100: 1e154, 105: 1e155}, {}, 1e-10, 20, "b_price is inf at lag 0 of center tick 95",
+         "b_value is nan at lag 0"),
+        # 1e155 ** 2 overflows lag2_volume and then b_volume: the first field wins.
+        ({}, {105: 1e155}, 1.0, 5, "b_volume is inf at lag 0 of center tick 100",
+         "b_volume is nan at lag 0"),
+    ]
+    spec = WindowSpec(11, 5)
+    for values, volumes, base_volume, max_lag, message, mean_message in cases:
+        value, volume = np.ones(300), np.full(300, base_volume)
+        value[list(values)], volume[list(volumes)] = list(values.values()), list(volumes.values())
+        tape = TradeTape(np.arange(300), value, volume)
+        with pytest.raises(ValueError, match=f"^{mean_message} of the mean curve$"):
+            acf_curve(tape, spec, max_lag, aggregate="mean")
+        for block, threads in itertools.product([None, 1, 2, 3], [1, 2]):
+            with monkeypatch.context() as patched:
+                if block is not None:  # then centers 95 and 100 are in a later block
+                    patched.setattr(lagstats, "_block_centers", lambda *_: block)
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    acf_curve(tape, spec, max_lag, threads=threads)
+
+
+def test_finite_curve_computes_no_center_block_before_it_returns(monkeypatch):
+    """The non-finite check reads the per-center rows only when the mean curve is
+    not finite: a finite per-center curve returns after the mean sweep alone."""
+    calls = []
     real = lagstats._center_rows
-
-    def poison(cells):
-        """Put ``value`` in field k of the sweep's rows at (center tick, lag), for each
-        ((center tick, lag), (k, value)) of ``cells``.  One thread sweeps the lags in order."""
-        swept = []
-
-        def center_rows(ps, lo, hi, d, out, head=0):
-            real(ps, lo, hi, d, out, head)
-            lag = len(swept) * spec.lag_step_ticks
-            swept.append(lag)
-            for (center, at), (k, value) in cells.items():
-                if at == lag:
-                    out[k, centers.index(center)] = value
-
-        monkeypatch.setattr(lagstats, "_center_rows", center_rows)
-
-    row7, row3 = ((int(curve.center[i]), int(curve.lag[i])) for i in (7, 3))
-    poison({row7: (0, math.inf)})
-    with pytest.raises(ValueError, match=(
-            f"^b_value is inf at lag {curve.lag[7]} of center tick {curve.center[7]}$")):
-        acf_curve(tape, spec, 50)
-    poison({row7: (0, math.inf), row3: (2, math.nan)})  # the first bad row is named
-    with pytest.raises(ValueError, match=f"^b_price is nan at lag {curve.lag[3]} of"):
-        acf_curve(tape, spec, 50)
-    assert curve.lag[7] != 0
-    poison({(row7[0], 0): (4, math.nan), row7: (0, math.inf)})  # then its first lag
-    with pytest.raises(ValueError, match=f"^lag2_volume is nan at lag 0 of center tick {row7[0]}$"):
-        acf_curve(tape, spec, 50)
+    monkeypatch.setattr(lagstats, "_center_rows", lambda *args: calls.append(1) or real(*args))
+    tape, spec = golden_tape(), WindowSpec(101, 25)
+    counts = {}
+    for aggregate in ("mean", "per-center"):
+        calls.clear()
+        curve = acf_curve(tape, spec, 50, aggregate=aggregate)
+        counts[aggregate] = len(calls)
+    assert counts == {"mean": 3, "per-center": 3}  # one per lag
+    curve.write(io.StringIO())
+    assert len(calls) > 3
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -614,7 +631,7 @@ def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
         changes.update(zip(("scale_value", "scale_volume", "scale_price"), scales))
     curve = dataclasses.replace(curve, **changes)
     json_out, csv_out = io.StringIO(), io.StringIO()
-    with mock.patch.object(lagstats, "_BLOCK", block):
+    with mock.patch.object(lagstats, "WRITE_BLOCK_ROWS", block):
         curve.write(json_out, csv_out)
     assert json_out.getvalue() == json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
     assert csv_out.getvalue() == rowwise_csv(curve) == curve.to_csv()

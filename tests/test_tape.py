@@ -321,6 +321,22 @@ def test_header_only_and_blank_lines():
         parse_csv("tick,value,volume\n\n0,1,1\n1,-1,1\n")
 
 
+@pytest.mark.parametrize("block_rows", [1, 1024])
+def test_blank_lines_are_skipped_by_the_block_conversion(block_rows):
+    lines = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
+    text = "\n".join(["tick,value,volume", *lines]) + "\n"
+    blanks = ["", "  ", "\t", '""']
+    spaced = "\n".join(["tick,value,volume", *(f"{line}\n{blanks[i % 4]}" if i % 250 == 0 else line
+                                                 for i, line in enumerate(lines))]) + "\n\n"
+
+    def walk(*args):
+        raise AssertionError("a block with blank lines was walked row by row")
+
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows), \
+            patch.object(tape_mod, "_raise_first_bad_row", walk):
+        assert rows(parse_csv(spaced)) == rows(parse_csv(text))
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_bad_row_after_a_quoted_line_break_names_its_line(newline):
     # Row 0's value spans lines 2-3, so the bad row sits on line 4.
