@@ -159,7 +159,7 @@ def _window_columns(opts: dict):
     from . import moments, windows
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
     centers, lo, hi = windows.window_grid(tp, spec)
-    valid = hi - lo >= spec.min_trades
+    valid = spec.valid(hi - lo)
     if not valid.any():
         raise NoDataError("no valid windows on this tape")
     cols = moments.window_columns(tp, centers[valid], lo[valid], hi[valid], opts["max_order"])

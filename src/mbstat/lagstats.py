@@ -280,6 +280,16 @@ def _center_rows(ps, lo: slice, hi: slice, d: np.ndarray, out: np.ndarray, head:
     out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
 
 
+def _weighted_mean(col: np.ndarray, w: np.ndarray, wtot: float) -> float:
+    """The ``w``-weighted mean of ``col``, as ``(col * w).sum() / wtot``.  Where
+    those products overflow although every value is finite, the weights are
+    scaled down first, so a finite curve has a finite mean."""
+    mean = (col * w).sum() / wtot
+    if not np.isfinite(mean) and np.isfinite(col).all():
+        mean = (col * (w / wtot)).sum()
+    return mean
+
+
 def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
     """Centers per per-center block: about ``WRITE_BLOCK_ROWS`` rows, and at
     least a window's width of ticks, so that the window each block sums again
@@ -338,7 +348,7 @@ def acf_curve(
         raise NoDataError("tape span shorter than the averaging window")
     # A window with fewer than min_trades records (its lag-0 pair count) gets
     # a zero pair count at every lag, so it drops out as stats drops it.
-    invalid = rec_hi - rec_lo < spec.min_trades
+    invalid = ~spec.valid(rec_hi - rec_lo)
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
@@ -424,7 +434,7 @@ def acf_curve(
                 cut = slice(None) if ok.all() else ok
                 w = rows[6, cut]
                 wtot = w.sum()
-                mean[j] = [*((col[cut] * w).sum() / wtot for col in rows[:-1]), wtot]
+                mean[j] = [*(_weighted_mean(col[cut], w, wtot) for col in rows[:-1]), wtot]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

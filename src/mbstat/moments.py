@@ -180,34 +180,36 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return sums / (hi - lo)
 
 
-class WindowColumns(NamedTuple):
-    """Moments of consecutive windows as columns, one entry per window.
+def _pow_or_nan(xs: list[float], n: int) -> list[float]:
+    """``[x**n for x in xs]`` (the libm ``pow``), with NaN where a power overflows."""
+    try:
+        return [x**n for x in xs]
+    except OverflowError:
+        return [_or_nan(pow, x, n) for x in xs]
 
-    ``center`` and ``count`` (the window's rows) are int64.  ``means`` is a
-    float64 ``(3k, windows)`` block of the value, volume and price moments
-    of orders 1..k, with k = max(max_order, 2); ``market`` is the ``(k,
-    windows)`` market-based price moments and ``volatility`` the market
-    volatility.  Reports hold orders 1..max_order.
+
+class WindowColumns(NamedTuple):
+    """The fields of ``MomentReport`` as columns, one entry per window.
+
+    ``center`` and ``count`` (the window's rows) are int64.  ``freq_price``,
+    ``value``, ``volume`` and ``market_price`` are float64 ``(max_order,
+    windows)`` blocks of the moments of orders 1..max_order, and
+    ``volatility`` is the market volatility; a window's VWAP is its
+    ``market_price`` of order 1.
     """
 
     center: np.ndarray
     count: np.ndarray
-    means: np.ndarray
-    market: np.ndarray
+    freq_price: np.ndarray
+    value: np.ndarray
+    volume: np.ndarray
+    market_price: np.ndarray
     volatility: np.ndarray
-    max_order: int
-
-    def _rows(self, cut: slice) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The freq_price, value, volume and market_price rows of orders
-        1..max_order over the windows of ``cut``."""
-        m, k = self.max_order, len(self.market)
-        return (self.means[2 * k:2 * k + m, cut], self.means[:m, cut],
-                self.means[k:k + m, cut], self.market[:m, cut])
 
     def reports(self) -> list[MomentReport]:
         """One ``MomentReport`` per window."""
-        freq, value, volume, market = (list(zip(*rows.tolist()))
-                                       for rows in self._rows(slice(None)))
+        freq, value, volume, market = (list(zip(*rows.tolist())) for rows in (
+            self.freq_price, self.value, self.volume, self.market_price))
         return [MomentReport(c, n, f, v, u, mp, mp[0], vol) for c, n, f, v, u, mp, vol in zip(
             self.center.tolist(), self.count.tolist(), freq, value, volume, market,
             self.volatility.tolist())]
@@ -216,14 +218,15 @@ class WindowColumns(NamedTuple):
         """Write one JSON object per window: for each report the bytes of
         ``json.dumps(report.to_dict(), allow_nan=False)`` plus a newline,
         ``WRITE_BLOCK_ROWS`` windows at a time."""
-        floats = "[" + ", ".join(["%s"] * self.max_order) + "]"
+        floats = "[" + ", ".join(["%s"] * len(self.value)) + "]"
         line = ('{"center_tick": %d, "effective_count": %d, "vwap": %s, '
                 '"market_volatility": %s, "volatility_negative": %s, '
                 f'"freq_price": {floats}, "value": {floats}, "volume": {floats}, '
                 f'"market_price": {floats}}}\n')
         for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
             cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-            freq, value, volume, market = ([reprs(row) for row in rows] for rows in self._rows(cut))
+            freq, value, volume, market = ([reprs(row) for row in rows[:, cut]] for rows in (
+                self.freq_price, self.value, self.volume, self.market_price))
             negative = ["true" if x else "false" for x in (self.volatility[cut] < 0).tolist()]
             # The VWAP is market_price[0]: formatted once, written twice.
             cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0],
@@ -234,11 +237,11 @@ class WindowColumns(NamedTuple):
         """Write the frequency and market-based price moments of each window
         and order, and their difference, as CSV rows."""
         out.write("center_tick,n,freq_price,market_price,difference\n")
-        m, k = self.max_order, len(self.market)
+        m = len(self.value)
         orders = list(range(1, m + 1))
         for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
             cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-            freq, market = self.means[2 * k:2 * k + m, cut].T, self.market[:m, cut].T
+            freq, market = self.freq_price[:, cut].T, self.market_price[:, cut].T
             center = np.repeat(self.center[cut], m).tolist()
             cols = (center, orders * len(freq), reprs(freq.ravel()), reprs(market.ravel()),
                     reprs((freq - market).ravel()))
@@ -261,9 +264,8 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     """
     check_order(max_order)
     # Orders up to 2 at least: the volatility needs the second moment even
-    # when the report holds only the first.
+    # when the report holds only the first.  Every order is checked.
     orders = range(1, max(max_order, 2) + 1)
-    k = len(orders)
     centers, lo, hi = (np.asarray(x, dtype=np.int64) for x in (centers, lo, hi))
     if len(centers) > 1:  # a failing first window raises before the full pass
         window_columns(tape, centers[:1], lo[:1], hi[:1], max_order)
@@ -272,32 +274,25 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     with np.errstate(over="ignore"):
         price = value / volume  # may overflow to inf, as Python's float division does
     lo, hi = lo - start, hi - start
-    means = np.empty((3 * k, len(centers)))  # NaN marks an overflow
-    rows = iter(means)
-    for xs in map(np.ndarray.tolist, (value, volume, price)):
-        for n in orders:
-            try:
-                col = [x**n for x in xs]
-            except OverflowError:
-                col = [_or_nan(pow, x, n) for x in xs]
-            next(rows)[:] = window_means(np.array(col), lo, hi)
+    means = np.empty((3, len(orders), len(centers)))  # NaN marks an overflow
+    for block, xs in zip(means, map(np.ndarray.tolist, (value, volume, price))):
+        for row, n in zip(block, orders):
+            col = _pow_or_nan(xs, n)
+            row[:] = window_means(np.array(col), lo, hi)
             del col  # one power column at a time
+    value_m, volume_m, price_m = means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        market = means[:k] / means[k:2 * k]
-    vwap = market[0].tolist()
-    try:
-        square = [x**2 for x in vwap]
-    except OverflowError:
-        square = [_or_nan(pow, x, 2) for x in vwap]
+        market = value_m / volume_m
     with np.errstate(invalid="ignore"):
-        volatility = market[1] - square
-    failing = (np.isnan(means).any(axis=0) | (means[k:2 * k] == 0).any(axis=0)
-               | ~np.isfinite(means[2 * k:]).all(axis=0) | ~np.isfinite(market).all(axis=0)
+        volatility = market[1] - _pow_or_nan(market[0].tolist(), 2)
+    failing = (np.isnan(means).any(axis=(0, 1)) | (volume_m == 0).any(axis=0)
+               | ~np.isfinite(price_m).all(axis=0) | ~np.isfinite(market).all(axis=0)
                | np.isnan(volatility))
     # The masks are ``_check_window``'s checks; it raises at the first marked window.
     for i in np.flatnonzero(failing).tolist():
-        _check_window(int(centers[i]), *means[:, i].reshape(3, k).tolist())
-    return WindowColumns(centers, hi - lo, means, market, volatility, max_order)
+        _check_window(int(centers[i]), *means[:, :, i].tolist())
+    return WindowColumns(centers, hi - lo, price_m[:max_order], value_m[:max_order],
+                         volume_m[:max_order], market[:max_order], volatility)
 
 
 def _check_window(center: int, value_m, volume_m, freq_price) -> None:
@@ -330,7 +325,6 @@ def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> Momen
 
     The one-window case of :func:`window_columns`, with the same errors.
     """
-    check_order(max_order)
     if not window.member_ticks:
         raise NoDataError(f"window at tick {window.center_tick} has no records")
     lo = int(tape.ticks.searchsorted(window.member_ticks[0]))

@@ -38,6 +38,11 @@ class WindowSpec:
         if max_lag_ticks < 0 or max_lag_ticks % self.lag_step_ticks != 0:
             raise ValueError("max lag must be a nonnegative multiple of the lag step")
 
+    def valid(self, counts):
+        """Whether a window of ``counts`` records (an int, or an array of
+        counts) is valid: it holds at least ``min_trades`` records."""
+        return counts >= self.min_trades
+
     @property
     def half_width(self) -> int:
         return (self.n_ticks - 1) // 2
@@ -77,7 +82,7 @@ def plan_windows(tape: TradeTape, spec: WindowSpec) -> list[Window]:
     """
     centers, lo, hi = window_grid(tape, spec)
     return [
-        Window(c, tuple(tape.ticks[a:b].tolist()), valid=b - a >= spec.min_trades)
+        Window(c, tuple(tape.ticks[a:b].tolist()), valid=spec.valid(b - a))
         for c, a, b in zip(centers.tolist(), lo.tolist(), hi.tolist())
     ]
 

@@ -287,6 +287,25 @@ def test_moments_golden_bytes(runner, tmp_path, command, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_no_valid_window_is_one_line_error(runner, tmp_path, command):
+    inp = tmp_path / "sparse.csv"
+    inp.write_text("tick,value,volume\n0,4,2\n5,4,2\n10,4,2\n")
+    res = runner.invoke(main, [command, "--input", str(inp), "--window-n", "11",
+                               "--lag-step", "1", "--min-trades", "4"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["Error: no valid windows on this tape"]
+
+
+def test_config_not_an_object_is_one_line_error(runner, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    res = runner.invoke(main, ["stats", "--input", str(DATA / "golden_tape.csv"),
+                               "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["Error: config file must hold a JSON object"]
+
+
 def test_merged_tick_overflow_names_tick(runner, tmp_path):
     inp = tmp_path / "merge.csv"
     inp.write_text("tick,value,volume\n0,1e308,1\n0,1e308,1\n")

@@ -136,6 +136,10 @@ def test_regime_acf_examples():
     assert regime_acf("value_dominated", 6.0, 1.0, 0.0, 0.0, 2.0, 3.0) == 1.0
     with pytest.raises(DomainError):
         regime_acf("volume_dominated", 1.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+    with pytest.raises(DomainError, match="^zero denominator in value_dominated regime$"):
+        regime_acf("value_dominated", 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^unknown regime kind 'price_dominated'$"):
+        regime_acf("price_dominated", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def test_regime_identity_value_decorrelated():
@@ -171,6 +175,10 @@ def test_correlation_scale_examples():
     assert correlation_scale([0, 2, 4, 6], [1.0, 0.5, 0.1, 0.02], 0.05) == 6
     assert correlation_scale([0, 1, 2], [0.0, 0.0, 0.0], 0.05) == 0
     assert correlation_scale([0, 1, 2], [1.0, 0.9, 0.8], 0.05) is None
+    with pytest.raises(ValueError, match="^empty curve$"):
+        correlation_scale([], [], 0.05)
+    with pytest.raises(ValueError, match="^curve must start at lag 0$"):
+        correlation_scale([1, 2], [1.0, 0.5], 0.05)
 
 
 def test_acf_curve_constant_tape():
@@ -279,6 +287,11 @@ def test_acf_curve_rejects_bad_max_lag():
     tape = dense_tape(50)
     with pytest.raises(ValueError):
         acf_curve(tape, WindowSpec(5, 2), 7)
+
+
+def test_acf_curve_rejects_unknown_aggregate():
+    with pytest.raises(ValueError, match="^unknown aggregate mode 'median'$"):
+        acf_curve(dense_tape(50), WindowSpec(5, 1), 2, aggregate="median")
 
 
 def test_acf_curve_lags_past_span_have_no_pairs():
@@ -457,6 +470,12 @@ def test_npoint_validation():
         npoint_moment(w, tape, "value", [1, 2, 3, 4, 5])
     with pytest.raises(NoDataError):
         npoint_moment(w, tape, "value", [100])
+    with pytest.raises(ValueError, match=r"^unknown series 'price'; expected one of "
+                                         r"\('value', 'volume'\)$"):
+        npoint_moment(w, tape, "price", [1])
+    with pytest.raises(ValueError, match=r"^unknown series 'tick'; expected one of "
+                                         r"\('value', 'volume', 'price'\)$"):
+        freq_moment(members(w, tape), "tick", 1)
 
 
 def test_curve_rejects_non_finite_values(monkeypatch):
@@ -521,6 +540,19 @@ def test_first_non_finite_value_is_named_for_any_thread_count(threads):
     tape = TradeTape(np.arange(300), value, volume)
     with pytest.raises(ValueError, match="^b_value is inf at lag 5 of center tick 95$"):
         acf_curve(tape, WindowSpec(11, 5), 20, threads=threads)
+
+
+def test_mean_of_large_finite_rows_is_finite():
+    """Rows of 9e306 have a finite pair-weighted mean, although their products
+    with the pair counts overflow, and both modes detect the same scales on it."""
+    tape = TradeTape(np.arange(400), np.full(400, 3e153), np.ones(400))
+    spec = WindowSpec(101, 1)
+    mean = acf_curve(tape, spec, 5, aggregate="mean")
+    per_center = acf_curve(tape, spec, 5)
+    assert np.isfinite(mean.stats).all() and np.isfinite(per_center.stats).all()
+    assert mean.stats[3].tolist() == pytest.approx([9e306] * 6, rel=1e-12)
+    scales = [(c.scale_value, c.scale_volume, c.scale_price) for c in (mean, per_center)]
+    assert scales[0] == scales[1]
 
 
 def test_curve_serialization():

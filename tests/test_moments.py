@@ -87,6 +87,9 @@ def test_empty_window_raises():
         vwap([])
     with pytest.raises(NoDataError):
         char_fn_taylor([], 0.1, 2)
+    tape = TradeTape.from_records(tuple(W1))
+    with pytest.raises(NoDataError, match="^window at tick 5 has no records$"):
+        compute_report(Window(5, (), False), tape)
 
 
 def test_order_cap_rejected():

@@ -89,6 +89,11 @@ def test_param_validation():
         params(length_ticks=1)
     with pytest.raises(ValueError):
         params(persistence_a_ticks=0)
+    with pytest.raises(ValueError, match="^sigmas must be nonnegative$"):
+        params(sigma_b=-0.1)
+    for persistence in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^persistence must be positive$"):
+            theoretical_log_acf(persistence, 0.1, 1)
 
 
 @pytest.mark.parametrize("field,value,message", [

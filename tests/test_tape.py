@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbstat import (FormatError, SynthParams, TradeRecord, TradeTape, bucket, emit_csv, gen_tape,
-                    parse_csv, quantize_tick)
+from mbstat import (FormatError, NoDataError, SynthParams, TradeRecord, TradeTape, bucket, emit_csv,
+                    gen_tape, parse_csv, quantize_tick)
 from mbstat import tape as tape_mod
 from mbstat.tape import reprs
 
@@ -63,6 +63,11 @@ def test_parse_accepts_int64_extreme_ticks():
 def test_parse_rejects_wrong_header():
     with pytest.raises(FormatError, match="header"):
         parse_csv("time,value,volume\n0,10,1\n")
+    with pytest.raises(FormatError, match="^line 1: missing header row$"):
+        parse_csv("")
+    with pytest.raises(ValueError, match=r"^unknown format 'csv'; expected one of "
+                                         r"\('tick-value-volume', 'tick-price-volume'\)$"):
+        parse_csv("tick,value,volume\n0,10,1\n", format="csv")
 
 
 def test_parse_rejects_malformed_row():
@@ -123,6 +128,11 @@ def test_tape_columns_read_only_and_validated_with_tick():
     assert (t.value / t.volume).tolist() == [2.0, 2.0]
     with pytest.raises(ValueError, match="tick 3: volume must be positive"):
         TradeTape([0, 3], [2.0, 4.0], [1.0, 0.0])
+    with pytest.raises(ValueError, match="^ticks, value and volume must be 1-D columns "
+                                         "of one length$"):
+        TradeTape([0, 3], [2.0], [1.0, 2.0])
+    with pytest.raises(NoDataError, match="^tape is empty$"):
+        TradeTape([], [], []).last_tick
 
 
 def test_tape_leaves_the_callers_arrays_writeable():

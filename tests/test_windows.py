@@ -85,6 +85,8 @@ def test_spec_validation():
         WindowSpec(n_ticks=5, lag_step_ticks=6)
     with pytest.raises(ValueError):
         WindowSpec(n_ticks=5, lag_step_ticks=0)
+    with pytest.raises(ValueError, match="^min_trades must be >= 1, got 0$"):
+        WindowSpec(n_ticks=5, lag_step_ticks=1, min_trades=0)
     spec = WindowSpec(n_ticks=5, lag_step_ticks=2)
     spec.check_max_lag(0)
     spec.check_max_lag(4)
