@@ -131,18 +131,25 @@ _common = [
     click.option("--window-n", type=int, default=101, help="odd window width in ticks"),
     click.option("--lag-step", type=int, default=1),
     click.option("--min-trades", type=int, default=1),
-    click.option("--threads", type=click.IntRange(min=1, clamp=True), default=1,
-                 envvar="MBSTAT_THREADS", show_envvar=True,
-                 help="lag-sweep threads for acf; stats and compare ignore it"),
     click.option("--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
                  callback=_load_config, help="JSON object of option defaults"),
 ]
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _with_common(sweep: bool):
+    """The common options and ``--threads``, which only the lag sweep
+    (``sweep``) runs and reads ``MBSTAT_THREADS`` for; the other commands
+    accept it and ignore it."""
+    threads = click.option(
+        "--threads", type=click.IntRange(min=1, clamp=True), default=1,
+        **(dict(envvar="MBSTAT_THREADS", show_envvar=True, help="lag-sweep threads") if sweep
+           else dict(help="ignored: lag-sweep threads, for acf")))
+
+    def wrap(fn):
+        for opt in reversed([*_common, threads]):
+            fn = opt(fn)
+        return fn
+    return wrap
 
 
 def _window_setup(opts: dict, check):
@@ -167,7 +174,7 @@ def _window_columns(opts: dict):
 
 
 @main.command()
-@_with_common
+@_with_common(sweep=False)
 @click.option("--max-order", type=int, default=4, help="cap 8")
 def stats(**opts):
     """Per-window moment reports as JSON lines."""
@@ -180,7 +187,7 @@ def stats(**opts):
 
 
 @main.command()
-@_with_common
+@_with_common(sweep=True)
 @click.option("--max-lag", type=int, required=True, help="multiple of the lag step")
 @click.option("--aggregate", type=click.Choice(["per-center", "mean"]), default="per-center")
 @click.option("--threshold", type=float, default=0.05, callback=_threshold,
@@ -203,7 +210,7 @@ def acf(**opts):
 
 
 @main.command()
-@_with_common
+@_with_common(sweep=False)
 @click.option("--max-order", type=int, default=4, help="cap 8")
 def compare(**opts):
     """Per-window divergence of frequency vs market-based price moments."""

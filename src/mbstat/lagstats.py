@@ -253,31 +253,68 @@ def _first_nonfinite(stats: np.ndarray) -> tuple[int, int] | None:
     return (int(rows[0]), int(ks[0])) if len(rows) else None
 
 
-def _center_rows(ps, lo: slice, hi: slice, d: np.ndarray, out: np.ndarray, head: int = 0) -> None:
+def _empty(n: np.ndarray) -> np.ndarray | None:
+    """Mask of the windows with no pairs (pair count ``n`` of 0), or None when
+    every window has pairs; the common case costs one reduction."""
+    return None if n.all() else n == 0
+
+
+def _divisor(x: np.ndarray, empty: np.ndarray | None) -> np.ndarray:
+    """``x`` as the divisor of sums over pairs, with 1 added in the ``empty``
+    windows, where ``x`` and the sums are 0.  Their rows are 0/1, finite and
+    never written (pair count 0), where 0/0 would be NaN, on which x87
+    arithmetic is very slow."""
+    return x if empty is None else x + empty
+
+
+def _means(d: np.ndarray) -> None:
+    """Turn the window sums of m, c0·m and u0·m in ``d`` (3 rows) into the
+    pair count n and the one-sided means c1 and u1, in place."""
+    np.divide(d[1:], _divisor(d[0], _empty(d[0])), out=d[1:])
+
+
+def _center_rows(n, c1, u1, s: np.ndarray, out: np.ndarray) -> None:
     """Fill ``out`` with the per-center rows b_value, b_volume, b_price,
     lag2_value, lag2_volume, lag2_price and the pair count n.
 
-    Along its last axis, ``ps`` holds the prefix sums of m, c0·m, u0·m, c0·cl,
-    u0·ul, cl·m and ul·m (m the pair mask, cl and ul the lagged value and
-    volume); window i sums the difference of the i-th prefixes of ``hi`` and
-    ``lo``.  ``d`` (longdouble, 7 rows) takes the window sums and then the
-    means.  Rows n, c1 and u1 of the first ``head`` windows are kept in ``d``
-    from an earlier call.
+    ``n``, ``c1`` and ``u1`` are the windows' pair counts and one-sided means
+    (see ``_means``).  ``s`` (4 rows) holds the window sums of c0·cl, u0·ul,
+    cl·m and ul·m (m the pair mask, cl and ul the lagged value and volume) and
+    takes their means.  All but ``out`` are longdouble.
     """
-    tail = (..., slice(head, None))
-    np.subtract(ps[:3, ..., hi][tail], ps[:3, ..., lo][tail], out=d[:3][tail])
-    np.subtract(ps[3:, ..., hi], ps[3:, ..., lo], out=d[3:])
-    np.divide(d[1:3][tail], d[0][tail], out=d[1:3][tail])
-    np.divide(d[3:], d[0], out=d[3:])
-    n, c1, u1, lag2_c, lag2_u, c1l, u1l = d
+    empty = _empty(n)
+    np.divide(s, _divisor(n, empty), out=s)
+    lag2_c, lag2_u, c1l, u1l = s
     c_means = np.multiply(c1, c1l, out=c1l)
     u_means = np.multiply(u1, u1l, out=u1l)
     np.subtract(lag2_c, c_means, out=out[0])
     np.subtract(lag2_u, u_means, out=out[1])
-    ratio = np.divide(c_means, u_means, out=c1l)
-    lag2_p = np.divide(lag2_c, lag2_u, out=u1l)
+    ratio = np.divide(c_means, _divisor(u_means, empty), out=c1l)
+    lag2_p = np.divide(lag2_c, _divisor(lag2_u, empty), out=u1l)
     np.subtract(lag2_p, ratio, out=out[2])
     out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
+
+
+def _window_sum(x, y, ps: np.ndarray, lo: slice, hi: slice, out: np.ndarray,
+                carry: np.ndarray | None = None) -> None:
+    """Sum the float64 products x·y over windows into ``out``.
+
+    The products go, widened, into the longdouble prefix row ``ps[..., 1:]``
+    (one row per lag), which is summed along the ticks in place; window i is
+    the difference of the i-th prefixes of ``hi`` and ``lo``.  Column 0 of
+    ``ps`` is 0.0, or ``carry``, the prefix of the ticks before, which the
+    sums continue: a longdouble cumsum is sequential, so bit for bit.
+    Extended precision, because prefix magnitudes grow with the tape span,
+    and a float64 cumsum would lose ~span/window relative digits in the
+    windowed differences.
+    """
+    # The float64 product, widened: the ufunc loop follows its inputs.
+    np.multiply(x, y, out=ps[..., 1:])
+    if carry is not None:
+        ps[..., 0] = carry
+    row = ps if carry is not None else ps[..., 1:]
+    np.cumsum(row, axis=-1, out=row)
+    np.subtract(ps[..., hi], ps[..., lo], out=out)
 
 
 def _weighted_mean(col: np.ndarray, w: np.ndarray, wtot: float) -> float:
@@ -309,27 +346,34 @@ def acf_curve(
 
     Uses prefix sums over a dense tick-indexed array, so one lag costs
     O(span).  Centers step by the lag step, so every window sum is one
-    strided slice difference of the prefix block.  One routine fills the
-    prefix rows for any lags over any run of ticks, and one turns prefix
-    columns into center rows; both passes below call them.
+    strided slice difference of a prefix row.  One routine sums one factor
+    product at a time: into one longdouble prefix row, then straight into
+    that product's window sums; one more turns window sums into center rows.
+    Both passes below call them.
 
     Pass 1 is the mean sweep, in both modes: one lag over the whole span at
-    a time.  On a dense tape (one record per tick) the pair-count, value and
-    volume prefixes are the lag-0 ones held flat past span - lag, so a lag
-    needs 4 cumulative sums, not 7, and windows that end by span - lag keep
-    their count and one-sided means.  Lags of span ticks or more have no
-    pairs and are not swept.  Lags are computed independently (optionally
-    across threads, at most one per lag and per CPU), and each reduces its
-    own row of the pair-count-weighted mean, so output is identical for any
-    thread count.  This pass holds O(span) per thread plus O(lags) and gives
-    the mean curve and its scales.
+    a time.  On a dense tape (one record per tick) a window's pair count and
+    one-sided value and volume means at lag tau are those of lag 0 with both
+    window ends clipped at span - tau.  They are computed once, before the
+    sweep, from the lag-0 prefixes, of which only the tail that clipped
+    windows read is kept; every lag then sums 4 products, not 7.  Lags of
+    span ticks or more have no pairs and are not swept.  Lags are computed
+    independently (optionally across threads, at most one per lag and per
+    CPU), and each reduces its own row of the pair-count-weighted mean, so
+    output is identical for any thread count.  A thread holds one prefix
+    row over the span and its window sums and rows over the centers (7 of
+    each on a gappy tape, 4 sums and 7 rows on a dense one); all threads
+    share the dense tape's lag-free means.  This pass gives the mean curve
+    and its scales.
 
     Per-center mode then computes its rows as they are read, on the calling
     thread, a block of consecutive centers at a time and all lags at once.
     A block sums prefixes only over its own ticks, continuing from the prefix
-    values carried over from the previous block; a longdouble cumsum is
-    sequential, so each prefix equals the full-span one, and so does every
-    output byte.  A block holds O(lags x (block + window)) values.
+    values carried over from the previous block, one per product and lag; a
+    longdouble cumsum is sequential, so each prefix equals the full-span
+    one, and so does every output byte.  A block holds one prefix row per
+    lag over its ticks, and 7 window-sum and 7 output rows per lag over its
+    centers: O(lags x (block + window)).
 
     A per-center row with pairs enters its lag's mean with a weight of at
     least 1, so a finite mean curve proves every row finite.  Only when the
@@ -346,6 +390,7 @@ def acf_curve(
     centers, rec_lo, rec_hi = window_grid(tape, spec)
     if not len(centers):
         raise NoDataError("tape span shorter than the averaging window")
+    n_centers = len(centers)
     # A window with fewer than min_trades records (its lag-0 pair count) gets
     # a zero pair count at every lag, so it drops out as stats drops it.
     invalid = ~spec.valid(rec_hi - rec_lo)
@@ -357,50 +402,45 @@ def acf_curve(
     c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
     idx = tape.ticks - first
     c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
-    c0, u0, p0 = c_arr[:span], u_arr[:span], present[:span]
     # Window i sums prefix columns lo0 + i * step up to lo0 + i * step + N.
     lo0 = int(centers[0]) - spec.half_width - first
 
-    def buffers(n_lags: int, width: int, n_centers: int):
-        """The prefix block (zeroed), the pair mask, the window sums and the
-        rows of ``n_lags`` lags over ``width`` ticks and ``n_centers`` centers.
-        Extended precision: prefix magnitudes grow with the tape span and plain
-        double cumsum would lose ~span/window relative digits in the windowed
-        differences."""
-        return (np.zeros((7, n_lags, width + 1), dtype=np.longdouble),
-                np.empty((n_lags, width)),
-                np.empty((7, n_lags, n_centers), dtype=np.longdouble),
-                np.empty((7, n_lags, n_centers)))
+    def bounds(first_lo: int, count: int) -> tuple[slice, slice]:
+        """The prefix columns lo and hi of ``count`` windows, the first at ``first_lo``."""
+        lo = slice(first_lo, first_lo + (count - 1) * step + 1, step)
+        return lo, slice(lo.start + n_ticks, lo.stop + n_ticks, step)
 
-    def prefixes(ps, m, s: int, lagged, rows: int = 0, carry: bool = False) -> None:
-        """Fill prefix rows ``rows``.. of ``ps`` (7, lags, width + 1) over ticks
-        s .. s + width, given the (lags, width) views ``lagged`` of the value,
-        volume and presence series at each lag; ``m`` takes the pair mask.
-
-        Column 0 stays 0.0, or with ``carry`` holds the prefixes of the ticks
-        before s, which the sums continue bit for bit.
-        """
-        width = ps.shape[-1] - 1
+    def pairs(s: int, lagged, m) -> tuple:
+        """The factor pairs of m, c0·m, u0·m, c0·cl, u0·ul, cl·m and ul·m over
+        ticks s.., given the views ``lagged`` (cl, ul, pl) of the value, volume
+        and presence series at each lag.  ``m`` takes the pair mask p0·pl; on a
+        dense tape p0 is 1.0 on every tick, so the mask is pl itself."""
         cl, ul, pl = lagged
-        c0s, u0s, p0s = c0[s : s + width], u0[s : s + width], p0[s : s + width]
-        np.multiply(p0s, pl, out=m)
-        factors = ((p0s, pl), (c0s, m), (u0s, m), (c0s, cl), (u0s, ul), (cl, m), (ul, m))
-        for row in range(rows, 7):
-            # The float64 product, widened: the ufunc loop follows its inputs.
-            np.multiply(*factors[row], out=ps[row, ..., 1:])
-        if carry:
-            ps[rows:, ..., 1] += ps[rows:, ..., 0]
-        np.cumsum(ps[rows:, ..., 1:], axis=-1, out=ps[rows:, ..., 1:])
+        width = pl.shape[-1]
+        c0, u0, p0 = c_arr[s : s + width], u_arr[s : s + width], present[s : s + width]
+        m = pl if dense else np.multiply(p0, pl, out=m)
+        return (p0, pl), (c0, m), (u0, m), (c0, cl), (u0, ul), (cl, m), (ul, m)
 
-    def window_rows(ps, first_lo: int, a: int, b: int, d, out, head: int = 0) -> np.ndarray:
-        """The rows (7, lags, b - a) of centers a..b, whose first window starts
-        at prefix column ``first_lo`` of ``ps``; invalid windows get no pairs."""
-        lo = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
-        hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
-        out = out[..., : b - a]
-        _center_rows(ps, lo, hi, d[..., : b - a], out, head)
-        out[6][..., invalid[a:b]] = 0
-        return out
+    lo, hi = bounds(lo0, n_centers)
+
+    def head(tau: int) -> int:
+        """How many windows end by span - tau (all windows, at lag 0)."""
+        return min(n_centers, max(0, (span - tau - n_ticks - lo0) // step + 1))
+
+    if dense:
+        # The pair count and one-sided means of every window at lag 0, and
+        # the lag-0 prefixes from the first column that a window clipped at
+        # span - lags[-1] reads; the sweep workers share them read-only.
+        tail0 = min(lo0 + head(lags[-1]) * step, span - lags[-1])
+        lag_free = np.empty((3, n_centers), dtype=np.longdouble)
+        tail = np.empty((3, span + 1 - tail0), dtype=np.longdouble)
+        ps = np.zeros(span + 1, dtype=np.longdouble)
+        series = (c_arr[:span], u_arr[:span], present[:span])
+        for k, (x, y) in enumerate(pairs(0, series, None)[:3]):
+            _window_sum(x, y, ps, lo, hi, lag_free[k])
+            tail[k] = ps[tail0:]
+        _means(lag_free)  # every window holds N ticks, so n >= 1
+        del ps
 
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
     # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
@@ -415,20 +455,31 @@ def acf_curve(
         One set of buffers serves all the worker's lags: buffers allocated per
         lag would go back to the OS and fault in again on every lag.
         """
-        ps, m, d, out = buffers(1, span, len(centers))
+        # On a dense tape the window sums of m, c0·m and u0·m are lag_free's.
+        first_pair = 3 if dense else 0
+        ps = np.zeros(span + 1, dtype=np.longdouble)
+        m = None if dense else np.empty(span)
+        d = np.empty((7 - first_pair, n_centers), dtype=np.longdouble)
+        rows = np.empty((7, n_centers))
         for j in range(start, len(lags), threads):
             tau = lags[j]
-            # On a dense tape m is 1 up to span - tau and 0 past it, so after the
-            # worker's first lag the rows of m, c0·m and u0·m only need to be held
-            # flat past span - tau; lags only grow, so their heads stay valid, and
-            # so do the n, c1 and u1 of the windows that end by span - tau.
-            held = dense and j > start
-            if held:
-                ps[:3, 0, span - tau + 1 :] = ps[:3, 0, span - tau, None]
-            lagged = [arr[None, tau : tau + span] for arr in (c_arr, u_arr, present)]
-            prefixes(ps, m, 0, lagged, rows=3 * held)
-            head = max(0, (span - tau - n_ticks - lo0) // step + 1) if held else 0
-            rows = window_rows(ps, lo0, 0, len(centers), d, out, head)[:, 0]
+            lagged = [arr[tau : tau + span] for arr in (c_arr, u_arr, present)]
+            for k, (x, y) in enumerate(pairs(0, lagged, m)[first_pair:]):
+                _window_sum(x, y, ps, lo, hi, d[k])
+            if not dense:
+                _means(d[:3])
+                _center_rows(*d[:3], d[3:], rows)
+            else:
+                # Windows that end by span - tau have lag 0's n, c1 and u1;
+                # the later ones take theirs from both ends clipped there.
+                h, clip = head(tau), span - tau - tail0
+                _center_rows(*lag_free[:, :h], d[:, :h], rows[:, :h])
+                if h < n_centers:
+                    los = np.minimum(lo0 - tail0 + step * np.arange(h, n_centers), clip)
+                    clipped = tail[:, clip, None] - tail[:, los]
+                    _means(clipped)
+                    _center_rows(*clipped, d[:, h:], rows[:, h:])
+            rows[6, invalid] = 0
             ok = rows[6] >= 1
             if np.any(ok):
                 cut = slice(None) if ok.all() else ok
@@ -451,30 +502,40 @@ def acf_curve(
     def center_blocks() -> Iterator[Columns]:
         """The per-center rows, one block of consecutive centers at a time."""
         k = _block_centers(len(lags), n_ticks, step)
-        ps, m, d, out = buffers(len(lags), lo0 + (k - 1) * step + n_ticks, k)
+        widest = lo0 + (k - 1) * step + n_ticks
+        ps = np.zeros((len(lags), widest + 1), dtype=np.longdouble)
+        m = None if dense else np.empty((len(lags), widest))
+        d = np.empty((7, len(lags), k), dtype=np.longdouble)
+        out = np.empty((7, len(lags), k))
+        carry = np.empty((7, len(lags)), dtype=np.longdouble)
 
         # Each block runs under errstate, not the generator, whose state would
         # hold in the reader's code between yields.
         @np.errstate(all="ignore")
         def block(a: int) -> Columns:
-            b = min(a + k, len(centers))
+            b = min(a + k, n_centers)
             s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
             width = lo0 + (b - 1) * step + n_ticks - s
             # Row j of a lagged view is the series over the block's ticks plus lags[j].
             lagged = [sliding_window_view(arr[s : s + lags[-1] + width], width)[::step]
                       for arr in (c_arr, u_arr, present)]
-            seg = ps[..., : width + 1]
-            prefixes(seg, m[:, :width], s, lagged, carry=a > 0)
             first_lo = lo0 + a * step - s
-            rows = window_rows(seg, first_lo, a, b, d, out)
-            ps[..., 0] = seg[..., first_lo + (b - a) * step]  # the next block's carry
+            lo, hi = bounds(first_lo, b - a)
+            seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
+            mask = None if m is None else m[:, :width]
+            for i, (x, y) in enumerate(pairs(s, lagged, mask)):
+                _window_sum(x, y, seg, lo, hi, sums[i], carry[i] if a else None)
+                carry[i] = seg[:, first_lo + (b - a) * step]  # the next block's column 0
+            _means(sums[:3])
+            _center_rows(*sums[:3], sums[3:], rows)
+            rows[6][:, invalid[a:b]] = 0
             # centers x lags; row-major nonzero gives (center, lag) order.
             grid = rows.transpose(0, 2, 1)
             ci, li = np.nonzero(grid[6] >= 1)
             return Columns(lag_arr[li], grid[:6, ci, li], grid[6, ci, li].astype(np.int64),
                            centers[a + ci])
 
-        for a in range(0, len(centers), k):
+        for a in range(0, n_centers, k):
             yield block(a)
 
     if aggregate == "per-center":

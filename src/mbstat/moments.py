@@ -148,12 +148,17 @@ def _int_prefix(col: np.ndarray) -> tuple[list[int], int]:
 
 def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``math.fsum(col[a:b]) / (b - a)`` for each window [a, b) of ``lo``/``hi``,
-    bit for bit, and NaN where that ``fsum`` overflows.
+    bit for bit where that ``fsum`` is finite, and NaN where the exact sum
+    overflows.
 
     Each finite value is an integer times ``2**-s``, for one shift ``s >= 0``
     of the whole column, so the integers' prefix sums are exact and a window's sum
     is one Python int true division, which is correctly rounded as ``fsum``
-    is (and raises OverflowError where ``fsum`` does).  This takes
+    is.  It raises OverflowError, and the window gets NaN, only where the
+    exact sum overflows: ``fsum`` also raises where only a partial sum does,
+    so for [1e308, 1e308, -1e308] this gives 1e308 / 3 where ``fsum``
+    raises.  No tape column reaches that case, as tape values are never
+    negative.  This takes
     O(rows + windows) for any window width.  A window holding an inf is
     summed by ``fsum`` itself, whose result there depends on where the inf
     sits; a window holding a NaN and no inf is NaN, as its ``fsum`` is, found
@@ -263,8 +268,9 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     overflows (OverflowError).
     """
     check_order(max_order)
-    # Orders up to 2 at least: the volatility needs the second moment even
-    # when the report holds only the first.  Every order is checked.
+    # Value and volume moments of orders up to 2 at least: the volatility
+    # needs the second ones even when the report holds only the first.  Price
+    # moments go up to max_order.  Every order computed is checked.
     orders = range(1, max(max_order, 2) + 1)
     centers, lo, hi = (np.asarray(x, dtype=np.int64) for x in (centers, lo, hi))
     if len(centers) > 1:  # a failing first window raises before the full pass
@@ -274,7 +280,8 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     with np.errstate(over="ignore"):
         price = value / volume  # may overflow to inf, as Python's float division does
     lo, hi = lo - start, hi - start
-    means = np.empty((3, len(orders), len(centers)))  # NaN marks an overflow
+    # (orders, windows) blocks of the value, volume and price moments; NaN marks an overflow.
+    means = [np.empty((k, len(centers))) for k in (len(orders), len(orders), max_order)]
     for block, xs in zip(means, map(np.ndarray.tolist, (value, volume, price))):
         for row, n in zip(block, orders):
             col = _pow_or_nan(xs, n)
@@ -285,13 +292,13 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
         market = value_m / volume_m
     with np.errstate(invalid="ignore"):
         volatility = market[1] - _pow_or_nan(market[0].tolist(), 2)
-    failing = (np.isnan(means).any(axis=(0, 1)) | (volume_m == 0).any(axis=0)
-               | ~np.isfinite(price_m).all(axis=0) | ~np.isfinite(market).all(axis=0)
-               | np.isnan(volatility))
+    failing = (np.isnan(value_m).any(axis=0) | np.isnan(volume_m).any(axis=0)
+               | (volume_m == 0).any(axis=0) | ~np.isfinite(price_m).all(axis=0)
+               | ~np.isfinite(market).all(axis=0) | np.isnan(volatility))
     # The masks are ``_check_window``'s checks; it raises at the first marked window.
     for i in np.flatnonzero(failing).tolist():
-        _check_window(int(centers[i]), *means[:, :, i].tolist())
-    return WindowColumns(centers, hi - lo, price_m[:max_order], value_m[:max_order],
+        _check_window(int(centers[i]), *(block[:, i].tolist() for block in means))
+    return WindowColumns(centers, hi - lo, price_m, value_m[:max_order],
                          volume_m[:max_order], market[:max_order], volatility)
 
 

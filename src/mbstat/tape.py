@@ -178,15 +178,16 @@ def _blank(row: list[str]) -> bool:
 def _block_columns(rows: list[list[str]], price_form: bool):
     """Tick, value and volume columns of a block of rows, skipping blank ones,
     or None if a row fails a check."""
-    if any(len(row) != 3 for row in rows):
+    if set(map(len, rows)) - {3}:
         rows = [row for row in rows if not _blank(row)]
-        if any(len(row) != 3 for row in rows):
+        if set(map(len, rows)) - {3}:
             return None
     ticks, first, second = zip(*rows) if rows else ((), (), ())
     try:
-        ticks = np.array(list(map(int, ticks)), dtype=np.int64)
-        a = np.array(list(map(float, first)))
-        volume = np.array(list(map(float, second)))
+        # numpy converts each str with Python's int or float, as a row-by-row parse does.
+        ticks = np.array(ticks, dtype=np.int64)
+        a = np.array(first, dtype=np.float64)
+        volume = np.array(second, dtype=np.float64)
     except (ValueError, OverflowError):
         return None
     with np.errstate(over="ignore", invalid="ignore"):

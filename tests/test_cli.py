@@ -260,6 +260,22 @@ def test_stats_overflow_in_first_or_later_window_names_it(runner, tmp_path, big,
                     f"window at tick {center}: value moment of order 8 overflows")
 
 
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_max_order_1_computes_no_price_moment_of_order_2(runner, tmp_path, command):
+    """The volatility needs the value and volume moments of order 2, not the
+    price moment: at --max-order 1 an overflowing price square is not an error."""
+    inp = tmp_path / "t.csv"
+    inp.write_text("tick,value,volume\n0,1,1\n1,1e-10,1e-170\n2,1,1\n")
+    args = [command, "--input", str(inp), "--window-n", "3", "--lag-step", "1", "--max-order"]
+    res = run(runner, [*args, "1"])
+    assert res.exit_code == 0
+    assert "3.3333333333333334e+159" in res.stdout
+    res = run(runner, [*args, "2"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "Error: OverflowError: window at tick 1: price moment of order 2 overflows"]
+
+
 @pytest.mark.parametrize(
     "config",
     [{"window_n": "5"}, {"window_n": True}, {"lag_stepp": 3}, {"epsilon": 1.0}],
@@ -521,6 +537,22 @@ def test_config_value_errors_name_the_option(runner, tmp_path, config, flag):
 def test_threads_env_not_an_integer_names_the_option(runner):
     res = runner.invoke(main, _MEAN_ARGS, env={"MBSTAT_THREADS": "abc"})
     assert res.exit_code != 0
+    (line,) = _error_lines(res.output)
+    assert "--threads" in line and "MBSTAT_THREADS" in line
+
+
+@pytest.mark.parametrize("command,golden", [("stats", "golden_stats.jsonl"),
+                                            ("compare", "golden_compare.csv")])
+def test_threads_env_is_read_by_acf_alone(runner, tmp_path, command, golden):
+    """stats and compare take --threads and ignore it, and read no MBSTAT_THREADS."""
+    out = tmp_path / golden
+    res = run(runner, [command, "--input", str(DATA / "golden_tape.csv"), "--window-n", "101",
+                       "--lag-step", "25", "--max-order", "4", "--output", str(out)],
+              env={"MBSTAT_THREADS": "abc"})
+    assert res.exit_code == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+    res = runner.invoke(main, _MEAN_ARGS, env={"MBSTAT_THREADS": "abc"})
+    assert res.exit_code == 2
     (line,) = _error_lines(res.output)
     assert "--threads" in line and "MBSTAT_THREADS" in line
 

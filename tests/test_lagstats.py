@@ -526,9 +526,35 @@ def test_finite_curve_computes_no_center_block_before_it_returns(monkeypatch):
         calls.clear()
         curve = acf_curve(tape, spec, 50, aggregate=aggregate)
         counts[aggregate] = len(calls)
-    assert counts == {"mean": 3, "per-center": 3}  # one per lag
+    # The golden tape is dense: one call at lag 0, then one for the windows that
+    # end by span - lag and one for the later ones at each of lags 25 and 50.
+    assert counts == {"mean": 5, "per-center": 5}
     curve.write(io.StringIO())
-    assert len(calls) > 3
+    assert len(calls) > 5
+
+
+def test_rows_of_windows_without_pairs_are_finite(monkeypatch):
+    """A window with no pairs divides its zero sums by 1, not 0, so its rows
+    are finite (x87 arithmetic on NaN is very slow); its pair count of 0 keeps
+    them out of the curve.  One tape has a gap wider than the window, the
+    other is dense and swept past the window width, so that windows near its
+    end have no partners."""
+    seen = []
+    real = lagstats._center_rows
+
+    def spy(*args):
+        real(*args)
+        seen.append(args[4].reshape(7, -1).copy())
+
+    monkeypatch.setattr(lagstats, "_center_rows", spy)
+    for tape, max_lag in ((rising_tape([*range(10), *range(30, 40)]), 4), (dense_tape(40), 20)):
+        for aggregate in ("mean", "per-center"):
+            seen.clear()
+            acf_curve(tape, WindowSpec(5, 1), max_lag, aggregate=aggregate).columns
+            rows = np.concatenate(seen, axis=1)
+            empty = rows[6] == 0
+            assert empty.any()
+            assert np.isfinite(rows[:, empty]).all()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -792,6 +818,31 @@ def test_mean_mode_memory_is_bounded_by_span_not_lags_times_centers():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_mean_sweep_thread_holds_one_prefix_row(monkeypatch):
+    """A thread of the mean sweep over a dense tape holds one longdouble prefix
+    row over the span, and 4 longdouble window-sum rows and 7 float64 rows
+    over the centers: the traced peak with 2 threads less the one with 1 is
+    within 10% of those buffers.  With a 7-row prefix block and 7 window-sum
+    rows per thread, the difference was 5.6 MB here, against 2.5 MB."""
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
+    n = 20_000
+    rng = np.random.default_rng(7)
+    tape = TradeTape(np.arange(n), rng.uniform(0.1, 5, n), rng.uniform(0.1, 5, n))
+    spec = WindowSpec(2001, 1)
+    peaks = []
+    for threads in (1, 2):
+        tracemalloc.start()
+        try:
+            acf_curve(tape, spec, 40, aggregate="mean", threads=threads)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    n_centers = len(window_grid(tape, spec)[0])
+    wide = np.dtype(np.longdouble).itemsize
+    buffers = (n + 1) * wide + 4 * n_centers * wide + 7 * n_centers * 8
+    assert peaks[1] - peaks[0] <= 1.1 * buffers
 
 
 class Discard(io.TextIOBase):

@@ -206,7 +206,10 @@ def _reference_power_mean(xs, n, series):
 
 
 def reference_compute_report(window, tape, max_order=4):
-    """Per-window moments, each power taken inside its window, kept as a reference."""
+    """Per-window moments, each power taken inside its window, kept as a reference.
+
+    Value and volume moments go to order 2 at least, which the volatility
+    needs; price moments go to max_order."""
     lo = tape.ticks.searchsorted(window.member_ticks[0])
     hi = tape.ticks.searchsorted(window.member_ticks[-1], side="right")
     value, volume = tape.value[lo:hi].tolist(), tape.volume[lo:hi].tolist()
@@ -214,8 +217,9 @@ def reference_compute_report(window, tape, max_order=4):
     price = [c / u for c, u in zip(value, volume)]
     try:
         value_m, volume_m, freq_price = (
-            tuple(_reference_power_mean(xs, n, series) for n in orders)
-            for series, xs in zip(("value", "volume", "price"), (value, volume, price))
+            tuple(_reference_power_mean(xs, n, series) for n in orders[:top])
+            for series, xs, top in zip(("value", "volume", "price"), (value, volume, price),
+                                       (None, None, max_order))
         )
     except OverflowError as exc:
         raise OverflowError(f"window at tick {window.center_tick}: {exc}") from None

@@ -321,6 +321,30 @@ def test_fields_parse_as_int_and_float_parse_them():
     assert t.volume.tolist() == [2.5, float("1_0")]
 
 
+@pytest.mark.parametrize("field", ["1_0", " 1.5 ", "١٢", "Infinity", "1e400", "1.5e-320",
+                                   "-0", "0x1p3", str(2**63)])
+def test_block_conversion_accepts_what_int_and_float_accept(field):
+    """A block converts ticks with ``int`` and values and volumes with ``float``:
+    a field that either rejects, or whose result fails a check, rejects the
+    block, and every other field keeps that call's value, sign of zero too."""
+    def parsed(fn):
+        try:
+            return fn(field)
+        except ValueError:
+            return None
+
+    x, tick = parsed(float), parsed(int)
+    finite = x is not None and math.isfinite(x)
+    in_range = tick is not None and -(2**63) <= tick < 2**63
+    cases = [([field, "1", "1"], (tick, 1.0, 1.0) if in_range else None),
+             (["0", field, "1"], (0, x, 1.0) if finite and x >= 0 else None),
+             (["0", "1", field], (0, 1.0, x) if finite and x > 0 else None)]
+    for row, want in cases:
+        cols = tape_mod._block_columns([row], price_form=False)
+        got = None if cols is None else tuple(col.tolist()[0] for col in cols)
+        assert repr(got) == repr(want)
+
+
 def test_header_only_and_blank_lines():
     for text in ("tick,value,volume\n", "tick,value,volume", "tick,value,volume\n\n  \n"):
         t = parse_csv(text)
