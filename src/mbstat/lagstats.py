@@ -346,34 +346,29 @@ def acf_curve(
 
     Uses prefix sums over a dense tick-indexed array, so one lag costs
     O(span).  Centers step by the lag step, so every window sum is one
-    strided slice difference of a prefix row.  One routine sums one factor
-    product at a time: into one longdouble prefix row, then straight into
-    that product's window sums; one more turns window sums into center rows.
-    Both passes below call them.
+    strided slice difference of a prefix row.  One routine, ``center_rows``,
+    gives the seven rows of a run of consecutive centers at a run of lags:
+    it sums one factor product at a time into one longdouble prefix row per
+    lag, and on into that product's window sums, which it turns into rows.
+    On a dense tape (one record per tick) a window's pair count and
+    one-sided value and volume means at lag tau are those of lag 0 with
+    both window ends clipped at span - tau.  They are computed once, from
+    the lag-0 prefixes, of which only the tail that clipped windows read is
+    kept, so the routine sums 4 products there, not 7.
 
-    Pass 1 is the mean sweep, in both modes: one lag over the whole span at
-    a time.  On a dense tape (one record per tick) a window's pair count and
-    one-sided value and volume means at lag tau are those of lag 0 with both
-    window ends clipped at span - tau.  They are computed once, before the
-    sweep, from the lag-0 prefixes, of which only the tail that clipped
-    windows read is kept; every lag then sums 4 products, not 7.  Lags of
-    span ticks or more have no pairs and are not swept.  Lags are computed
-    independently (optionally across threads, at most one per lag and per
-    CPU), and each reduces its own row of the pair-count-weighted mean, so
-    output is identical for any thread count.  A thread holds one prefix
-    row over the span and its window sums and rows over the centers (7 of
-    each on a gappy tape, 4 sums and 7 rows on a dense one); all threads
-    share the dense tape's lag-free means.  This pass gives the mean curve
-    and its scales.
-
-    Per-center mode then computes its rows as they are read, on the calling
-    thread, a block of consecutive centers at a time and all lags at once.
-    A block sums prefixes only over its own ticks, continuing from the prefix
-    values carried over from the previous block, one per product and lag; a
-    longdouble cumsum is sequential, so each prefix equals the full-span
-    one, and so does every output byte.  A block holds one prefix row per
-    lag over its ticks, and 7 window-sum and 7 output rows per lag over its
-    centers: O(lags x (block + window)).
+    The mean sweep, in both modes, calls it for all centers at one lag.
+    Lags of span ticks or more have no pairs and are not swept.  Lags are
+    computed independently (optionally across threads, at most one per lag
+    and per CPU), and each reduces its own row of the pair-count-weighted
+    mean, so output is identical for any thread count.  A thread holds one
+    prefix row over the span, and its window sums and 7 rows over the
+    centers.  This gives the mean curve and its scales.  Per-center mode
+    then calls it as the rows are read, on the calling thread, for one
+    block of consecutive centers at all lags.  A block sums over its own
+    ticks only, continuing the prefixes carried over from the previous
+    block; a longdouble cumsum is sequential, so each prefix equals the
+    full-span one, and so does every output byte.  A block holds
+    O(lags x (block + window)) values.
 
     A per-center row with pairs enters its lag's mean with a weight of at
     least 1, so a finite mean curve proves every row finite.  Only when the
@@ -398,17 +393,14 @@ def acf_curve(
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
 
-    # Zero-padded by the largest lag, so a lagged series is a view.
+    # Zero-padded by the largest lag, so a lagged series is a view: row j of
+    # ``views`` is the value, volume or presence series from tick lags[j] on.
     c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
     idx = tape.ticks - first
     c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
+    views = [sliding_window_view(arr, span)[::step] for arr in (c_arr, u_arr, present)]
     # Window i sums prefix columns lo0 + i * step up to lo0 + i * step + N.
     lo0 = int(centers[0]) - spec.half_width - first
-
-    def bounds(first_lo: int, count: int) -> tuple[slice, slice]:
-        """The prefix columns lo and hi of ``count`` windows, the first at ``first_lo``."""
-        lo = slice(first_lo, first_lo + (count - 1) * step + 1, step)
-        return lo, slice(lo.start + n_ticks, lo.stop + n_ticks, step)
 
     def pairs(s: int, lagged, m) -> tuple:
         """The factor pairs of m, c0·m, u0·m, c0·cl, u0·ul, cl·m and ul·m over
@@ -421,26 +413,73 @@ def acf_curve(
         m = pl if dense else np.multiply(p0, pl, out=m)
         return (p0, pl), (c0, m), (u0, m), (c0, cl), (u0, ul), (cl, m), (ul, m)
 
-    lo, hi = bounds(lo0, n_centers)
-
-    def head(tau: int) -> int:
-        """How many windows end by span - tau (all windows, at lag 0)."""
-        return min(n_centers, max(0, (span - tau - n_ticks - lo0) // step + 1))
-
+    # On a dense tape the window sums of m, c0·m and u0·m are lag_free's.
+    first_pair = 3 if dense else 0
     if dense:
-        # The pair count and one-sided means of every window at lag 0, and
-        # the lag-0 prefixes from the first column that a window clipped at
-        # span - lags[-1] reads; the sweep workers share them read-only.
-        tail0 = min(lo0 + head(lags[-1]) * step, span - lags[-1])
+        # The pair count and one-sided means of every window at lag 0, and the
+        # lag-0 prefixes from the first column that a window clipped at
+        # span - lags[-1] can read; every center_rows call shares them read-only.
+        tail0 = max(0, span - lags[-1] - n_ticks)
         lag_free = np.empty((3, n_centers), dtype=np.longdouble)
         tail = np.empty((3, span + 1 - tail0), dtype=np.longdouble)
         ps = np.zeros(span + 1, dtype=np.longdouble)
-        series = (c_arr[:span], u_arr[:span], present[:span])
-        for k, (x, y) in enumerate(pairs(0, series, None)[:3]):
+        lo = slice(lo0, lo0 + (n_centers - 1) * step + 1, step)
+        hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
+        for k, (x, y) in enumerate(pairs(0, [v[0] for v in views], None)[:3]):
             _window_sum(x, y, ps, lo, hi, lag_free[k])
             tail[k] = ps[tail0:]
         _means(lag_free)  # every window holds N ticks, so n >= 1
         del ps
+
+    def buffers(n_lags: int, k: int) -> tuple:
+        """``center_rows`` buffers for up to ``k`` centers at ``n_lags`` lags:
+        prefix rows over the widest run of ticks, the pair mask (None on a
+        dense tape), the longdouble window sums and the rows."""
+        widest = lo0 + (k - 1) * step + n_ticks
+        return (np.zeros((n_lags, widest + 1), dtype=np.longdouble),
+                None if dense else np.empty((n_lags, widest)),
+                np.empty((7 - first_pair, n_lags, k), dtype=np.longdouble),
+                np.empty((7, n_lags, k)))
+
+    # Under errstate per call, not in the per-center generator, whose state
+    # would hold in the reader's code between yields.
+    @np.errstate(all="ignore")
+    def center_rows(a: int, b: int, js: slice, bufs: tuple, carry=None) -> np.ndarray:
+        """The (7, lags, centers) rows of centers a..b-1 at ``lags[js]``, in ``bufs``.
+
+        The sums run over the ticks from lo of window a (tick 0 when a is 0)
+        to hi of window b - 1.  When a > 0 they continue the prefixes in
+        ``carry``, one per product and lag; a given ``carry`` then takes the
+        prefixes at lo of window b, where the next block starts.
+        """
+        ps, m, d, out = bufs
+        s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
+        width = lo0 + (b - 1) * step + n_ticks - s
+        lagged = [v[js, s : s + width] for v in views]
+        first_lo = lo0 + a * step - s
+        lo = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
+        hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
+        seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
+        for i, (x, y) in enumerate(pairs(s, lagged, m if dense else m[:, :width])[first_pair:]):
+            _window_sum(x, y, seg, lo, hi, sums[i], carry[i] if a else None)
+            if carry is not None:
+                carry[i] = seg[:, first_lo + (b - a) * step]
+        if dense:
+            # Windows that end by span - tau at every lag have lag 0's n, c1
+            # and u1; the later ones take theirs from both ends clipped there.
+            h = min(b, max(a, (span - lags[js][-1] - n_ticks - lo0) // step + 1)) - a
+            _center_rows(*lag_free[:, None, a : a + h], sums[..., :h], rows[..., :h])
+            if a + h < b:
+                clip = span - tail0 - lag_arr[js, None]
+                los = lo0 - tail0 + step * np.arange(a + h, b)
+                clipped = tail[:, np.minimum(los + n_ticks, clip)] - tail[:, np.minimum(los, clip)]
+                _means(clipped)
+                _center_rows(*clipped, sums[..., h:], rows[..., h:])
+        else:
+            _means(sums[:3])
+            _center_rows(*sums[:3], sums[3:], rows)
+        rows[6][:, invalid[a:b]] = 0
+        return rows
 
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
     # mean[j]: the pair-count-weighted mean at lags[j] of AcfPoint's float
@@ -455,31 +494,9 @@ def acf_curve(
         One set of buffers serves all the worker's lags: buffers allocated per
         lag would go back to the OS and fault in again on every lag.
         """
-        # On a dense tape the window sums of m, c0·m and u0·m are lag_free's.
-        first_pair = 3 if dense else 0
-        ps = np.zeros(span + 1, dtype=np.longdouble)
-        m = None if dense else np.empty(span)
-        d = np.empty((7 - first_pair, n_centers), dtype=np.longdouble)
-        rows = np.empty((7, n_centers))
+        bufs = buffers(1, n_centers)
         for j in range(start, len(lags), threads):
-            tau = lags[j]
-            lagged = [arr[tau : tau + span] for arr in (c_arr, u_arr, present)]
-            for k, (x, y) in enumerate(pairs(0, lagged, m)[first_pair:]):
-                _window_sum(x, y, ps, lo, hi, d[k])
-            if not dense:
-                _means(d[:3])
-                _center_rows(*d[:3], d[3:], rows)
-            else:
-                # Windows that end by span - tau have lag 0's n, c1 and u1;
-                # the later ones take theirs from both ends clipped there.
-                h, clip = head(tau), span - tau - tail0
-                _center_rows(*lag_free[:, :h], d[:, :h], rows[:, :h])
-                if h < n_centers:
-                    los = np.minimum(lo0 - tail0 + step * np.arange(h, n_centers), clip)
-                    clipped = tail[:, clip, None] - tail[:, los]
-                    _means(clipped)
-                    _center_rows(*clipped, d[:, h:], rows[:, h:])
-            rows[6, invalid] = 0
+            rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
             ok = rows[6] >= 1
             if np.any(ok):
                 cut = slice(None) if ok.all() else ok
@@ -501,42 +518,16 @@ def acf_curve(
 
     def center_blocks() -> Iterator[Columns]:
         """The per-center rows, one block of consecutive centers at a time."""
-        k = _block_centers(len(lags), n_ticks, step)
-        widest = lo0 + (k - 1) * step + n_ticks
-        ps = np.zeros((len(lags), widest + 1), dtype=np.longdouble)
-        m = None if dense else np.empty((len(lags), widest))
-        d = np.empty((7, len(lags), k), dtype=np.longdouble)
-        out = np.empty((7, len(lags), k))
-        carry = np.empty((7, len(lags)), dtype=np.longdouble)
-
-        # Each block runs under errstate, not the generator, whose state would
-        # hold in the reader's code between yields.
-        @np.errstate(all="ignore")
-        def block(a: int) -> Columns:
-            b = min(a + k, n_centers)
-            s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
-            width = lo0 + (b - 1) * step + n_ticks - s
-            # Row j of a lagged view is the series over the block's ticks plus lags[j].
-            lagged = [sliding_window_view(arr[s : s + lags[-1] + width], width)[::step]
-                      for arr in (c_arr, u_arr, present)]
-            first_lo = lo0 + a * step - s
-            lo, hi = bounds(first_lo, b - a)
-            seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
-            mask = None if m is None else m[:, :width]
-            for i, (x, y) in enumerate(pairs(s, lagged, mask)):
-                _window_sum(x, y, seg, lo, hi, sums[i], carry[i] if a else None)
-                carry[i] = seg[:, first_lo + (b - a) * step]  # the next block's column 0
-            _means(sums[:3])
-            _center_rows(*sums[:3], sums[3:], rows)
-            rows[6][:, invalid[a:b]] = 0
+        k = min(_block_centers(len(lags), n_ticks, step), n_centers)
+        bufs = buffers(len(lags), k)
+        carry = np.empty((7 - first_pair, len(lags)), dtype=np.longdouble)
+        for a in range(0, n_centers, k):
+            rows = center_rows(a, min(a + k, n_centers), slice(None), bufs, carry)
             # centers x lags; row-major nonzero gives (center, lag) order.
             grid = rows.transpose(0, 2, 1)
             ci, li = np.nonzero(grid[6] >= 1)
-            return Columns(lag_arr[li], grid[:6, ci, li], grid[6, ci, li].astype(np.int64),
-                           centers[a + ci])
-
-        for a in range(0, n_centers, k):
-            yield block(a)
+            yield Columns(lag_arr[li], grid[:6, ci, li], grid[6, ci, li].astype(np.int64),
+                          centers[a + ci])
 
     if aggregate == "per-center":
         blocks = center_blocks

@@ -260,12 +260,12 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     all the windows that hold it (Python ``x**n``, the libm ``pow``); every
     window mean is the exact-sum mean of :func:`window_means`.  A window with
     no rows is not allowed.  Every window is checked before this returns,
-    with vectorised masks; the first window, in order, whose moments fail
-    is then checked alone, and raises: an overflowing moment (OverflowError,
-    by series then order), a volume moment that underflows to 0
-    (ZeroDivisionError), a price moment that is not finite (OverflowError
-    naming the field and order) or a VWAP whose square, in the volatility,
-    overflows (OverflowError).
+    against one table of vectorised masks; the first window, in order, that
+    fails raises at its first failing check: an overflowing moment
+    (OverflowError, by series then order), a volume moment that underflows
+    to 0 (ZeroDivisionError), a price moment that is not finite
+    (OverflowError naming the field and order) or a VWAP whose square, in
+    the volatility, overflows (OverflowError, "market volatility overflows").
     """
     check_order(max_order)
     # Value and volume moments of orders up to 2 at least: the volatility
@@ -292,39 +292,26 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
         market = value_m / volume_m
     with np.errstate(invalid="ignore"):
         volatility = market[1] - _pow_or_nan(market[0].tolist(), 2)
-    failing = (np.isnan(value_m).any(axis=0) | np.isnan(volume_m).any(axis=0)
-               | (volume_m == 0).any(axis=0) | ~np.isfinite(price_m).all(axis=0)
-               | ~np.isfinite(market).all(axis=0) | np.isnan(volatility))
-    # The masks are ``_check_window``'s checks; it raises at the first marked window.
-    for i in np.flatnonzero(failing).tolist():
-        _check_window(int(centers[i]), *(block[:, i].tolist() for block in means))
+    # The failure table, in check order: (error, message, values, mask), each
+    # block (rows, windows).  The first failing window raises at its first
+    # flagged row, by table entry then order.
+    table = [(OverflowError, f"{series} moment of order {{n}} overflows", ms, np.isnan(ms))
+             for series, ms in zip(SERIES, means)]
+    table += [(ZeroDivisionError, "volume moment of order {n} underflows to 0", volume_m,
+               volume_m == 0),
+              *((OverflowError, f"{name} moment of order {{n}} is {{x!r}}", ms, ~np.isfinite(ms))
+                for name, ms in (("freq_price", price_m), ("market_price", market))),
+              (OverflowError, "market volatility overflows", volatility[None],
+               np.isnan(volatility)[None])]
+    failing = np.logical_or.reduce([mask.any(axis=0) for *_, mask in table])
+    if failing.any():
+        i = int(failing.argmax())
+        error, message, values, mask = next(row for row in table if row[3][:, i].any())
+        n = int(mask[:, i].argmax())
+        raise error(f"window at tick {centers[i]}: "
+                    + message.format(n=n + 1, x=float(values[n, i])))
     return WindowColumns(centers, hi - lo, price_m, value_m[:max_order],
                          volume_m[:max_order], market[:max_order], volatility)
-
-
-def _check_window(center: int, value_m, volume_m, freq_price) -> None:
-    """Raise the error of one window's moments, if they fail: an overflowing
-    moment (by series then order), a volume moment of 0, a price moment that
-    is not finite (by field then order) or an overflowing volatility."""
-    for series, ms in zip(SERIES, (value_m, volume_m, freq_price)):
-        for n, m in enumerate(ms, start=1):
-            if math.isnan(m):
-                raise OverflowError(
-                    f"window at tick {center}: {series} moment of order {n} overflows")
-    try:
-        market_price = [c / u for c, u in zip(value_m, volume_m)]
-    except ZeroDivisionError:
-        n = volume_m.index(0.0) + 1
-        raise ZeroDivisionError(
-            f"window at tick {center}: volume moment of order {n} underflows to 0"
-        ) from None
-    for name, xs in (("freq_price", freq_price), ("market_price", market_price)):
-        for n, x in enumerate(xs, start=1):
-            if not math.isfinite(x):
-                raise OverflowError(f"window at tick {center}: {name} moment "
-                                    f"of order {n} is {x!r}")
-    # The volatility squares the VWAP; that raises OverflowError if it overflows.
-    pow(market_price[0], 2)
 
 
 def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:

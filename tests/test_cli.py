@@ -402,6 +402,19 @@ def test_volume_moment_underflow_names_window_order(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["stats", "compare"])
+def test_volatility_overflow_names_window(runner, tmp_path, command):
+    # The VWAP of the window at tick 50 is about 5e154, so its square overflows.
+    inp = tmp_path / "vwap.csv"
+    inp.write_text("tick,value,volume\n"
+                   + "".join(f"{t},1e150,{0.00202 if t == 50 else 1e-155}\n" for t in range(101)))
+    res = run(runner, [command, "--input", str(inp), "--window-n", "101", "--lag-step", "1",
+                       "--max-order", "1"])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        "Error: OverflowError: window at tick 50: market volatility overflows"]
+
+
+@pytest.mark.parametrize("command", ["stats", "compare"])
 def test_nonfinite_price_moment_names_window_field_order(runner, tmp_path, command):
     # Prices of 1e310 overflow to inf; compare used to print inf and nan.
     inp = tmp_path / "pow.csv"

@@ -557,6 +557,24 @@ def test_rows_of_windows_without_pairs_are_finite(monkeypatch):
             assert np.isfinite(rows[:, empty]).all()
 
 
+@pytest.mark.parametrize("ticks, sums", [(range(60), 4), ([*range(30), *range(31, 61)], 7)],
+                         ids=["dense", "gappy"])
+def test_center_block_sums_four_products_on_a_dense_tape(monkeypatch, ticks, sums):
+    """A per-center block on a dense tape takes its windows' pair counts and
+    one-sided means from the lag-0 sums, as the mean sweep does, and sums
+    only the four lagged products; on a gappy tape it sums all seven."""
+    curve = acf_curve(rising_tape(ticks), WindowSpec(5, 1), 8)
+    calls = []
+    real = lagstats._window_sum
+    monkeypatch.setattr(lagstats, "_window_sum", lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(lagstats, "_block_centers", lambda *_: 10)
+    per_block = []
+    for _ in curve.blocks():
+        per_block.append(len(calls))
+        calls.clear()
+    assert per_block == [sums] * 6
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_first_non_finite_value_is_named_for_any_thread_count(threads):
     # 1e154 * 1e155 overflows at lag 5 in window 90..100 (swept by the second

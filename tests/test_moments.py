@@ -235,6 +235,11 @@ def reference_compute_report(window, tape, max_order=4):
             if not math.isfinite(x):
                 raise OverflowError(f"window at tick {window.center_tick}: {name} moment "
                                     f"of order {n} is {x!r}")
+    try:
+        volatility = market_price[1] - market_price[0] ** 2
+    except OverflowError:
+        raise OverflowError(
+            f"window at tick {window.center_tick}: market volatility overflows") from None
     return MomentReport(
         center_tick=window.center_tick,
         effective_count=int(hi - lo),
@@ -243,7 +248,7 @@ def reference_compute_report(window, tape, max_order=4):
         volume=volume_m[:max_order],
         market_price=market_price[:max_order],
         vwap=market_price[0],
-        market_volatility=market_price[1] - market_price[0] ** 2,
+        market_volatility=volatility,
     )
 
 

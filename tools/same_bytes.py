@@ -1,0 +1,126 @@
+"""Check that two source trees of mbstat write the same bytes.
+
+    python tools/same_bytes.py OLD_TREE NEW_TREE
+
+Each tree is a checkout of this repository (its ``src`` directory holds the
+``mbstat`` package), for example a ``git archive`` of the parent commit and
+the working tree.  A fixed, seeded matrix of CLI runs goes through each tree
+in one child process, with ``PYTHONPATH=<tree>/src``:
+
+- ``synth`` in ``pv`` and ``vv`` mode;
+- ``stats`` and ``compare`` at ``--max-order`` 1, 4 and 8, on the golden
+  tape and on a gappy multi-trade tape;
+- ``acf`` per center and as the mean, at ``--threads`` 1 and 2, on the
+  golden (dense) and the gappy tape, at lag steps 1 and 3.
+
+Every output (stdout, stderr with the exit code, and each file the run
+writes) is hashed with sha256.  One line per output gives its hash, or both
+hashes where the trees differ.  The exit status is 1 on any difference.
+Standard library only; the inputs come from this script and from the golden
+tape of the repository that holds it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_tape.csv"
+
+
+def gappy_tape(seed: int = 11, ticks: int = 1500) -> str:
+    """A multi-trade tape: about 30% of ticks have no trade, the others 1 to 3."""
+    rng = random.Random(seed)
+    lines = ["tick,value,volume"]
+    for t in range(ticks):
+        if rng.random() < 0.3:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            volume = rng.uniform(0.1, 5.0)
+            lines.append(f"{t},{rng.lognormvariate(0.0, 0.2) * volume!r},{volume!r}")
+    return "\n".join(lines) + "\n"
+
+
+def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
+    """(label, CLI arguments) of every run; ``OUT`` marks an ``--output`` path."""
+    runs = [(f"synth-{mode}", ["synth", "--mode", mode, "--len", "3000", "--tau-a", "10",
+                               "--tau-b", "40", "--seed", "7"]) for mode in ("pv", "vv")]
+    tapes = {"golden": str(inputs / "golden.csv"), "gappy": str(inputs / "gappy.csv")}
+    for command in ("stats", "compare"):
+        for name, path in tapes.items():
+            for order in ("1", "4", "8"):
+                runs.append((f"{command}-{name}-order{order}",
+                             [command, "--input", path, "--window-n", "21", "--lag-step", "5",
+                              "--max-order", order]))
+    for aggregate in ("per-center", "mean"):
+        for name, path in tapes.items():
+            for step in ("1", "3"):
+                for threads in ("1", "2"):
+                    runs.append((f"acf-{aggregate}-{name}-step{step}-threads{threads}",
+                                 ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
+                                  "--max-lag", "30", "--aggregate", aggregate,
+                                  "--threads", threads, "--output", "OUT"]))
+    return runs
+
+
+def child(inputs: Path) -> None:
+    """Run the matrix with the ``mbstat`` on ``sys.path``; print {output: sha256} as JSON."""
+    from click.testing import CliRunner
+
+    from mbstat.cli import main
+
+    digests = {}
+    for label, args in matrix(inputs):
+        with tempfile.TemporaryDirectory() as work:
+            base = Path(work) / "out"
+            res = CliRunner().invoke(main, [str(base) if a == "OUT" else a for a in args])
+            status = f"exit {res.exit_code}\n".encode() + res.stderr_bytes
+            outputs = {"stdout": res.stdout_bytes, "stderr": status}
+            outputs.update((p.name, p.read_bytes()) for p in sorted(Path(work).iterdir()))
+        for name, blob in outputs.items():
+            digests[f"{label} {name}"] = hashlib.sha256(blob).hexdigest()
+    print(json.dumps(digests))
+
+
+def digests(tree: Path, inputs: Path) -> dict[str, str]:
+    """The output digests of the matrix run with the source tree ``tree``."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MBSTAT_")}
+    env["PYTHONPATH"] = str(tree / "src")
+    out = subprocess.run([sys.executable, __file__, "--child", str(inputs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--child":
+        child(Path(argv[1]))
+        return 0
+    if len(argv) != 2:
+        print("usage: python tools/same_bytes.py OLD_TREE NEW_TREE", file=sys.stderr)
+        return 2
+    old_tree, new_tree = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp)
+        (inputs / "golden.csv").write_bytes(GOLDEN.read_bytes())
+        (inputs / "gappy.csv").write_text(gappy_tape())
+        old, new = digests(old_tree, inputs), digests(new_tree, inputs)
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key, "missing"), new.get(key, "missing")
+        if a == b:
+            print(f"{a}  {key}")
+        else:
+            differ += 1
+            print(f"{a} -> {b}  {key}  DIFFERS")
+    print(f"{len(old.keys() | new.keys())} outputs, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
