@@ -161,15 +161,17 @@ def _window_setup(opts: dict, check):
         return tape.parse_csv(fh, format=opts["fmt"]), spec
 
 
-def _window_columns(opts: dict):
-    """The planned window count and the valid windows' moment columns, all checked."""
+def _window_columns(opts: dict, volatility: bool = True):
+    """The planned window count and the valid windows' moment columns, all checked
+    (with the market volatility when ``volatility``)."""
     from . import moments, windows
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
     centers, lo, hi = windows.window_grid(tp, spec)
     valid = spec.valid(hi - lo)
     if not valid.any():
         raise NoDataError("no valid windows on this tape")
-    cols = moments.window_columns(tp, centers[valid], lo[valid], hi[valid], opts["max_order"])
+    cols = moments.window_columns(tp, centers[valid], lo[valid], hi[valid], opts["max_order"],
+                                  volatility)
     return len(centers), cols
 
 
@@ -214,7 +216,7 @@ def acf(**opts):
 @click.option("--max-order", type=int, default=4, help="cap 8")
 def compare(**opts):
     """Per-window divergence of frequency vs market-based price moments."""
-    _, cols = _window_columns(opts)
+    _, cols = _window_columns(opts, volatility=False)
     with _output(opts["output_path"]) as out:
         cols.write_compare_csv(out)
 

@@ -40,6 +40,12 @@ from .windows import Window, WindowSpec, window_grid
 
 SERIES2 = ("value", "volume")
 
+#: The factors (x, y) of the seven window sums of ``acf_curve``, each the sum
+#: of series[x](t) * series[y](t + tau) over a window's ticks t, with series
+#: 0, 1, 2 the presence, value and volume: the pair count n, n·c1, n·u1, the
+#: lagged products of value and of volume, and n·c1' and n·u1'.
+PAIRS = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (0, 1), (0, 2))
+
 
 def regime_acf(
     kind: str,
@@ -268,8 +274,8 @@ def _divisor(x: np.ndarray, empty: np.ndarray | None) -> np.ndarray:
 
 
 def _means(d: np.ndarray) -> None:
-    """Turn the window sums of m, c0·m and u0·m in ``d`` (3 rows) into the
-    pair count n and the one-sided means c1 and u1, in place."""
+    """Turn the window sums of ``PAIRS[:3]`` in ``d`` (3 rows) into the pair
+    count n and the one-sided means c1 and u1, in place."""
     np.divide(d[1:], _divisor(d[0], _empty(d[0])), out=d[1:])
 
 
@@ -278,9 +284,8 @@ def _center_rows(n, c1, u1, s: np.ndarray, out: np.ndarray) -> None:
     lag2_value, lag2_volume, lag2_price and the pair count n.
 
     ``n``, ``c1`` and ``u1`` are the windows' pair counts and one-sided means
-    (see ``_means``).  ``s`` (4 rows) holds the window sums of c0·cl, u0·ul,
-    cl·m and ul·m (m the pair mask, cl and ul the lagged value and volume) and
-    takes their means.  All but ``out`` are longdouble.
+    (see ``_means``).  ``s`` (4 rows) holds the window sums of ``PAIRS[3:]``
+    and takes their means.  All but ``out`` are longdouble.
     """
     empty = _empty(n)
     np.divide(s, _divisor(n, empty), out=s)
@@ -344,17 +349,17 @@ def acf_curve(
 ) -> AcfCurve:
     """Sweep the autocorrelations over lags 0, l, 2l, ... up to max_lag.
 
-    Uses prefix sums over a dense tick-indexed array, so one lag costs
-    O(span).  Centers step by the lag step, so every window sum is one
-    strided slice difference of a prefix row.  One routine, ``center_rows``,
-    gives the seven rows of a run of consecutive centers at a run of lags:
-    it sums one factor product at a time into one longdouble prefix row per
-    lag, and on into that product's window sums, which it turns into rows.
-    On a dense tape (one record per tick) a window's pair count and
-    one-sided value and volume means at lag tau are those of lag 0 with
-    both window ends clipped at span - tau.  They are computed once, from
-    the lag-0 prefixes, of which only the tail that clipped windows read is
-    kept, so the routine sums 4 products there, not 7.
+    The tape becomes one zero-padded tick-indexed block, ``series``, of its
+    presence, value and volume (0.0 at an absent tick), and every statistic
+    comes from the seven window sums of lagged products of its rows that
+    ``PAIRS`` lists.  Centers step by the lag step, so a window sum is one
+    strided slice difference of a longdouble prefix row, and a lag costs
+    O(span).  One routine, ``center_rows``, gives the seven rows of a run of
+    consecutive centers at a run of lags.  On a dense tape (one record per
+    tick) the first three sums at lag tau are lag 0's with both window ends
+    clipped at span - tau: they come from the series' cumulative sums, of
+    which only the tail that clipped windows read is kept, so the routine
+    sums 4 products there.
 
     The mean sweep, in both modes, calls it for all centers at one lag.
     Lags of span ticks or more have no pairs and are not swept.  Lags are
@@ -393,51 +398,38 @@ def acf_curve(
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
 
-    # Zero-padded by the largest lag, so a lagged series is a view: row j of
-    # ``views`` is the value, volume or presence series from tick lags[j] on.
-    c_arr, u_arr, present = np.zeros((3, span + lags[-1]))
+    # Rows presence, value and volume, zero-padded by the largest lag, so the
+    # lagged block is a view: views[:, j] is ``series`` from tick lags[j] on.
+    series = np.zeros((3, span + lags[-1]))
+    presence, value, volume = series
     idx = tape.ticks - first
-    c_arr[idx], u_arr[idx], present[idx] = tape.value, tape.volume, 1.0
-    views = [sliding_window_view(arr, span)[::step] for arr in (c_arr, u_arr, present)]
+    presence[idx], value[idx], volume[idx] = 1.0, tape.value, tape.volume
+    views = sliding_window_view(series, span, axis=1)[:, ::step]
     # Window i sums prefix columns lo0 + i * step up to lo0 + i * step + N.
     lo0 = int(centers[0]) - spec.half_width - first
 
-    def pairs(s: int, lagged, m) -> tuple:
-        """The factor pairs of m, c0·m, u0·m, c0·cl, u0·ul, cl·m and ul·m over
-        ticks s.., given the views ``lagged`` (cl, ul, pl) of the value, volume
-        and presence series at each lag.  ``m`` takes the pair mask p0·pl; on a
-        dense tape p0 is 1.0 on every tick, so the mask is pl itself."""
-        cl, ul, pl = lagged
-        width = pl.shape[-1]
-        c0, u0, p0 = c_arr[s : s + width], u_arr[s : s + width], present[s : s + width]
-        m = pl if dense else np.multiply(p0, pl, out=m)
-        return (p0, pl), (c0, m), (u0, m), (c0, cl), (u0, ul), (cl, m), (ul, m)
-
-    # On a dense tape the window sums of m, c0·m and u0·m are lag_free's.
+    # On a dense tape the window sums of PAIRS[:3] are lag_free's, the pair
+    # count and one-sided means of every window at lag 0, or come from
+    # ``tail``, their prefixes (the series' cumulative sums) from the first
+    # column that a window clipped at span - lags[-1] can read.  Every
+    # center_rows call shares both read-only.
     first_pair = 3 if dense else 0
     if dense:
-        # The pair count and one-sided means of every window at lag 0, and the
-        # lag-0 prefixes from the first column that a window clipped at
-        # span - lags[-1] can read; every center_rows call shares them read-only.
         tail0 = max(0, span - lags[-1] - n_ticks)
-        lag_free = np.empty((3, n_centers), dtype=np.longdouble)
-        tail = np.empty((3, span + 1 - tail0), dtype=np.longdouble)
-        ps = np.zeros(span + 1, dtype=np.longdouble)
+        ps = np.zeros((3, span + 1), dtype=np.longdouble)
+        np.cumsum(series[:, :span], axis=1, dtype=np.longdouble, out=ps[:, 1:])
         lo = slice(lo0, lo0 + (n_centers - 1) * step + 1, step)
-        hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
-        for k, (x, y) in enumerate(pairs(0, [v[0] for v in views], None)[:3]):
-            _window_sum(x, y, ps, lo, hi, lag_free[k])
-            tail[k] = ps[tail0:]
+        lag_free = ps[:, lo.start + n_ticks : lo.stop + n_ticks : step] - ps[:, lo]
         _means(lag_free)  # every window holds N ticks, so n >= 1
+        tail = ps[:, tail0:].copy()
         del ps
 
     def buffers(n_lags: int, k: int) -> tuple:
         """``center_rows`` buffers for up to ``k`` centers at ``n_lags`` lags:
-        prefix rows over the widest run of ticks, the pair mask (None on a
-        dense tape), the longdouble window sums and the rows."""
+        prefix rows over the widest run of ticks, the longdouble window sums
+        and the rows."""
         widest = lo0 + (k - 1) * step + n_ticks
         return (np.zeros((n_lags, widest + 1), dtype=np.longdouble),
-                None if dense else np.empty((n_lags, widest)),
                 np.empty((7 - first_pair, n_lags, k), dtype=np.longdouble),
                 np.empty((7, n_lags, k)))
 
@@ -452,16 +444,16 @@ def acf_curve(
         ``carry``, one per product and lag; a given ``carry`` then takes the
         prefixes at lo of window b, where the next block starts.
         """
-        ps, m, d, out = bufs
+        ps, d, out = bufs
         s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
         width = lo0 + (b - 1) * step + n_ticks - s
-        lagged = [v[js, s : s + width] for v in views]
+        base, lagged = series[:, s : s + width], views[:, js, s : s + width]
         first_lo = lo0 + a * step - s
         lo = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
         hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
         seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
-        for i, (x, y) in enumerate(pairs(s, lagged, m if dense else m[:, :width])[first_pair:]):
-            _window_sum(x, y, seg, lo, hi, sums[i], carry[i] if a else None)
+        for i, (x, y) in enumerate(PAIRS[first_pair:]):
+            _window_sum(base[x], lagged[y], seg, lo, hi, sums[i], carry[i] if a else None)
             if carry is not None:
                 carry[i] = seg[:, first_lo + (b - a) * step]
         if dense:

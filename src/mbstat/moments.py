@@ -199,8 +199,8 @@ class WindowColumns(NamedTuple):
     ``center`` and ``count`` (the window's rows) are int64.  ``freq_price``,
     ``value``, ``volume`` and ``market_price`` are float64 ``(max_order,
     windows)`` blocks of the moments of orders 1..max_order, and
-    ``volatility`` is the market volatility; a window's VWAP is its
-    ``market_price`` of order 1.
+    ``volatility`` is the market volatility (None where it was not asked
+    for); a window's VWAP is its ``market_price`` of order 1.
     """
 
     center: np.ndarray
@@ -209,15 +209,16 @@ class WindowColumns(NamedTuple):
     value: np.ndarray
     volume: np.ndarray
     market_price: np.ndarray
-    volatility: np.ndarray
+    volatility: np.ndarray | None
 
     def reports(self) -> list[MomentReport]:
-        """One ``MomentReport`` per window."""
+        """One ``MomentReport`` per window (``market_volatility`` None when
+        ``volatility`` is)."""
         freq, value, volume, market = (list(zip(*rows.tolist())) for rows in (
             self.freq_price, self.value, self.volume, self.market_price))
+        vols = [None] * len(self.center) if self.volatility is None else self.volatility.tolist()
         return [MomentReport(c, n, f, v, u, mp, mp[0], vol) for c, n, f, v, u, mp, vol in zip(
-            self.center.tolist(), self.count.tolist(), freq, value, volume, market,
-            self.volatility.tolist())]
+            self.center.tolist(), self.count.tolist(), freq, value, volume, market, vols)]
 
     def write_jsonl(self, out: TextIO) -> None:
         """Write one JSON object per window: for each report the bytes of
@@ -253,7 +254,8 @@ class WindowColumns(NamedTuple):
             out.write("".join(map("%d,%d,%s,%s,%s\n".__mod__, zip(*cols))))
 
 
-def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> WindowColumns:
+def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4,
+                   volatility: bool = True) -> WindowColumns:
     """Moment columns of the windows centered at ``centers`` holding tape rows [lo, hi).
 
     Each record's value, volume and price is raised to each order once, for
@@ -266,15 +268,17 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     to 0 (ZeroDivisionError), a price moment that is not finite
     (OverflowError naming the field and order) or a VWAP whose square, in
     the volatility, overflows (OverflowError, "market volatility overflows").
+    Without ``volatility`` there is no volatility and no moment beyond
+    max_order, to compute or to check.
     """
     check_order(max_order)
-    # Value and volume moments of orders up to 2 at least: the volatility
-    # needs the second ones even when the report holds only the first.  Price
-    # moments go up to max_order.  Every order computed is checked.
-    orders = range(1, max(max_order, 2) + 1)
+    # Value and volume moments of orders up to 2 at least with the volatility,
+    # which needs the second ones even when the report holds only the first.
+    # Price moments go up to max_order.  Every order computed is checked.
+    orders = range(1, max(max_order, 2 if volatility else 1) + 1)
     centers, lo, hi = (np.asarray(x, dtype=np.int64) for x in (centers, lo, hi))
     if len(centers) > 1:  # a failing first window raises before the full pass
-        window_columns(tape, centers[:1], lo[:1], hi[:1], max_order)
+        window_columns(tape, centers[:1], lo[:1], hi[:1], max_order, volatility)
     start, stop = int(lo[0]), int(hi[-1])
     value, volume = tape.value[start:stop], tape.volume[start:stop]
     with np.errstate(over="ignore"):
@@ -291,7 +295,7 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         market = value_m / volume_m
     with np.errstate(invalid="ignore"):
-        volatility = market[1] - _pow_or_nan(market[0].tolist(), 2)
+        vol = market[1] - _pow_or_nan(market[0].tolist(), 2) if volatility else None
     # The failure table, in check order: (error, message, values, mask), each
     # block (rows, windows).  The first failing window raises at its first
     # flagged row, by table entry then order.
@@ -300,9 +304,9 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
     table += [(ZeroDivisionError, "volume moment of order {n} underflows to 0", volume_m,
                volume_m == 0),
               *((OverflowError, f"{name} moment of order {{n}} is {{x!r}}", ms, ~np.isfinite(ms))
-                for name, ms in (("freq_price", price_m), ("market_price", market))),
-              (OverflowError, "market volatility overflows", volatility[None],
-               np.isnan(volatility)[None])]
+                for name, ms in (("freq_price", price_m), ("market_price", market)))]
+    if vol is not None:
+        table.append((OverflowError, "market volatility overflows", vol[None], np.isnan(vol)[None]))
     failing = np.logical_or.reduce([mask.any(axis=0) for *_, mask in table])
     if failing.any():
         i = int(failing.argmax())
@@ -311,7 +315,7 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4) -> Wind
         raise error(f"window at tick {centers[i]}: "
                     + message.format(n=n + 1, x=float(values[n, i])))
     return WindowColumns(centers, hi - lo, price_m, value_m[:max_order],
-                         volume_m[:max_order], market[:max_order], volatility)
+                         volume_m[:max_order], market[:max_order], vol)
 
 
 def compute_report(window: Window, tape: TradeTape, max_order: int = 4) -> MomentReport:

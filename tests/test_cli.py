@@ -397,21 +397,48 @@ def test_volume_moment_underflow_names_window_order(runner, tmp_path, command):
                                "--max-order", "1"])
     assert res.exit_code == 1
     (line,) = res.output.strip().splitlines()
-    assert line == ("Error: ZeroDivisionError: window at tick 1: "
-                    "volume moment of order 2 underflows to 0")
+    if command == "stats":
+        assert line == ("Error: ZeroDivisionError: window at tick 1: "
+                        "volume moment of order 2 underflows to 0")
+    else:  # compare takes no order-2 moment at --max-order 1; its price of 1e310 is inf
+        assert line == "Error: OverflowError: window at tick 1: freq_price moment of order 1 is inf"
 
 
 @pytest.mark.parametrize("command", ["stats", "compare"])
 def test_volatility_overflow_names_window(runner, tmp_path, command):
-    # The VWAP of the window at tick 50 is about 5e154, so its square overflows.
+    # The VWAP of the window at tick 50 is about 5e154, so its square overflows;
+    # compare writes no volatility, so it does not check it.
     inp = tmp_path / "vwap.csv"
     inp.write_text("tick,value,volume\n"
                    + "".join(f"{t},1e150,{0.00202 if t == 50 else 1e-155}\n" for t in range(101)))
     res = run(runner, [command, "--input", str(inp), "--window-n", "101", "--lag-step", "1",
                        "--max-order", "1"])
-    assert res.exit_code == 1
-    assert res.output.splitlines() == [
-        "Error: OverflowError: window at tick 50: market volatility overflows"]
+    if command == "stats":
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            "Error: OverflowError: window at tick 50: market volatility overflows"]
+    else:
+        assert res.exit_code == 0
+        assert res.stdout.splitlines()[1:] == [
+            "50,1,9.9009900990099e+304,4.9999999999999994e+154,9.9009900990099e+304"]
+
+
+@pytest.mark.parametrize("command", ["stats", "compare"])
+def test_compare_takes_no_moment_beyond_max_order(runner, tmp_path, command):
+    # 1e160 ** 2 overflows: stats needs it for the volatility, compare at
+    # --max-order 1 writes only the first moments.
+    inp = tmp_path / "big.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},1e160,1\n" for t in range(3)))
+    res = run(runner, [command, "--input", str(inp), "--window-n", "3", "--lag-step", "1",
+                       "--max-order", "1"])
+    if command == "stats":
+        assert res.exit_code == 1
+        assert res.output.splitlines() == [
+            "Error: OverflowError: window at tick 1: value moment of order 2 overflows"]
+    else:
+        assert res.exit_code == 0
+        assert res.stdout == ("center_tick,n,freq_price,market_price,difference\n"
+                              "1,1,1e+160,1e+160,0.0\n")
 
 
 @pytest.mark.parametrize("command", ["stats", "compare"])

@@ -575,6 +575,31 @@ def test_center_block_sums_four_products_on_a_dense_tape(monkeypatch, ticks, sum
     assert per_block == [sums] * 6
 
 
+@pytest.mark.parametrize("aggregate", ["mean", "per-center"])
+def test_window_sums_take_only_views_of_one_series_block(monkeypatch, aggregate):
+    """On a gappy tape every factor of every window sum is a view of one
+    (presence, value, volume) block: no pair mask or other product is built."""
+    roots = []
+
+    def root(a):
+        while a.base is not None:  # a strided view's base is a wrapper with a .base
+            a = a.base
+        return a
+
+    real = lagstats._window_sum
+
+    def spy(x, y, *args):
+        roots.extend((root(x), root(y)))
+        real(x, y, *args)
+
+    monkeypatch.setattr(lagstats, "_window_sum", spy)
+    acf_curve(rising_tape([*range(30), *range(31, 61)]), WindowSpec(5, 1), 8,
+              aggregate=aggregate).columns
+    assert len(roots) == 2 * 7 * (9 if aggregate == "mean" else 10)
+    assert roots[0].shape == (3, 61 + 8)
+    assert all(r is roots[0] for r in roots)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_first_non_finite_value_is_named_for_any_thread_count(threads):
     # 1e154 * 1e155 overflows at lag 5 in window 90..100 (swept by the second
@@ -783,7 +808,7 @@ def reference_columns(tape, spec, max_lag, aggregate):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_ticks=st.integers(12, 160),
-    gap_prob=st.sampled_from([0.0, 0.15]),
+    gap_prob=st.sampled_from([0.0, 0.15, 0.7]),
     half_width=st.integers(0, 8),
     step=st.integers(1, 3),
     n_lags=st.integers(1, 40),

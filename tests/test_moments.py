@@ -400,7 +400,7 @@ def test_writers_equal_per_report_serialization(tape, half, step, max_order, com
     try:
         want = _report_lines(command, window_columns(
             parsed, centers[keep].tolist(), lo[keep].tolist(), hi[keep].tolist(),
-            max_order).reports())
+            max_order, volatility=(command == "stats")).reports())
         error = None
     except ArithmeticError as exc:
         error = f"Error: {type(exc).__name__}: {exc}"

@@ -1,16 +1,55 @@
-"""tools/same_bytes.py: one tree against itself writes the same bytes."""
+"""tools/same_bytes.py: one tree against itself writes the same bytes; a
+tree that is not a checkout, or whose runs fail, ends in a short error."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_bytes.py"
+
+
+def same_bytes(*trees):
+    return subprocess.run([sys.executable, str(TOOL), *map(str, trees)], capture_output=True,
+                          text=True, timeout=300)
 
 
 def test_same_tree_twice_has_no_difference():
-    res = subprocess.run([sys.executable, str(ROOT / "tools" / "same_bytes.py"), str(ROOT),
-                          str(ROOT)], capture_output=True, text=True, timeout=300)
+    res = same_bytes(ROOT, ROOT)
     assert res.returncode == 0, res.stdout + res.stderr
     *lines, summary = res.stdout.splitlines()
     assert summary == f"{len(lines)} outputs, 0 differ"
-    assert any(line.endswith("acf-per-center-gappy-step3-threads2 out.csv") for line in lines)
+    labels = {line.split("  ")[1].rsplit(" ", 1)[0] for line in lines}
+    assert {"acf-per-center-gappy-step3-threads2", "acf-mean-sparse-step1-threads2",
+            "compare-sparse-order8", "stats-sparse-min-trades2", "compare-sparse-min-trades2",
+            "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2"} <= labels
+
+
+def test_sparse_tape_fills_about_one_tick_in_twenty():
+    sys.path.insert(0, str(TOOL.parent))
+    try:
+        import same_bytes as tool
+    finally:
+        sys.path.remove(str(TOOL.parent))
+    text = tool.gappy_tape(seed=12, ticks=4000, filled=0.05)
+    ticks = {int(line.split(",")[0]) for line in text.splitlines()[1:]}
+    assert 150 <= len(ticks) <= 250
+
+
+def test_tree_without_package_exits_2_with_one_line():
+    res = same_bytes(ROOT / "src", ROOT)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"{ROOT / 'src'} holds no src/mbstat package\n"
+
+
+def test_failing_run_prints_its_stderr_and_exits_2(tmp_path):
+    package = tmp_path / "src" / "mbstat"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('raise RuntimeError("this tree is broken")\n')
+    res = same_bytes(tmp_path, ROOT)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    *trace, last = res.stderr.splitlines()
+    assert "RuntimeError: this tree is broken" in trace
+    assert last == f"the run with {tmp_path} exited 1"

@@ -9,13 +9,17 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
 
 - ``synth`` in ``pv`` and ``vv`` mode;
 - ``stats`` and ``compare`` at ``--max-order`` 1, 4 and 8, on the golden
-  tape and on a gappy multi-trade tape;
+  tape, a gappy multi-trade tape and a sparse one;
 - ``acf`` per center and as the mean, at ``--threads`` 1 and 2, on the
-  golden (dense) and the gappy tape, at lag steps 1 and 3.
+  golden (dense), the gappy and the sparse tape, at lag steps 1 and 3;
+- ``stats``, ``compare`` and both ``acf`` modes at ``--min-trades 2`` on the
+  sparse tape.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
-hashes where the trees differ.  The exit status is 1 on any difference.
+hashes where the trees differ.  The exit status is 1 on any difference, and
+2 when a tree holds no ``src/mbstat`` or its run fails (its stderr is
+printed).
 Standard library only; the inputs come from this script and from the golden
 tape of the repository that holds it.
 """
@@ -34,12 +38,12 @@ from pathlib import Path
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "data" / "golden_tape.csv"
 
 
-def gappy_tape(seed: int = 11, ticks: int = 1500) -> str:
-    """A multi-trade tape: about 30% of ticks have no trade, the others 1 to 3."""
+def gappy_tape(seed: int = 11, ticks: int = 1500, filled: float = 0.7) -> str:
+    """A multi-trade tape: about ``filled`` of the ticks have 1 to 3 trades, the others none."""
     rng = random.Random(seed)
     lines = ["tick,value,volume"]
     for t in range(ticks):
-        if rng.random() < 0.3:
+        if rng.random() >= filled:
             continue
         for _ in range(rng.randint(1, 3)):
             volume = rng.uniform(0.1, 5.0)
@@ -51,7 +55,7 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of every run; ``OUT`` marks an ``--output`` path."""
     runs = [(f"synth-{mode}", ["synth", "--mode", mode, "--len", "3000", "--tau-a", "10",
                                "--tau-b", "40", "--seed", "7"]) for mode in ("pv", "vv")]
-    tapes = {"golden": str(inputs / "golden.csv"), "gappy": str(inputs / "gappy.csv")}
+    tapes = {name: str(inputs / f"{name}.csv") for name in ("golden", "gappy", "sparse")}
     for command in ("stats", "compare"):
         for name, path in tapes.items():
             for order in ("1", "4", "8"):
@@ -66,6 +70,12 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                                  ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
                                   "--max-lag", "30", "--aggregate", aggregate,
                                   "--threads", threads, "--output", "OUT"]))
+    for command in ("stats", "compare", "acf-per-center", "acf-mean"):
+        args = (["acf", "--max-lag", "30", "--aggregate", command[4:], "--output", "OUT"]
+                if command.startswith("acf") else [command])
+        runs.append((f"{command}-sparse-min-trades2",
+                     [*args, "--input", tapes["sparse"], "--window-n", "21", "--lag-step", "3",
+                      "--min-trades", "2"]))
     return runs
 
 
@@ -88,13 +98,17 @@ def child(inputs: Path) -> None:
     print(json.dumps(digests))
 
 
-def digests(tree: Path, inputs: Path) -> dict[str, str]:
-    """The output digests of the matrix run with the source tree ``tree``."""
+def digests(tree: Path, inputs: Path) -> dict[str, str] | None:
+    """The output digests of the matrix run with the source tree ``tree``, or
+    None, with the run's stderr printed, when the run fails."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("MBSTAT_")}
     env["PYTHONPATH"] = str(tree / "src")
-    out = subprocess.run([sys.executable, __file__, "--child", str(inputs)], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+    res = subprocess.run([sys.executable, __file__, "--child", str(inputs)], env=env,
+                         capture_output=True, text=True)
+    if res.returncode:
+        print(f"{res.stderr}the run with {tree} exited {res.returncode}", file=sys.stderr)
+        return None
+    return json.loads(res.stdout)
 
 
 def main(argv: list[str]) -> int:
@@ -105,11 +119,19 @@ def main(argv: list[str]) -> int:
         print("usage: python tools/same_bytes.py OLD_TREE NEW_TREE", file=sys.stderr)
         return 2
     old_tree, new_tree = (Path(a).resolve() for a in argv)
+    for tree in (old_tree, new_tree):
+        if not (tree / "src" / "mbstat").is_dir():
+            print(f"{tree} holds no src/mbstat package", file=sys.stderr)
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
         (inputs / "golden.csv").write_bytes(GOLDEN.read_bytes())
         (inputs / "gappy.csv").write_text(gappy_tape())
-        old, new = digests(old_tree, inputs), digests(new_tree, inputs)
+        (inputs / "sparse.csv").write_text(gappy_tape(seed=12, ticks=4000, filled=0.05))
+        old = digests(old_tree, inputs)
+        new = None if old is None else digests(new_tree, inputs)
+    if new is None:
+        return 2
     differ = 0
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key, "missing"), new.get(key, "missing")
