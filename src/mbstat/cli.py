@@ -166,7 +166,7 @@ def _window_columns(opts: dict, volatility: bool = True):
     (with the market volatility when ``volatility``)."""
     from . import moments, windows
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
-    centers, lo, hi = windows.window_grid(tp, spec)
+    centers, lo, hi = windows.nonempty_grid(tp, spec)
     valid = spec.valid(hi - lo)
     if not valid.any():
         raise NoDataError("no valid windows on this tape")

@@ -26,6 +26,7 @@ import json
 import math
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -36,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
 from .tape import WRITE_BLOCK_ROWS, TradeTape, reprs
-from .windows import Window, WindowSpec, window_grid
+from .windows import Window, WindowSpec, nonempty_grid
 
 SERIES2 = ("value", "volume")
 
@@ -45,6 +46,8 @@ SERIES2 = ("value", "volume")
 #: 0, 1, 2 the presence, value and volume: the pair count n, n·c1, n·u1, the
 #: lagged products of value and of volume, and n·c1' and n·u1'.
 PAIRS = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (0, 1), (0, 2))
+#: float64 values in the bytes of one longdouble.
+_F64_PER_WIDE = np.dtype(np.longdouble).itemsize // 8
 
 
 def regime_acf(
@@ -300,25 +303,33 @@ def _center_rows(n, c1, u1, s: np.ndarray, out: np.ndarray) -> None:
     out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
 
 
-def _window_sum(x, y, ps: np.ndarray, lo: slice, hi: slice, out: np.ndarray,
+def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, out: np.ndarray,
                 carry: np.ndarray | None = None) -> None:
     """Sum the float64 products x·y over windows into ``out``.
 
-    The products go, widened, into the longdouble prefix row ``ps[..., 1:]``
-    (one row per lag), which is summed along the ticks in place; window i is
-    the difference of the i-th prefixes of ``hi`` and ``lo``.  Column 0 of
-    ``ps`` is 0.0, or ``carry``, the prefix of the ticks before, which the
-    sums continue: a longdouble cumsum is sequential, so bit for bit.
-    Extended precision, because prefix magnitudes grow with the tape span,
-    and a float64 cumsum would lose ~span/window relative digits in the
-    windowed differences.
+    The products go, widened, into the longdouble product row ``prod[..., 1:]``,
+    which is summed along the ticks into the prefix row ``ps[..., 1:]`` (one
+    row of each per lag); window i is the difference of the i-th prefixes of
+    ``hi`` and ``lo``.  Column 0 of ``ps`` is 0.0, or ``carry``, the prefix of
+    the ticks before, which the sums continue: a longdouble cumsum is
+    sequential, so bit for bit.  Extended precision, because prefix
+    magnitudes grow with the tape span, and a float64 cumsum would lose
+    ~span/window relative digits in the windowed differences.
+
+    The accumulate is out of place, and 1-D when there is one lag: numpy
+    holds the GIL for an accumulate whose output overlaps its input or which
+    is not 1-D, and the mean sweep's threads would take turns on it.
     """
     # The float64 product, widened: the ufunc loop follows its inputs.
-    np.multiply(x, y, out=ps[..., 1:])
-    if carry is not None:
-        ps[..., 0] = carry
-    row = ps if carry is not None else ps[..., 1:]
-    np.cumsum(row, axis=-1, out=row)
+    np.multiply(x, y, out=prod[..., 1:])
+    if carry is None:
+        src, dst = prod[..., 1:], ps[..., 1:]
+    else:
+        prod[..., 0] = carry
+        src, dst = prod, ps
+    if len(dst) == 1:
+        src, dst = src[0], dst[0]
+    np.cumsum(src, axis=-1, out=dst)
     np.subtract(ps[..., hi], ps[..., lo], out=out)
 
 
@@ -367,7 +378,10 @@ def acf_curve(
     and per CPU), and each reduces its own row of the pair-count-weighted
     mean, so output is identical for any thread count.  A thread holds one
     prefix row over the span, and its window sums and 7 rows over the
-    centers.  This gives the mean curve and its scales.  Per-center mode
+    centers, whose memory also holds its product row; its accumulates are
+    1-D, so the threads run them at once.  When one thread fails, or the
+    caller is interrupted, the others stop before their next lag.  This
+    gives the mean curve and its scales.  Per-center mode
     then calls it as the rows are read, on the calling thread, for one
     block of consecutive centers at all lags.  A block sums over its own
     ticks only, continuing the prefixes carried over from the previous
@@ -387,9 +401,7 @@ def acf_curve(
     first = tape.first_tick
     span = tape.last_tick - first + 1
     step, n_ticks = spec.lag_step_ticks, spec.n_ticks
-    centers, rec_lo, rec_hi = window_grid(tape, spec)
-    if not len(centers):
-        raise NoDataError("tape span shorter than the averaging window")
+    centers, rec_lo, rec_hi = nonempty_grid(tape, spec)
     n_centers = len(centers)
     # A window with fewer than min_trades records (its lag-0 pair count) gets
     # a zero pair count at every lag, so it drops out as stats drops it.
@@ -426,12 +438,19 @@ def acf_curve(
 
     def buffers(n_lags: int, k: int) -> tuple:
         """``center_rows`` buffers for up to ``k`` centers at ``n_lags`` lags:
-        prefix rows over the widest run of ticks, the longdouble window sums
-        and the rows."""
+        prefix rows over the widest run of ticks, the longdouble window sums,
+        the float64 rows, and longdouble memory that holds the rows and the
+        product rows over those ticks.
+
+        The product rows reuse the rows' memory: the rows are written after
+        the last window sum of a ``center_rows`` call, and its caller reads
+        or copies them out before the next call."""
         widest = lo0 + (k - 1) * step + n_ticks
+        shared = np.empty(max(n_lags * (widest + 1), -(-7 * n_lags * k // _F64_PER_WIDE)),
+                          dtype=np.longdouble)
         return (np.zeros((n_lags, widest + 1), dtype=np.longdouble),
                 np.empty((7 - first_pair, n_lags, k), dtype=np.longdouble),
-                np.empty((7, n_lags, k)))
+                shared.view(np.float64)[: 7 * n_lags * k].reshape(7, n_lags, k), shared)
 
     # Under errstate per call, not in the per-center generator, whose state
     # would hold in the reader's code between yields.
@@ -444,7 +463,7 @@ def acf_curve(
         ``carry``, one per product and lag; a given ``carry`` then takes the
         prefixes at lo of window b, where the next block starts.
         """
-        ps, d, out = bufs
+        ps, d, out, shared = bufs
         s = 0 if a == 0 else lo0 + a * step  # the tick of prefix column 0
         width = lo0 + (b - 1) * step + n_ticks - s
         base, lagged = series[:, s : s + width], views[:, js, s : s + width]
@@ -452,8 +471,9 @@ def acf_curve(
         lo = slice(first_lo, first_lo + (b - a - 1) * step + 1, step)
         hi = slice(lo.start + n_ticks, lo.stop + n_ticks, step)
         seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
+        prod = shared[: seg.size].reshape(seg.shape)
         for i, (x, y) in enumerate(PAIRS[first_pair:]):
-            _window_sum(base[x], lagged[y], seg, lo, hi, sums[i], carry[i] if a else None)
+            _window_sum(base[x], lagged[y], prod, seg, lo, hi, sums[i], carry[i] if a else None)
             if carry is not None:
                 carry[i] = seg[:, first_lo + (b - a) * step]
         if dense:
@@ -478,27 +498,39 @@ def acf_curve(
     # fields, then the total pair count (0 when the lag has no pairs): the
     # mean-mode output, and the curve the scales are detected on in both modes.
     mean = np.zeros((len(lags), 7))
+    # Set when the sweep fails or is interrupted: the other workers then stop
+    # before their next lag instead of sweeping all of theirs.
+    stop = threading.Event()
 
     @np.errstate(all="ignore")
     def sweep_lags(start: int) -> None:
-        """Fill mean[j] for j = start, start + threads, ....
+        """Fill mean[j] for j = start, start + threads, ..., until ``stop`` is set.
 
         One set of buffers serves all the worker's lags: buffers allocated per
         lag would go back to the OS and fault in again on every lag.
         """
-        bufs = buffers(1, n_centers)
-        for j in range(start, len(lags), threads):
-            rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
-            ok = rows[6] >= 1
-            if np.any(ok):
-                cut = slice(None) if ok.all() else ok
-                w = rows[6, cut]
-                wtot = w.sum()
-                mean[j] = [*(_weighted_mean(col[cut], w, wtot) for col in rows[:-1]), wtot]
+        try:
+            bufs = buffers(1, n_centers)
+            for j in range(start, len(lags), threads):
+                if stop.is_set():
+                    return
+                rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
+                ok = rows[6] >= 1
+                if np.any(ok):
+                    cut = slice(None) if ok.all() else ok
+                    w = rows[6, cut]
+                    wtot = w.sum()
+                    mean[j] = [*(_weighted_mean(col[cut], w, wtot) for col in rows[:-1]), wtot]
+        except BaseException:
+            stop.set()
+            raise
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(sweep_lags, range(threads)))
+            try:
+                list(pool.map(sweep_lags, range(threads)))
+            finally:
+                stop.set()
     else:
         sweep_lags(0)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NoDataError
 from .tape import TradeRecord, TradeTape
 
 
@@ -73,6 +74,14 @@ def window_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     lo = np.searchsorted(tape.ticks, centers - h)
     hi = np.searchsorted(tape.ticks, centers + h, side="right")
     return centers, lo, hi
+
+
+def nonempty_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``window_grid``, or NoDataError when the tape has no window at all."""
+    grid = window_grid(tape, spec)
+    if not len(grid[0]):
+        raise NoDataError("tape span shorter than the averaging window")
+    return grid
 
 
 def plan_windows(tape: TradeTape, spec: WindowSpec) -> list[Window]:

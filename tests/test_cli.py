@@ -313,6 +313,19 @@ def test_no_valid_window_is_one_line_error(runner, tmp_path, command):
     assert res.output.splitlines() == ["Error: no valid windows on this tape"]
 
 
+@pytest.mark.parametrize("command, args", [("stats", []), ("compare", []),
+                                           ("acf", ["--max-lag", "0"])])
+def test_tape_shorter_than_window_is_one_line_error(runner, tmp_path, command, args):
+    """A tape with no window at all is named as such by every command, not as
+    a tape whose windows are all invalid."""
+    inp = tmp_path / "short.csv"
+    inp.write_text("tick,value,volume\n" + "".join(f"{t},4,2\n" for t in range(5)))
+    res = runner.invoke(main, [command, "--input", str(inp), "--window-n", "7",
+                               "--lag-step", "1", *args])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["Error: tape span shorter than the averaging window"]
+
+
 def test_config_not_an_object_is_one_line_error(runner, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

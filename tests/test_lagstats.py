@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -810,7 +811,7 @@ def reference_columns(tape, spec, max_lag, aggregate):
     n_ticks=st.integers(12, 160),
     gap_prob=st.sampled_from([0.0, 0.15, 0.7]),
     half_width=st.integers(0, 8),
-    step=st.integers(1, 3),
+    step=st.integers(1, 6),
     n_lags=st.integers(1, 40),
     min_trades=st.integers(1, 5),
     aggregate=st.sampled_from(["per-center", "mean"]),
@@ -886,6 +887,55 @@ def test_mean_sweep_thread_holds_one_prefix_row(monkeypatch):
     wide = np.dtype(np.longdouble).itemsize
     buffers = (n + 1) * wide + 4 * n_centers * wide + 7 * n_centers * 8
     assert peaks[1] - peaks[0] <= 1.1 * buffers
+
+
+@pytest.mark.parametrize("ticks, calls", [(range(60), 4 * 9), ([*range(30), *range(31, 61)], 7 * 9)],
+                         ids=["dense", "gappy"])
+def test_mean_sweep_workers_accumulate_one_row_out_of_place(monkeypatch, ticks, calls):
+    """Every prefix sum that a mean-sweep worker takes is a 1-D accumulate into
+    another array of the same dtype: numpy holds the GIL for an accumulate in
+    place or over more than one dimension, and the workers would take turns."""
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
+    seen = []
+    real = np.cumsum
+
+    def spy(a, *args, out=None, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            seen.append((a.ndim, out.ndim, a.dtype == out.dtype, np.shares_memory(a, out)))
+        return real(a, *args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", spy)
+    acf_curve(rising_tape(ticks), WindowSpec(5, 1), 8, aggregate="mean", threads=2)
+    assert seen == [(1, 1, True, False)] * calls
+
+
+def test_failing_sweep_worker_stops_the_other(monkeypatch):
+    """When one mean-sweep worker raises, the error reaches the caller and the
+    other worker stops before its next lag instead of sweeping its share.  A
+    gappy tape takes one ``_center_rows`` call per lag, and the first worker
+    to reach one raises."""
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
+    real = lagstats._center_rows
+    lock = threading.Lock()
+    lags_of = {}
+
+    def spy(*args):
+        with lock:
+            first = not lags_of
+            me = threading.current_thread()
+            lags_of[me] = lags_of.get(me, 0) + 1
+        if first:
+            raise RuntimeError("worker failed")
+        real(*args)
+
+    monkeypatch.setattr(lagstats, "_center_rows", spy)
+    tape = random_tape(random.Random(3), 3000, 0.1)
+    with pytest.raises(RuntimeError, match="^worker failed$"):
+        acf_curve(tape, WindowSpec(101, 1), 99, aggregate="mean", threads=2)
+    raiser, *others = lags_of.values()
+    assert raiser == 1
+    # Each worker's share is 50 lags; the other may finish the lag it is in.
+    assert sum(others) <= 2
 
 
 class Discard(io.TextIOBase):

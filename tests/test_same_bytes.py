@@ -21,6 +21,7 @@ def test_same_tree_twice_has_no_difference():
     assert summary == f"{len(lines)} outputs, 0 differ"
     labels = {line.split("  ")[1].rsplit(" ", 1)[0] for line in lines}
     assert {"acf-per-center-gappy-step3-threads2", "acf-mean-sparse-step1-threads2",
+            "acf-per-center-golden-step5-threads2", "acf-mean-gappy-step5-threads2",
             "compare-sparse-order8", "stats-sparse-min-trades2", "compare-sparse-min-trades2",
             "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2"} <= labels
 

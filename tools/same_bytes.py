@@ -10,8 +10,9 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
 - ``synth`` in ``pv`` and ``vv`` mode;
 - ``stats`` and ``compare`` at ``--max-order`` 1, 4 and 8, on the golden
   tape, a gappy multi-trade tape and a sparse one;
-- ``acf`` per center and as the mean, at ``--threads`` 1 and 2, on the
-  golden (dense), the gappy and the sparse tape, at lag steps 1 and 3;
+- ``acf`` per center and as the mean, on the golden (dense), the gappy and
+  the sparse tape, at lag steps 1 and 3 with ``--threads`` 1 and 2, and at
+  lag step 5 (product rows wider than the float64 rows) with 2;
 - ``stats``, ``compare`` and both ``acf`` modes at ``--min-trades 2`` on the
   sparse tape.
 
@@ -64,12 +65,11 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                               "--max-order", order]))
     for aggregate in ("per-center", "mean"):
         for name, path in tapes.items():
-            for step in ("1", "3"):
-                for threads in ("1", "2"):
-                    runs.append((f"acf-{aggregate}-{name}-step{step}-threads{threads}",
-                                 ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
-                                  "--max-lag", "30", "--aggregate", aggregate,
-                                  "--threads", threads, "--output", "OUT"]))
+            for step, threads in (("1", "1"), ("1", "2"), ("3", "1"), ("3", "2"), ("5", "2")):
+                runs.append((f"acf-{aggregate}-{name}-step{step}-threads{threads}",
+                             ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
+                              "--max-lag", "30", "--aggregate", aggregate,
+                              "--threads", threads, "--output", "OUT"]))
     for command in ("stats", "compare", "acf-per-center", "acf-mean"):
         args = (["acf", "--max-lag", "30", "--aggregate", command[4:], "--output", "OUT"]
                 if command.startswith("acf") else [command])
