@@ -4,8 +4,7 @@ import importlib
 
 _EXPORTS = {
     "errors": ("DomainError", "FormatError", "NoDataError"),
-    "tape": ("TradeRecord", "TradeTape", "bucket", "emit_csv", "parse_csv", "quantize_tick",
-             "write_csv"),
+    "tape": ("TradeRecord", "TradeTape", "bucket", "emit_csv", "parse_csv", "write_csv"),
     "windows": ("Window", "WindowSpec", "members", "plan_windows"),
     "moments": ("MomentReport", "char_fn_taylor", "compute_report", "freq_moment",
                 "market_price_moment", "market_volatility", "vwap"),

@@ -22,7 +22,7 @@ import click  # noqa: E402
 
 # Each command imports the other layers it runs, so a command pays only for its own.
 from . import tape  # noqa: E402
-from .errors import FormatError, NoDataError  # noqa: E402
+from .errors import FormatError  # noqa: E402
 
 _MODE_ALIASES = {"pv": "price_volume", "vv": "value_volume"}
 
@@ -166,10 +166,7 @@ def _window_columns(opts: dict, volatility: bool = True):
     (with the market volatility when ``volatility``)."""
     from . import moments, windows
     tp, spec = _window_setup(opts, lambda _: moments.check_order(opts["max_order"]))
-    centers, lo, hi = windows.nonempty_grid(tp, spec)
-    valid = spec.valid(hi - lo)
-    if not valid.any():
-        raise NoDataError("no valid windows on this tape")
+    centers, lo, hi, valid = windows.valid_grid(tp, spec)
     cols = moments.window_columns(tp, centers[valid], lo[valid], hi[valid], opts["max_order"],
                                   volatility)
     return len(centers), cols

@@ -37,7 +37,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
 from .tape import WRITE_BLOCK_ROWS, TradeTape, reprs
-from .windows import Window, WindowSpec, nonempty_grid
+from .windows import Window, WindowSpec, valid_grid
 
 SERIES2 = ("value", "volume")
 
@@ -401,11 +401,8 @@ def acf_curve(
     first = tape.first_tick
     span = tape.last_tick - first + 1
     step, n_ticks = spec.lag_step_ticks, spec.n_ticks
-    centers, rec_lo, rec_hi = nonempty_grid(tape, spec)
+    centers, _, _, valid = valid_grid(tape, spec)
     n_centers = len(centers)
-    # A window with fewer than min_trades records (its lag-0 pair count) gets
-    # a zero pair count at every lag, so it drops out as stats drops it.
-    invalid = ~spec.valid(rec_hi - rec_lo)
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
@@ -490,7 +487,9 @@ def acf_curve(
         else:
             _means(sums[:3])
             _center_rows(*sums[:3], sums[3:], rows)
-        rows[6][:, invalid[a:b]] = 0
+        # A window with fewer than min_trades records (its lag-0 pair count)
+        # gets a zero pair count at every lag, so it drops out as stats drops it.
+        rows[6][:, ~valid[a:b]] = 0
         return rows
 
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
@@ -534,9 +533,8 @@ def acf_curve(
     else:
         sweep_lags(0)
 
+    # A valid window pairs each of its records with itself at lag 0.
     has = mean[:, -1] >= 1
-    if not np.any(has):
-        raise NoDataError("no window produced any lag pairs")
     mean_lags, mean_block = lag_arr[has], mean[has].T
     scales = [correlation_scale(mean_lags.tolist(), b, threshold) for b in mean_block[:3].tolist()]
 

@@ -4,9 +4,7 @@ A tape is a time-ordered sequence of aggregated trades on a uniform time
 grid, stored as columns: the integer tick, traded value (currency) and
 volume (asset units) of each record.  The trade price is always the derived
 ratio value/volume and is never stored.  The engine works in ticks: every
-statistic and every output field is in ticks, and the grid quantum (seconds
-per tick) enters only where timestamps are mapped onto the grid, in
-:func:`quantize_tick`.
+statistic and every output field is in ticks.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ _HEADERS = {
 
 @dataclass(frozen=True)
 class TradeRecord:
-    """One aggregated trade at grid tick ``tick`` (see :func:`quantize_tick`)."""
+    """One aggregated trade at grid tick ``tick``."""
 
     tick: int
     value: float
@@ -127,11 +125,6 @@ class TradeTape:
         if not len(self):
             raise NoDataError("tape is empty")
         return int(self.ticks[-1])
-
-
-def quantize_tick(time_seconds: float, epsilon: float) -> int:
-    """The tick of a timestamp on a grid of ``epsilon`` seconds per tick, round-half-to-even."""
-    return round(time_seconds / epsilon)
 
 
 #: Rows that ``parse_csv`` converts at a time.  Small blocks keep the

@@ -3,7 +3,8 @@
 Windows have odd width N ticks and centers that advance by the moving
 average lag step.  Only windows fully contained in the tape span are
 emitted; windows with fewer records than ``min_trades`` are flagged
-invalid rather than dropped.
+invalid rather than dropped.  ``valid_grid`` is the one plan the commands
+share: it names why a tape has no window, or no valid one.
 """
 
 from __future__ import annotations
@@ -68,26 +69,42 @@ def window_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     Also returns, per center, the [lo, hi) range of its rows in the tape columns.
     """
     h, step = spec.half_width, spec.lag_step_ticks
+    # Python ints: a window wider than the int64 range leaves no center.
     k_lo = -(-(tape.first_tick + h) // step)
     k_hi = (tape.last_tick - h) // step
-    centers = np.arange(k_lo, k_hi + 1, dtype=np.int64) * step
+    if k_lo > k_hi:
+        return (np.empty(0, dtype=np.int64),) * 3
+    # Each center's offset from the first fits uint64, and uint64 arithmetic
+    # wraps modulo 2**64, so the int64 view is exact even for a step past int64.
+    offsets = np.arange(k_hi - k_lo + 1, dtype=np.uint64) * step
+    centers = (offsets + k_lo * step % 2**64).view(np.int64)
     lo = np.searchsorted(tape.ticks, centers - h)
     hi = np.searchsorted(tape.ticks, centers + h, side="right")
     return centers, lo, hi
 
 
-def nonempty_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``window_grid``, or NoDataError when the tape has no window at all."""
-    grid = window_grid(tape, spec)
-    if not len(grid[0]):
-        raise NoDataError("tape span shorter than the averaging window")
-    return grid
+def valid_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, ...]:
+    """``window_grid``'s centers, lo and hi, and the mask of its valid windows.
+
+    Raises NoDataError naming the first cause that leaves no valid window:
+    a span shorter than the window, no lag-step multiple that fits as a
+    center, or no window that holds ``min_trades`` records.
+    """
+    centers, lo, hi = window_grid(tape, spec)
+    if not len(centers):
+        if tape.last_tick - tape.first_tick + 1 < spec.n_ticks:
+            raise NoDataError("tape span shorter than the averaging window")
+        raise NoDataError(f"no window fits at a multiple of the lag step ({spec.lag_step_ticks})")
+    valid = spec.valid(hi - lo)
+    if not valid.any():
+        raise NoDataError("no valid windows on this tape")
+    return centers, lo, hi, valid
 
 
 def plan_windows(tape: TradeTape, spec: WindowSpec) -> list[Window]:
     """Windows centered at multiples of the lag step, fully inside the tape.
 
-    Returns an empty list when the tape span is shorter than the window.
+    Returns an empty list when no window fits.
     """
     centers, lo, hi = window_grid(tape, spec)
     return [

@@ -1,14 +1,18 @@
 """Command line subcommands: stats, acf, compare, synth."""
 
+import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from mbstat import lagstats
 from mbstat.cli import main
@@ -324,6 +328,65 @@ def test_tape_shorter_than_window_is_one_line_error(runner, tmp_path, command, a
                                "--lag-step", "1", *args])
     assert res.exit_code == 1
     assert res.output.splitlines() == ["Error: tape span shorter than the averaging window"]
+
+
+@pytest.mark.parametrize("command, args", [("stats", []), ("compare", []),
+                                           ("acf", ["--max-lag", "0"])])
+@pytest.mark.parametrize("flags, line", [
+    (["--window-n", "3", "--lag-step", "3"],
+     "Error: no window fits at a multiple of the lag step (3)"),
+    (["--window-n", "99999999999999999999999"],
+     "Error: tape span shorter than the averaging window"),
+], ids=["no-lag-step-multiple", "window-n-past-int64"])
+def test_no_window_names_its_cause(runner, tmp_path, command, args, flags, line):
+    """Ticks 1..3 span N = 3 ticks, but the one center tick, 2, is no multiple
+    of the lag step 3; a window wider than int64 fits on no tape."""
+    inp = tmp_path / "short.csv"
+    inp.write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
+    res = runner.invoke(main, [command, "--input", str(inp), *flags, *args])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [line]
+
+
+@given(ticks=st.sets(st.integers(0, 40), min_size=1), offset=st.sampled_from([-17, 0, 1000]),
+       half_width=st.integers(0, 6), step=st.integers(1, 13), min_trades=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_commands_agree_on_the_window_plan(ticks, offset, half_width, step, min_trades):
+    """On a gappy tape, stats and compare write the windows that per-center
+    acf writes at lag 0; with no valid window, stats, compare and both acf
+    modes fail with the same one line and create no output file."""
+    n = 2 * half_width + 1
+    step = min(step, n)
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        inp = work / "tape.csv"
+        inp.write_text("tick,value,volume\n" + "".join(
+            f"{offset + t},{1 + t % 5},{1 + t % 3}\n" for t in sorted(ticks)))
+        common = ["--input", str(inp), "--window-n", str(n), "--lag-step", str(step),
+                  "--min-trades", str(min_trades)]
+        acf = ["acf", *common, "--max-lag", str(2 * step)]
+        runs = {"stats": ["stats", *common], "compare": ["compare", *common],
+                "per-center": acf, "mean": [*acf, "--aggregate", "mean"]}
+        results = [runner.invoke(main, args) for args in runs.values()]
+        if results[0].exit_code:
+            results += [runner.invoke(main, [*args, "--output", str(work / name)])
+                        for name, args in runs.items()]
+            assert {(res.exit_code, res.stdout) for res in results} == {(1, "")}
+            lines = {res.output for res in results}
+            assert len(lines) == 1
+            assert re.fullmatch(r"Error: (tape span shorter than the averaging window|no window "
+                                r"fits at a multiple of the lag step \(\d+\)|no valid windows "
+                                r"on this tape)\n", lines.pop())
+            assert [p.name for p in work.iterdir()] == ["tape.csv"]
+            return
+    assert [res.exit_code for res in results] == [0] * 4
+    stats = [json.loads(row)["center_tick"] for row in results[0].stdout.splitlines()]
+    compare = sorted({int(row["center_tick"])
+                      for row in csv.DictReader(io.StringIO(results[1].stdout))})
+    points = json.loads(results[2].stdout)["points"]
+    assert stats == compare == [p["center_tick"] for p in points if p["lag_ticks"] == 0]
+    assert stats
 
 
 def test_config_not_an_object_is_one_line_error(runner, tmp_path):

@@ -17,8 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 #: The public names of each submodule, as the package imported them eagerly before.
 EXPORTS = {
     "errors": ["DomainError", "FormatError", "NoDataError"],
-    "tape": ["TradeRecord", "TradeTape", "bucket", "emit_csv", "parse_csv", "quantize_tick",
-             "write_csv"],
+    "tape": ["TradeRecord", "TradeTape", "bucket", "emit_csv", "parse_csv", "write_csv"],
     "windows": ["Window", "WindowSpec", "members", "plan_windows"],
     "moments": ["MomentReport", "char_fn_taylor", "compute_report", "freq_moment",
                 "market_price_moment", "market_volatility", "vwap"],

@@ -100,6 +100,21 @@ def test_acf_curve_drops_points_without_pairs():
         acf_curve(tape, WindowSpec(3, 1, min_trades=2), 4)
 
 
+def test_no_valid_window_fails_before_the_sweep(monkeypatch):
+    """Without a valid window acf_curve fails as stats does, before it sums
+    any lag: a valid window always pairs with itself at lag 0."""
+    calls, real = [], lagstats._center_rows
+    monkeypatch.setattr(lagstats, "_center_rows", lambda *a: calls.append(1) or real(*a))
+    tape = random_tape(random.Random(3), 200, 0.5)
+    for aggregate in ("per-center", "mean"):
+        with pytest.raises(NoDataError, match="^no valid windows on this tape$"):
+            acf_curve(tape, WindowSpec(11, 1, min_trades=12), 20, aggregate=aggregate,
+                      threads=2)
+    assert calls == []
+    acf_curve(tape, WindowSpec(11, 1), 20, aggregate="mean")
+    assert calls
+
+
 def test_acf_curve_lag2_price_examples():
     # constant price 3, varying volumes
     tape = TradeTape.from_records(tuple(TradeRecord(t, 3.0 * (t + 1), t + 1.0) for t in range(6)))
@@ -961,7 +976,7 @@ def test_per_center_memory_is_bounded_by_blocks_not_lags_times_centers():
 
 @pytest.mark.parametrize("threshold", [math.nan, 0.0, 1.0, -0.5, 1.5])
 def test_threshold_is_checked_before_the_tape(threshold):
-    short = dense_tape(3)  # shorter than the window: NoDataError once swept
+    short = dense_tape(3)  # shorter than the window: NoDataError once the grid is planned
     with pytest.raises(ValueError, match="^threshold must be in"):
         acf_curve(short, WindowSpec(5, 1), 0, threshold=threshold)
     with pytest.raises(ValueError, match="^threshold must be in"):

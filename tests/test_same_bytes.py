@@ -23,7 +23,9 @@ def test_same_tree_twice_has_no_difference():
     assert {"acf-per-center-gappy-step3-threads2", "acf-mean-sparse-step1-threads2",
             "acf-per-center-golden-step5-threads2", "acf-mean-gappy-step5-threads2",
             "compare-sparse-order8", "stats-sparse-min-trades2", "compare-sparse-min-trades2",
-            "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2"} <= labels
+            "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2",
+            "stats-short-step3", "compare-short-window-n-1e23",
+            "acf-per-center-sparse-min-trades22", "acf-mean-short-step3"} <= labels
 
 
 def test_sparse_tape_fills_about_one_tick_in_twenty():

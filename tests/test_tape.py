@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbstat import (FormatError, NoDataError, SynthParams, TradeRecord, TradeTape, bucket, emit_csv,
-                    gen_tape, parse_csv, quantize_tick)
+                    gen_tape, parse_csv)
 from mbstat import tape as tape_mod
 from mbstat.tape import reprs
 
@@ -141,12 +141,6 @@ def test_tape_leaves_the_callers_arrays_writeable():
     assert all(col.flags.writeable for col in (ticks, value, volume))
     value[0] = 5.0
     assert t.value.tolist() == [2.0, 4.0] and not t.value.flags.writeable
-
-
-def test_quantize_round_half_even():
-    assert quantize_tick(2.5, 1.0) == 2
-    assert quantize_tick(3.5, 1.0) == 4
-    assert quantize_tick(1.2, 0.5) == 2
 
 
 records_strategy = st.lists(

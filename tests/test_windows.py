@@ -1,11 +1,17 @@
 """Window planning and membership resolution."""
 
+import re
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mbstat import (SynthParams, TradeRecord, TradeTape, Window, WindowSpec, gen_tape, members,
-                    plan_windows)
+from mbstat import (NoDataError, SynthParams, TradeRecord, TradeTape, Window, WindowSpec, gen_tape,
+                    members, plan_windows)
+from mbstat.windows import valid_grid, window_grid
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def dense_tape(ticks):
@@ -111,3 +117,50 @@ def test_every_member_inside_span():
     for w in plan_windows(tape, spec):
         h = spec.half_width
         assert all(w.center_tick - h <= t <= w.center_tick + h for t in w.member_ticks)
+
+
+@st.composite
+def grid_cases(draw):
+    """(ticks, N, step, min_trades): a gappy tape of up to 61 ticks, at 0 or
+    at either int64 bound, with N up to 71 or beyond int64; or a tape from
+    the int64 minimum to its maximum, with N so wide that at most 22 ticks
+    can be centers, and steps up to N (past 2**63)."""
+    if draw(st.booleans()):
+        base = draw(st.sampled_from([INT64_MIN, -30, 0, INT64_MAX - 60]))
+        ticks = sorted(base + t for t in draw(st.sets(st.integers(0, 60), min_size=1)))
+        n = draw(st.integers(0, 35).map(lambda h: 2 * h + 1) | st.just(10**23 + 1))
+    else:
+        ticks = sorted({INT64_MIN, INT64_MAX, *draw(st.sets(st.integers(-30, 30)))})
+        n = 2**64 - 1 - 2 * draw(st.integers(0, 10))
+    return ticks, n, draw(st.integers(1, n)), draw(st.integers(1, 4))
+
+
+@given(grid_cases())
+@settings(max_examples=300, deadline=None)
+def test_grid_equals_brute_force(case):
+    """The centers are every lag-step multiple in [first + h, last - h], each
+    with the rows of its window; valid_grid names the first cause of having
+    no valid window, in the order: span, lag step, min_trades."""
+    ticks, n, step, min_trades = case
+    tape = TradeTape(ticks, [1.0] * len(ticks), [1.0] * len(ticks))
+    spec = WindowSpec(n, step, min_trades)
+    h = spec.half_width
+    want = [c for c in range(ticks[0] + h, ticks[-1] - h + 1) if c % step == 0]
+    lo = [sum(t < c - h for t in ticks) for c in want]
+    hi = [sum(t <= c + h for t in ticks) for c in want]
+    centers, got_lo, got_hi = window_grid(tape, spec)
+    assert centers.dtype == np.int64
+    assert (centers.tolist(), got_lo.tolist(), got_hi.tolist()) == (want, lo, hi)
+    valid = [b - a >= min_trades for a, b in zip(lo, hi)]
+    if ticks[-1] - ticks[0] + 1 < n:
+        cause = "tape span shorter than the averaging window"
+    elif not want:
+        cause = f"no window fits at a multiple of the lag step ({step})"
+    elif not any(valid):
+        cause = "no valid windows on this tape"
+    else:
+        grid = valid_grid(tape, spec)
+        assert [x.tolist() for x in grid] == [want, lo, hi, valid]
+        return
+    with pytest.raises(NoDataError, match=f"^{re.escape(cause)}$"):
+        valid_grid(tape, spec)

@@ -14,7 +14,11 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   the sparse tape, at lag steps 1 and 3 with ``--threads`` 1 and 2, and at
   lag step 5 (product rows wider than the float64 rows) with 2;
 - ``stats``, ``compare`` and both ``acf`` modes at ``--min-trades 2`` on the
-  sparse tape.
+  sparse tape, and on tapes with no valid window, each of which ends in
+  its own error: the sparse tape at ``--min-trades 22`` (above every
+  21-tick window's record count), and a 3-tick tape (ticks 1..3) at
+  ``--window-n 3 --lag-step 3`` (no lag-step multiple fits as a center)
+  and at a ``--window-n`` beyond the int64 range.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
@@ -70,12 +74,16 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                              ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
                               "--max-lag", "30", "--aggregate", aggregate,
                               "--threads", threads, "--output", "OUT"]))
+    short = str(inputs / "short.csv")
+    cases = {f"sparse-min-trades{m}": [tapes["sparse"], "--window-n", "21", "--lag-step", "3",
+                                       "--min-trades", m] for m in ("2", "22")}
+    cases["short-step3"] = [short, "--window-n", "3", "--lag-step", "3"]
+    cases["short-window-n-1e23"] = [short, "--window-n", "99999999999999999999999"]
     for command in ("stats", "compare", "acf-per-center", "acf-mean"):
         args = (["acf", "--max-lag", "30", "--aggregate", command[4:], "--output", "OUT"]
                 if command.startswith("acf") else [command])
-        runs.append((f"{command}-sparse-min-trades2",
-                     [*args, "--input", tapes["sparse"], "--window-n", "21", "--lag-step", "3",
-                      "--min-trades", "2"]))
+        for case, flags in cases.items():
+            runs.append((f"{command}-{case}", [*args, "--input", *flags]))
     return runs
 
 
@@ -128,6 +136,7 @@ def main(argv: list[str]) -> int:
         (inputs / "golden.csv").write_bytes(GOLDEN.read_bytes())
         (inputs / "gappy.csv").write_text(gappy_tape())
         (inputs / "sparse.csv").write_text(gappy_tape(seed=12, ticks=4000, filled=0.05))
+        (inputs / "short.csv").write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
         old = digests(old_tree, inputs)
         new = None if old is None else digests(new_tree, inputs)
     if new is None:
