@@ -7,14 +7,13 @@ its size instead of counting trades equally.  Every within-window sum is the
 correctly rounded exact sum, so results are independent of member order
 down to the last bit: the per-record functions use ``math.fsum``, and
 :func:`window_columns` takes each window's sum as a difference of exact
-integer prefix sums (:func:`window_means`), which gives the same bits.
+prefix sums held in int64 base-``2**32`` digits (:func:`window_means`),
+rounded once, which gives the same bits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence, TextIO
 
@@ -135,15 +134,145 @@ def _or_nan(fn, *args) -> float:
         return math.nan
 
 
-def _int_prefix(col: np.ndarray) -> tuple[list[int], int]:
-    """Exact prefix sums of finite ``col`` as Python ints ``P``, and the scale
-    ``2**s`` for which ``P[b] - P[a]`` is ``sum(col[a:b]) * 2**s``."""
-    mant, exp = np.frexp(col)
-    nonzero = mant != 0
-    shift = max(0, 53 - int(exp[nonzero].min())) if nonzero.any() else 0
-    ints = (mant * 2.0**53).astype(np.int64).tolist()
-    shifts = np.where(nonzero, exp + (shift - 53), 0).tolist()
-    return list(itertools.accumulate(map(int.__lshift__, ints, shifts), initial=0)), 1 << shift
+#: Bytes of int64 digits that :func:`window_means` holds at once, for one
+#: block of rows or of windows; a block holds at least one row or window.
+DIGIT_BLOCK_BYTES = 2**17
+
+_MASK = 2**32 - 1
+
+
+def _digits(x: np.ndarray, emin: int, width: int) -> np.ndarray:
+    """``(width, len(x) + 1)`` int64 digit rows whose column ``i + 1`` holds
+    the integer ``x[i] * 2**(53 - emin)`` in signed base-``2**32`` digits,
+    and whose column 0 is 0.  ``x`` is finite, and ``2**emin`` is at most
+    twice its smallest nonzero magnitude.
+
+    A value's 53-bit mantissa, shifted left by its exponent's offset from
+    ``emin`` mod 32, spans three consecutive digits.
+    """
+    mant, exp = np.frexp(x)
+    m = (mant * 2.0**53).astype(np.int64)
+    k = np.where(m != 0, exp - emin, 0)
+    v = np.abs(m).view(np.uint64)
+    r = (k % 32).astype(np.uint64)
+    low = v << r  # its low 64 bits: the two lower digits
+    out = np.zeros((width, len(x) + 1), np.int64)
+    rows, cols, neg = k // 32, np.arange(1, len(x) + 1), m < 0
+    for i, part in enumerate((low & _MASK, low >> 32, (v >> 32) >> (32 - r))):
+        part = part.view(np.int64)
+        out[rows + i, cols] = np.negative(part, where=neg, out=part)
+    return out
+
+
+def _carried(s: np.ndarray) -> np.ndarray:
+    """``s`` (int64 base-``2**32`` digit rows, one number per column) with every
+    digit but the top one in [0, 2**32); the top digit takes the sign."""
+    for d in range(len(s) - 1):
+        s[d + 1] += s[d] >> 32
+        s[d] &= _MASK
+    return s
+
+
+def _rounded(s: np.ndarray, exp0: int) -> np.ndarray:
+    """The float64 nearest (ties to even) to each column's
+    ``sum(s[d] * 2**(32 * d)) * 2**exp0``, or NaN where that rounds to
+    ``2**1024`` or more.  ``s`` is int64 digit rows whose top digit has room
+    for every carry; it is overwritten.
+
+    The top 64 bits of the magnitude, with a sticky bit for every bit below
+    them, round to the nearest float64 in the uint64 conversion.  A sum in
+    the subnormal range is a multiple of ``2**-1074`` (so is every float64),
+    which it then holds exactly.
+    """
+    _carried(s)
+    neg = s[-1] < 0
+    if neg.any():
+        s[:, neg] = _carried(-s[:, neg])
+    # Three zero digits below: the top 64 bits take the bit length ``b`` of the
+    # highest nonzero digit ``h``, all of digit h - 1 and the top 32 - b bits of h - 2.
+    d = np.concatenate((np.zeros((3, s.shape[1]), np.int64), s)).view(np.uint64)
+    nonzero = d != 0
+    h = len(d) - 1 - np.argmax(nonzero[::-1], axis=0)
+    top, mid, low = (np.take_along_axis(d, (h - i)[None], axis=0)[0] for i in range(3))
+    b = np.maximum(np.frexp(top.astype(np.float64))[1], 1).astype(np.uint64)
+    below = np.logical_or.accumulate(nonzero, axis=0)
+    sticky = ((low & ((1 << b) - 1)) != 0) | np.take_along_axis(below, (h - 3)[None], axis=0)[0]
+    bits = (top << (64 - b)) | (mid << (32 - b)) | (low >> b) | sticky
+    with np.errstate(over="ignore"):
+        out = np.ldexp(bits.astype(np.float64), 32 * (h - 5) + b.astype(np.int64) + exp0)
+    out[np.isinf(out)] = math.nan
+    return np.negative(out, where=neg, out=out)
+
+
+class _Prefixes:
+    """Exact prefix sums of a finite column, as int64 digit rows
+    (:func:`_digits`), one block of ``block`` rows at a time.
+
+    ``at(j)`` gives the prefix sums at rows ``j * block`` to ``(j + 1) *
+    block``: the cumulative digit sums of block j's rows, plus the digit
+    sums of every row before it, which are kept for each block passed.  The
+    last ``KEPT`` blocks are kept too, so windows in row order turn each
+    block into digits once; a block that no window end falls in is only summed.
+    """
+
+    KEPT = 4
+
+    def __init__(self, x: np.ndarray, emin: int, width: int, block: int):
+        self.x, self.emin, self.width, self.block = x, emin, width, block
+        self.starts = [np.zeros(width, np.int64)]  # the digit sums before block j
+        self.kept: dict[int, np.ndarray] = {}
+
+    def _block_digits(self, j: int) -> np.ndarray:
+        return _digits(self.x[j * self.block:(j + 1) * self.block], self.emin, self.width)
+
+    def at(self, j: int) -> np.ndarray:
+        if j not in self.kept:
+            while len(self.starts) < j + 1:
+                self.starts.append(self.starts[-1] + self._block_digits(len(self.starts) - 1).sum(axis=1))
+            digits = self._block_digits(j)
+            cum = np.cumsum(digits, axis=1, out=digits)
+            cum += self.starts[j][:, None]
+            if len(self.starts) == j + 1:
+                self.starts.append(cum[:, -1].copy())
+            self.kept[j] = cum
+            if len(self.kept) > self.KEPT:
+                del self.kept[next(iter(self.kept))]
+        return self.kept[j]
+
+
+def _exact_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The float64 nearest to the exact ``sum(x[a:b])`` of each window [a, b)
+    of ``lo``/``hi``, NaN where that rounds past the float64 range; ``x`` is
+    finite and has fewer than ``2**31`` rows.
+
+    Every value is an integer times ``2**(emin - 53)``, for the smallest
+    exponent ``emin`` of the column, held in int64 base-``2**32`` digits, so
+    ``np.cumsum`` gives exact prefix sums and a window's digit sums are a
+    difference of two.  Rows are turned into digits, and windows rounded,
+    in blocks of ``DIGIT_BLOCK_BYTES`` of digits.
+    """
+    mag = np.abs(x)
+    top = mag.max(initial=0.0)
+    if top == 0:
+        return np.zeros(len(lo))
+    emin = int(np.frexp(mag.min(initial=top, where=mag > 0))[1])
+    # Room for a mantissa at the top exponent times up to 2**31 rows.
+    width = (int(np.frexp(top)[1]) - emin) // 32 + 4
+    del mag
+    block = max(1, DIGIT_BLOCK_BYTES // (8 * width))
+    prefixes = _Prefixes(x, emin, width, block)
+    sums = np.empty(len(lo))
+    for w in range(0, len(lo), block):
+        ends = np.concatenate((hi[w:w + block], lo[w:w + block]))
+        # The prefix at row p comes from the block of row p - 1 (p = 0 from block 0).
+        j = np.maximum(ends - 1, 0) // block
+        at = np.empty((width, len(ends)), np.int64)
+        for b in np.flatnonzero(np.bincount(j)).tolist():  # np.unique would import numpy.ma
+            sel = np.flatnonzero(j == b)
+            at[:, sel] = prefixes.at(b)[:, ends[sel] - b * block]
+        n = len(ends) // 2
+        sums[w:w + n] = _rounded(at[:, :n] - at[:, n:], emin - 53)
+    return sums
 
 
 def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -151,28 +280,19 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     bit for bit where that ``fsum`` is finite, and NaN where the exact sum
     overflows.
 
-    Each finite value is an integer times ``2**-s``, for one shift ``s >= 0``
-    of the whole column, so the integers' prefix sums are exact and a window's sum
-    is one Python int true division, which is correctly rounded as ``fsum``
-    is.  It raises OverflowError, and the window gets NaN, only where the
-    exact sum overflows: ``fsum`` also raises where only a partial sum does,
+    A window's sum is the correctly rounded exact sum of its finite values,
+    as ``fsum``'s is, taken from exact int64 digit prefix sums
+    (:func:`_exact_sums`); it is NaN only where the exact sum rounds past
+    the float64 range: ``fsum`` also raises where only a partial sum does,
     so for [1e308, 1e308, -1e308] this gives 1e308 / 3 where ``fsum``
     raises.  No tape column reaches that case, as tape values are never
-    negative.  This takes
-    O(rows + windows) for any window width.  A window holding an inf is
-    summed by ``fsum`` itself, whose result there depends on where the inf
-    sits; a window holding a NaN and no inf is NaN, as its ``fsum`` is, found
-    from a prefix count of the NaNs.
+    negative.  This takes O(rows + windows) for any window width.  A window
+    holding an inf is summed by ``fsum`` itself, whose result there depends
+    on where the inf sits; a window holding a NaN and no inf is NaN, as its
+    ``fsum`` is, found from a prefix count of the NaNs.
     """
     finite = np.isfinite(col)
-    prefix, scale = _int_prefix(np.where(finite, col, 0.0))
-    starts, stops = lo.tolist(), hi.tolist()
-    try:
-        sums = [(prefix[b] - prefix[a]) / scale for a, b in zip(starts, stops)]
-    except OverflowError:
-        sums = [_or_nan(operator.truediv, prefix[b] - prefix[a], scale)
-                for a, b in zip(starts, stops)]
-    sums = np.array(sums)
+    sums = _exact_sums(np.where(finite, col, 0.0), lo, hi)
     if not finite.all():
         # A NaN makes ``fsum`` NaN (or an OverflowError, which is NaN here) unless
         # the window also holds both infinities; only windows with an inf need it.
@@ -181,7 +301,7 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         has_inf = infs[hi] > infs[lo]
         sums[(nans[hi] > nans[lo]) & ~has_inf] = math.nan
         for i in np.flatnonzero(has_inf).tolist():
-            sums[i] = _or_nan(math.fsum, col[starts[i]:stops[i]].tolist())
+            sums[i] = _or_nan(math.fsum, col[lo[i]:hi[i]].tolist())
     return sums / (hi - lo)
 
 
@@ -237,7 +357,7 @@ class WindowColumns(NamedTuple):
             # The VWAP is market_price[0]: formatted once, written twice.
             cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0],
                        reprs(self.volatility[cut]), negative, *freq, *value, *volume, *market)
-            out.write("".join(map(line.__mod__, cols)))
+            out.writelines(map(line.__mod__, cols))  # no block's whole text is held at once
 
     def write_compare_csv(self, out: TextIO) -> None:
         """Write the frequency and market-based price moments of each window

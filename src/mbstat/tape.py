@@ -5,6 +5,10 @@ grid, stored as columns: the integer tick, traded value (currency) and
 volume (asset units) of each record.  The trade price is always the derived
 ratio value/volume and is never stored.  The engine works in ticks: every
 statistic and every output field is in ticks.
+
+``parse_csv`` reads blocks of plain numeric lines with numpy's C reader and
+every other block, and all lines after it, with ``csv.reader``; both give
+the tape, or the error line, that a row-by-row ``int``/``float`` parse gives.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import csv
 import io
 import itertools
 import math
+import sys
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 import orjson
@@ -168,6 +174,53 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
+def _checked(ticks: np.ndarray, a: np.ndarray, volume: np.ndarray, price_form: bool):
+    """The tick, value and volume columns, value = a * volume in price form
+    (written over ``a``, the block's own column), or None if a row fails
+    TradeRecord's checks."""
+    if price_form:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a, volume, out=a)
+    return (ticks, a, volume) if _valid_rows(a, volume).all() else None
+
+
+#: The bytes of a block that numpy's C reader converts: ASCII digits, the
+#: float characters, commas and LF.  Over them it gives what ``int`` and
+#: ``float`` give; outside them it can differ (``float('\x1c1')`` raises,
+#: where numpy reads 1.0).
+_PLAIN = b"0123456789.eE+-,\n"
+_PLAIN_ROW = np.dtype([("tick", np.int64), ("a", np.float64), ("volume", np.float64)])
+
+
+def _plain_columns(lines: list[str], price_form: bool):
+    """Tick, value and volume columns of a block of lines, read by
+    ``np.loadtxt``, or None unless the block holds only ``_PLAIN`` bytes,
+    each line is one row of three numbers that ``int``/``float`` accept and
+    every row passes the checks.
+
+    No line may be longer than the csv field size limit, or than the digits
+    ``int`` converts (``sys.get_int_max_str_digits``), which numpy's reader
+    does not enforce.
+    """
+    block = "".join(lines)
+    digits = getattr(sys, "get_int_max_str_digits", int)() or math.inf  # 0: no limit
+    if (not block.isascii() or block.encode().translate(None, _PLAIN)
+            or max(map(len, lines)) > min(csv.field_size_limit(), digits)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # A warning ends the read: a block of blank lines warns that it holds
+            # no data, and some numpy versions read an integral float ("1.0") as
+            # an int64 with a DeprecationWarning, where ``int`` rejects it.
+            warnings.simplefilter("error")
+            rows = np.loadtxt(lines, delimiter=",", dtype=_PLAIN_ROW, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(rows) != len(lines):  # a blank line
+        return None
+    return _checked(rows["tick"], rows["a"], rows["volume"], price_form)
+
+
 def _block_columns(rows: list[list[str]], price_form: bool):
     """Tick, value and volume columns of a block of rows, skipping blank ones,
     or None if a row fails a check."""
@@ -183,9 +236,7 @@ def _block_columns(rows: list[list[str]], price_form: bool):
         volume = np.array(second, dtype=np.float64)
     except (ValueError, OverflowError):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = a * volume if price_form else a
-    return (ticks, value, volume) if _valid_rows(value, volume).all() else None
+    return _checked(ticks, a, volume, price_form)
 
 
 def _raise_first_bad_row(rows: list[list[str]], line: int, price_form: bool) -> None:
@@ -210,14 +261,40 @@ def _raise_first_bad_row(rows: list[list[str]], line: int, price_form: bool) -> 
             raise FormatError(str(exc), line=lineno) from None
 
 
+def _csv_blocks(lines: Iterator[str], line: int, price_form: bool):
+    """Column blocks of the rows that ``csv.reader`` reads from ``lines``, whose
+    first is file line ``line``: ``PARSE_BLOCK_ROWS`` rows at a time, each
+    converted with the ``int``/``float`` calls and checks of a row-by-row parse."""
+    reader = csv.reader(lines)
+    first = line
+    while True:
+        rows = []
+        try:
+            for row in itertools.islice(reader, PARSE_BLOCK_ROWS):
+                rows.append(row)
+        except csv.Error as exc:  # a field over the module's size limit, say
+            # A bad row before the reader's error is the first error, as row by row.
+            _raise_first_bad_row(rows, line, price_form)
+            raise FormatError(str(exc), line=first - 1 + reader.line_num) from None
+        if not rows:
+            return
+        if (cols := _block_columns(rows, price_form)) is None:
+            _raise_first_bad_row(rows, line, price_form)
+        yield cols
+        line = first + reader.line_num
+
+
 def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     """Parse a tape from CSV text or a file-like object.
 
     The header row must match the chosen format exactly.  In price form the
     record value is price * volume.  Duplicate ticks are merged as by
     bucket.  Malformed rows raise :class:`FormatError` with their line number.
-    Rows are converted in blocks of ``PARSE_BLOCK_ROWS``, with the same
-    ``int``/``float`` calls and checks as a row-by-row parse.
+    Lines are read ``PARSE_BLOCK_ROWS`` at a time.  While each block holds
+    only plain numbers (``_plain_columns``), numpy's C reader converts it;
+    the first block that does not, and every line after it, go through
+    ``csv.reader`` with the ``int``/``float`` calls and checks of a
+    row-by-row parse, which also names the first bad line.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -225,23 +302,26 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
         # UTF-8 bytes (a StringIO holds UCS-4), split into lines as open(newline="") does.
         text = io.TextIOWrapper(io.BytesIO(text.encode(errors="surrogatepass")),
                                 encoding="utf-8", errors="surrogatepass", newline="")
-    reader = csv.reader(text)
+    lines = iter(text)
+    reader = csv.reader(lines)
     price_form = format == "tick-price-volume"
-    blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
     try:
-        if (header := next(reader, None)) is None:
-            raise FormatError("missing header row", line=1)
-        expected = _HEADERS[format]
-        if tuple(h.strip() for h in header) != expected:
-            raise FormatError(f"header must be {','.join(expected)}", line=1)
-        line = reader.line_num + 1  # the physical line of the block's first row
-        while rows := list(itertools.islice(reader, PARSE_BLOCK_ROWS)):
-            if (cols := _block_columns(rows, price_form)) is None:
-                _raise_first_bad_row(rows, line, price_form)
-            blocks.append(cols)
-            line = reader.line_num + 1
-    except csv.Error as exc:  # a field over the module's size limit, say
+        header = next(reader, None)
+    except csv.Error as exc:
         raise FormatError(str(exc), line=reader.line_num) from None
+    if header is None:
+        raise FormatError("missing header row", line=1)
+    expected = _HEADERS[format]
+    if tuple(h.strip() for h in header) != expected:
+        raise FormatError(f"header must be {','.join(expected)}", line=1)
+    blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
+    line = reader.line_num + 1  # the physical line of the block's first row
+    while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
+        if (cols := _plain_columns(block, price_form)) is None:
+            blocks += _csv_blocks(itertools.chain(block, lines), line, price_form)
+            break
+        blocks.append(cols)
+        line += len(block)
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 

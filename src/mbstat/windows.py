@@ -74,9 +74,13 @@ def window_grid(tape: TradeTape, spec: WindowSpec) -> tuple[np.ndarray, np.ndarr
     k_hi = (tape.last_tick - h) // step
     if k_lo > k_hi:
         return (np.empty(0, dtype=np.int64),) * 3
+    count = k_hi - k_lo + 1
+    # np.arange raises for fewer centers, but returns no center from 2**63 on.
+    if count * np.dtype(np.uint64).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"the window grid has {count} centers, more than an array can hold")
     # Each center's offset from the first fits uint64, and uint64 arithmetic
     # wraps modulo 2**64, so the int64 view is exact even for a step past int64.
-    offsets = np.arange(k_hi - k_lo + 1, dtype=np.uint64) * step
+    offsets = np.arange(count, dtype=np.uint64) * step
     centers = (offsets + k_lo * step % 2**64).view(np.int64)
     lo = np.searchsorted(tape.ticks, centers - h)
     hi = np.searchsorted(tape.ticks, centers + h, side="right")

@@ -348,6 +348,23 @@ def test_no_window_names_its_cause(runner, tmp_path, command, args, flags, line)
     assert res.output.splitlines() == [line]
 
 
+@pytest.mark.parametrize("command, args", [("stats", []), ("compare", []),
+                                           ("acf", ["--max-lag", "0"])])
+@pytest.mark.parametrize("first, count", [(-(2**63), 2**64), (0, 2**63)])
+def test_grid_past_any_array_names_its_center_count(runner, tmp_path, command, args, first,
+                                                     count):
+    """Two rows from ``first`` to the int64 top with N = 1 and step 1 plan
+    ``count`` centers: 2**64 made numpy say ``Maximum allowed size
+    exceeded``, and 2**63 made ``np.arange`` return no center at all."""
+    inp = tmp_path / "wide.csv"
+    inp.write_text(f"tick,value,volume\n{first},4,2\n{2**63 - 1},4,2\n")
+    res = runner.invoke(main, [command, "--input", str(inp), "--window-n", "1",
+                               "--lag-step", "1", *args])
+    assert res.exit_code == 1
+    assert res.output.splitlines() == [
+        f"Error: out of memory: the window grid has {count} centers, more than an array can hold"]
+
+
 @given(ticks=st.sets(st.integers(0, 40), min_size=1), offset=st.sampled_from([-17, 0, 1000]),
        half_width=st.integers(0, 6), step=st.integers(1, 13), min_trades=st.integers(1, 6))
 @settings(max_examples=60, deadline=None)

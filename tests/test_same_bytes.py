@@ -25,7 +25,16 @@ def test_same_tree_twice_has_no_difference():
             "compare-sparse-order8", "stats-sparse-min-trades2", "compare-sparse-min-trades2",
             "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2",
             "stats-short-step3", "compare-short-window-n-1e23",
-            "acf-per-center-sparse-min-trades22", "acf-mean-short-step3"} <= labels
+            "acf-per-center-sparse-min-trades22", "acf-mean-short-step3",
+            "stats-trades-price-form", "compare-trades-price-form",
+            "acf-per-center-trades-price-form", "acf-mean-trades-price-form",
+            "stats-gappy-quoted-crlf", "compare-gappy-quoted-crlf",
+            "acf-per-center-gappy-quoted-crlf", "acf-mean-gappy-quoted-crlf"} <= labels
+    # The csv.reader parse of the quoted CRLF copy writes the plain tape's bytes.
+    digests = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
+    for command in ("stats", "compare"):
+        assert (digests[f"{command}-gappy-quoted-crlf stdout"]
+                == digests[f"{command}-gappy-order4 stdout"])
 
 
 def test_sparse_tape_fills_about_one_tick_in_twenty():

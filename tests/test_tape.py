@@ -200,31 +200,36 @@ def reference_bucket(raw):
 
 
 def reference_parse_csv(text, format="tick-value-volume"):
-    """Row-by-row parse into TradeRecords, then the dict merge, kept as a reference."""
-    reader = csv.reader(io.StringIO(text))
+    """Row-by-row parse into TradeRecords, then the dict merge, kept as a
+    reference.  Lines split as open(newline="") splits them, and a row's line
+    is the physical line it starts on."""
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("missing header row", line=1)
-    expected = tape_mod._HEADERS[format]
-    if tuple(h.strip() for h in header) != expected:
-        raise FormatError(f"header must be {','.join(expected)}", line=1)
-    raw = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 3:
-            raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
-        try:
-            tick = int(row[0])
-            if not -(2**63) <= tick < 2**63:
-                raise ValueError(f"tick {tick} is outside the int64 range")
-            a = float(row[1])
-            volume = float(row[2])
-            value = a * volume if format == "tick-price-volume" else a
-            raw.append(TradeRecord(tick, value, volume))
-        except ValueError as exc:
-            raise FormatError(str(exc), line=lineno) from None
+        header = next(reader, None)
+        if header is None:
+            raise FormatError("missing header row", line=1)
+        expected = tape_mod._HEADERS[format]
+        if tuple(h.strip() for h in header) != expected:
+            raise FormatError(f"header must be {','.join(expected)}", line=1)
+        raw = []
+        lineno = reader.line_num + 1
+        for row in reader:
+            if row and not (len(row) == 1 and not row[0].strip()):
+                if len(row) != 3:
+                    raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+                try:
+                    tick = int(row[0])
+                    if not -(2**63) <= tick < 2**63:
+                        raise ValueError(f"tick {tick} is outside the int64 range")
+                    a = float(row[1])
+                    volume = float(row[2])
+                    value = a * volume if format == "tick-price-volume" else a
+                    raw.append(TradeRecord(tick, value, volume))
+                except ValueError as exc:
+                    raise FormatError(str(exc), line=lineno) from None
+            lineno = reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(str(exc), line=reader.line_num) from None
     return reference_bucket(raw)
 
 
@@ -278,6 +283,117 @@ def test_parse_equals_row_by_row_reference(rows, fmt, block_rows):
     with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
         got = outcome(parse_csv, text, format=fmt)
     assert got == outcome(reference_parse_csv, text, format=fmt)
+
+
+#: The characters of a field that numpy's reader converts (``tape._PLAIN``
+#: less the comma and LF).
+PLAIN_CHARS = "0123456789.eE+-"
+plain_tokens = st.one_of(
+    st.text(alphabet=PLAIN_CHARS, max_size=8),
+    st.from_regex(r"\A[+-]?[0-9]{0,21}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,4})?\Z"),
+    st.integers(min_value=-(2**64), max_value=2**64).map(str),
+    magnitudes.map(repr),
+    # int rejects a tick of more than 4300 digits; numpy's reader reads it.
+    st.sampled_from(["1e999", "-1e999", "1e-400", "+5", "-0", "00017", "1.", ".5", "e5",
+                     "0" * 4301 + "7", "0" * 300 + "1.5"]),
+)
+EOLS = ["\n", "\r\n", "\r"]
+
+
+def plain_rows(draw):
+    """Rows of plain fields: mostly valid, some with a token that ``int`` or
+    ``float`` rejects or that fails a check, some with 2 or 4 fields."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        fields = [str(draw(st.integers(min_value=-3, max_value=40))), repr(draw(magnitudes)),
+                  repr(draw(st.floats(min_value=1e-3, max_value=1e3)))]
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            fields[draw(st.integers(min_value=0, max_value=2))] = draw(plain_tokens)
+        if draw(st.integers(min_value=0, max_value=19)) == 0:
+            fields = fields[:2] if draw(st.booleans()) else [*fields, "1"]
+        rows.append(",".join(fields))
+    return rows
+
+
+@st.composite
+def plain_text(draw, header):
+    """A tape of plain rows with LF line ends, the last one optional."""
+    return "\n".join([header, *plain_rows(draw)]) + draw(st.sampled_from(["\n", ""]))
+
+
+#: Lines just outside the plain bytes, for a tick t: quotes, a quoted LF,
+#: NUL, \x1c, "_", non-ASCII digits, blank and whitespace-only lines, a
+#: leading space, a 2-field row then a 4-field row, a field over the csv
+#: field size limit and a line over it whose fields are under it.
+OUTSIDE = [
+    lambda t: [f'"{t}",1.5,2'], lambda t: [f'{t},"2.5\n",1'], lambda t: [f"{t},1\x00,2"],
+    lambda t: [f"{t},\x1c1,2"], lambda t: [f"{t},1_0,2"], lambda t: [f"{t},١.٥,2"],
+    lambda t: ["١٢,1,1"], lambda t: [""], lambda t: ["  "], lambda t: ["\t"],
+    lambda t: [f" {t},1,1"], lambda t: [f"{t},1", f"{t},1,1,1"],
+    lambda t: [f"{t},{'1' * 131_073},1"], lambda t: [f"{t},{'0' * 70_000}1.5,{'0' * 70_000}2"],
+]
+
+
+@st.composite
+def near_plain_text(draw, header):
+    """Plain rows with lines just outside the plain bytes among them, and LF,
+    CRLF or bare CR line ends, mostly one kind to a file."""
+    rows = plain_rows(draw)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(rows)))
+        rows[at:at] = draw(st.sampled_from(OUTSIDE))(draw(st.integers(min_value=0, max_value=40)))
+    eol = draw(st.sampled_from(EOLS))
+    return "".join(line + (eol if draw(st.integers(min_value=0, max_value=9)) else
+                           draw(st.sampled_from(EOLS))) for line in [header, *rows])
+
+
+@given(st.sampled_from(tape_mod.FORMATS).flatmap(lambda fmt: st.tuples(st.just(fmt), st.one_of(
+    plain_text(",".join(tape_mod._HEADERS[fmt])),
+    near_plain_text(",".join(tape_mod._HEADERS[fmt]))))), st.sampled_from([1, 3, 1024]))
+@settings(max_examples=400, deadline=None)
+def test_plain_and_csv_blocks_parse_as_the_row_by_row_reference(case, block_rows):
+    """numpy's reader takes the blocks of plain lines, and csv.reader the
+    first other block and all after it: the tape, or the FormatError and
+    its line, is the row-by-row parse's."""
+    fmt, text = case
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
+        got = outcome(parse_csv, text, format=fmt)
+    assert got == outcome(reference_parse_csv, text, format=fmt)
+
+
+@given(st.lists(plain_tokens.filter(lambda f: len(f) <= 40), min_size=3, max_size=3))
+@settings(max_examples=1000, deadline=None)
+def test_numpy_reader_agrees_with_int_and_float_over_the_plain_bytes(fields):
+    """Whatever ``np.loadtxt`` reads from a line of three short plain fields,
+    ``int`` and ``float`` read too, to the same value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            row = np.loadtxt([",".join(fields) + "\n"], delimiter=",",
+                             dtype=tape_mod._PLAIN_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return
+    tick, a, volume = row.tolist()[0]
+    assert (tick, a.hex(), volume.hex()) == (int(fields[0]), float(fields[1]).hex(),
+                                             float(fields[2]).hex())
+
+
+def test_plain_blocks_skip_the_csv_reader_and_other_blocks_take_it_from_their_line():
+    lines = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
+    plain = "\n".join(["tick,value,volume", *lines]) + "\n"
+    calls = []
+    real = tape_mod._csv_blocks
+
+    def spy(lines, line, price_form):
+        calls.append(line)
+        return real(lines, line, price_form)
+
+    with patch.object(tape_mod, "_csv_blocks", spy):
+        want = rows(parse_csv(plain))
+        assert calls == []
+        lines[2500] = '"2500",' + lines[2500].split(",", 1)[1]  # line 2502, in the third block
+        assert rows(parse_csv("\n".join(["tick,value,volume", *lines]) + "\n")) == want
+        assert calls == [2 + 2 * tape_mod.PARSE_BLOCK_ROWS]
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),

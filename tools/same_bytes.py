@@ -18,7 +18,10 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   its own error: the sparse tape at ``--min-trades 22`` (above every
   21-tick window's record count), and a 3-tick tape (ticks 1..3) at
   ``--window-n 3 --lag-step 3`` (no lag-step multiple fits as a center)
-  and at a ``--window-n`` beyond the int64 range.
+  and at a ``--window-n`` beyond the int64 range;
+- the same four commands on a multi-trade ``tick-price-volume`` tape, whose
+  plain lines numpy's reader parses, and on a copy of the gappy tape with
+  every field quoted and CRLF line ends, which ``csv.reader`` parses.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
@@ -56,6 +59,26 @@ def gappy_tape(seed: int = 11, ticks: int = 1500, filled: float = 0.7) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trade_tape(seed: int = 13, ticks: int = 1500) -> str:
+    """A ``tick,price,volume`` tape: about 10% of the ticks have no trade, the others 1 to 4."""
+    rng = random.Random(seed)
+    lines = ["tick,price,volume"]
+    for t in range(ticks):
+        if rng.random() < 0.1:
+            continue
+        price = rng.lognormvariate(0.0, 0.1)
+        for _ in range(rng.randint(1, 4)):
+            lines.append(f"{t},{price * rng.lognormvariate(0.0, 0.002)!r},"
+                         f"{rng.lognormvariate(0.0, 0.5) / 3.0!r}")
+    return "\n".join(lines) + "\n"
+
+
+def quoted_crlf(text: str) -> str:
+    """``text`` with every field quoted and CRLF line ends."""
+    return "".join(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
+                   for line in text.splitlines())
+
+
 def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
     """(label, CLI arguments) of every run; ``OUT`` marks an ``--output`` path."""
     runs = [(f"synth-{mode}", ["synth", "--mode", mode, "--len", "3000", "--tau-a", "10",
@@ -79,6 +102,10 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                                        "--min-trades", m] for m in ("2", "22")}
     cases["short-step3"] = [short, "--window-n", "3", "--lag-step", "3"]
     cases["short-window-n-1e23"] = [short, "--window-n", "99999999999999999999999"]
+    cases["trades-price-form"] = [str(inputs / "trades.csv"), "--format", "tick-price-volume",
+                                  "--window-n", "21", "--lag-step", "5"]
+    cases["gappy-quoted-crlf"] = [str(inputs / "gappy_crlf.csv"), "--window-n", "21",
+                                  "--lag-step", "5"]
     for command in ("stats", "compare", "acf-per-center", "acf-mean"):
         args = (["acf", "--max-lag", "30", "--aggregate", command[4:], "--output", "OUT"]
                 if command.startswith("acf") else [command])
@@ -137,6 +164,8 @@ def main(argv: list[str]) -> int:
         (inputs / "gappy.csv").write_text(gappy_tape())
         (inputs / "sparse.csv").write_text(gappy_tape(seed=12, ticks=4000, filled=0.05))
         (inputs / "short.csv").write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
+        (inputs / "trades.csv").write_text(trade_tape())
+        (inputs / "gappy_crlf.csv").write_bytes(quoted_crlf(gappy_tape()).encode())
         old = digests(old_tree, inputs)
         new = None if old is None else digests(new_tree, inputs)
     if new is None:
