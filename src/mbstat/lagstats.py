@@ -149,10 +149,10 @@ class AcfCurve:
     ``blocks()`` yields the rows as consecutive ``Columns`` blocks, ordered by
     lag (mean mode, one block) or by center then lag (per-center mode, one
     block per run of centers, computed as it is read).  Scales are detected
-    on the pair-count-weighted mean curve in both modes.  The whole columns
-    ``lag``, ``stats``, ``pair_count`` and ``center`` (None in mean mode) and
-    the ``points`` are built from the blocks on first use and then kept;
-    ``write`` reads the blocks and keeps none of them.
+    on the pair-count-weighted mean curve in both modes.  The whole
+    ``columns`` (their ``center`` None in mean mode) and the ``points`` are
+    built from the blocks on first use and then kept; ``write`` reads the
+    blocks and keeps none of them.
     """
 
     window_n: int
@@ -174,22 +174,6 @@ class AcfCurve:
                        np.concatenate([p.stats for p in parts], axis=1),
                        np.concatenate([p.pair_count for p in parts]), center)
 
-    @property
-    def lag(self) -> np.ndarray:
-        return self.columns.lag
-
-    @property
-    def stats(self) -> np.ndarray:
-        return self.columns.stats
-
-    @property
-    def pair_count(self) -> np.ndarray:
-        return self.columns.pair_count
-
-    @property
-    def center(self) -> np.ndarray | None:
-        return self.columns.center
-
     def __eq__(self, other):
         if not isinstance(other, AcfCurve):
             return NotImplemented
@@ -199,8 +183,9 @@ class AcfCurve:
     @cached_property
     def points(self) -> tuple[AcfPoint, ...]:
         """One ``AcfPoint`` per row, built on first use and then kept."""
-        centers = () if self.center is None else (self.center.tolist(),)
-        cols = self.lag.tolist(), *self.stats.tolist(), self.pair_count.tolist(), *centers
+        c = self.columns
+        centers = () if c.center is None else (c.center.tolist(),)
+        cols = c.lag.tolist(), *c.stats.tolist(), c.pair_count.tolist(), *centers
         return tuple(map(AcfPoint, *cols))
 
     def to_dict(self) -> dict:

@@ -3,7 +3,9 @@
 Frequency-based moments are plain arithmetic means of n-th powers over the
 trades in a window.  Market-based price moments are the ratio of the value
 moment to the volume moment of the same order, which weights each trade by
-its size instead of counting trades equally.  Every within-window sum is the
+its size instead of counting trades equally.  Every power is the libm
+``pow``: Python's ``x**n`` per record, and one ``np.float_power`` call per
+column in :func:`window_columns`.  Every within-window sum is the
 correctly rounded exact sum, so results are independent of member order
 down to the last bit: the per-record functions use ``math.fsum``, and
 :func:`window_columns` takes each window's sum as a difference of exact
@@ -124,14 +126,6 @@ class MomentReport:
             "volume": list(self.volume),
             "market_price": list(self.market_price),
         }
-
-
-def _or_nan(fn, *args) -> float:
-    """``fn(*args)``, or NaN if it overflows (no real moment here is NaN)."""
-    try:
-        return fn(*args)
-    except OverflowError:
-        return math.nan
 
 
 #: Bytes of int64 digits that :func:`window_means` holds at once, for one
@@ -301,16 +295,21 @@ def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         has_inf = infs[hi] > infs[lo]
         sums[(nans[hi] > nans[lo]) & ~has_inf] = math.nan
         for i in np.flatnonzero(has_inf).tolist():
-            sums[i] = _or_nan(math.fsum, col[lo[i]:hi[i]].tolist())
+            try:
+                sums[i] = math.fsum(col[lo[i]:hi[i]].tolist())
+            except OverflowError:  # NaN marks an overflow: no real moment here is NaN
+                sums[i] = math.nan
     return sums / (hi - lo)
 
 
-def _pow_or_nan(xs: list[float], n: int) -> list[float]:
-    """``[x**n for x in xs]`` (the libm ``pow``), with NaN where a power overflows."""
-    try:
-        return [x**n for x in xs]
-    except OverflowError:
-        return [_or_nan(pow, x, n) for x in xs]
+def _power(x: np.ndarray, n: int) -> np.ndarray:
+    """``x**n`` of each entry (the libm ``pow``, as Python's ``float ** int``),
+    with NaN where the power of a finite entry overflows."""
+    # Not np.power: numpy may send it to a SIMD kernel whose last bits differ from libm's.
+    with np.errstate(over="ignore"):
+        out = np.float_power(x, n)
+    out[np.isinf(out) & np.isfinite(x)] = math.nan
+    return out
 
 
 class WindowColumns(NamedTuple):
@@ -379,11 +378,12 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4,
     """Moment columns of the windows centered at ``centers`` holding tape rows [lo, hi).
 
     Each record's value, volume and price is raised to each order once, for
-    all the windows that hold it (Python ``x**n``, the libm ``pow``); every
-    window mean is the exact-sum mean of :func:`window_means`.  A window with
-    no rows is not allowed.  Every window is checked before this returns,
-    against one table of vectorised masks; the first window, in order, that
-    fails raises at its first failing check: an overflowing moment
+    all the windows that hold it, one column per series and order
+    (:func:`_power`, the libm ``pow``); every window mean is the exact-sum
+    mean of :func:`window_means`.  A window with no rows is not allowed.
+    Every window is checked before this returns, against one table of
+    vectorised masks; the first window, in order, that fails raises at its
+    first failing check: an overflowing moment
     (OverflowError, by series then order), a volume moment that underflows
     to 0 (ZeroDivisionError), a price moment that is not finite
     (OverflowError naming the field and order) or a VWAP whose square, in
@@ -406,16 +406,14 @@ def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4,
     lo, hi = lo - start, hi - start
     # (orders, windows) blocks of the value, volume and price moments; NaN marks an overflow.
     means = [np.empty((k, len(centers))) for k in (len(orders), len(orders), max_order)]
-    for block, xs in zip(means, map(np.ndarray.tolist, (value, volume, price))):
+    for block, x in zip(means, (value, volume, price)):
         for row, n in zip(block, orders):
-            col = _pow_or_nan(xs, n)
-            row[:] = window_means(np.array(col), lo, hi)
-            del col  # one power column at a time
+            row[:] = window_means(_power(x, n), lo, hi)
     value_m, volume_m, price_m = means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         market = value_m / volume_m
     with np.errstate(invalid="ignore"):
-        vol = market[1] - _pow_or_nan(market[0].tolist(), 2) if volatility else None
+        vol = market[1] - _power(market[0], 2) if volatility else None
     # The failure table, in check order: (error, message, values, mask), each
     # block (rows, windows).  The first failing window raises at its first
     # flagged row, by table entry then order.

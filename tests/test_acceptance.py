@@ -106,7 +106,7 @@ def test_criterion_03_zero_lag_is_volatility():
         spec = WindowSpec(11, 3)
         curve = acf_curve(tape, spec, 0, aggregate="per-center")
         valid = [w for w in plan_windows(tape, spec) if w.valid]
-        assert curve.center.tolist() == [w.center_tick for w in valid]
+        assert curve.columns.center.tolist() == [w.center_tick for w in valid]
         for p, w in zip(curve.points, valid):
             assert p.b_price == pytest.approx(
                 market_volatility(members(w, tape)), rel=1e-12

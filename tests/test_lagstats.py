@@ -95,7 +95,7 @@ def test_acf_curve_drops_points_without_pairs():
     curve = acf_curve(tape, WindowSpec(3, 1), 4)
     assert [(p.center_tick, p.lag_ticks, p.pair_count) for p in curve.points] == [
         (1, 0, 1), (1, 4, 1), (3, 0, 1)]
-    assert acf_curve(tape, WindowSpec(3, 1), 4, aggregate="mean").lag.tolist() == [0, 4]
+    assert acf_curve(tape, WindowSpec(3, 1), 4, aggregate="mean").columns.lag.tolist() == [0, 4]
     with pytest.raises(NoDataError):
         acf_curve(tape, WindowSpec(3, 1, min_trades=2), 4)
 
@@ -634,8 +634,8 @@ def test_mean_of_large_finite_rows_is_finite():
     spec = WindowSpec(101, 1)
     mean = acf_curve(tape, spec, 5, aggregate="mean")
     per_center = acf_curve(tape, spec, 5)
-    assert np.isfinite(mean.stats).all() and np.isfinite(per_center.stats).all()
-    assert mean.stats[3].tolist() == pytest.approx([9e306] * 6, rel=1e-12)
+    assert np.isfinite(mean.columns.stats).all() and np.isfinite(per_center.columns.stats).all()
+    assert mean.columns.stats[3].tolist() == pytest.approx([9e306] * 6, rel=1e-12)
     scales = [(c.scale_value, c.scale_volume, c.scale_price) for c in (mean, per_center)]
     assert scales[0] == scales[1]
 
@@ -671,18 +671,18 @@ def test_per_center_mean_points_equal_mean_mode(make_tape, spec, max_lag, thread
     tape = make_tape()
     mean = acf_curve(tape, spec, max_lag, aggregate="mean", threads=threads)
     per_center = acf_curve(tape, spec, max_lag, aggregate="per-center", threads=threads)
+    m, c = mean.columns, per_center.columns
     if spec.min_trades > 1:
         windows = plan_windows(tape, spec)
-        assert 0 < len(set(per_center.center.tolist())) == sum(w.valid for w in windows) < len(
-            windows)
-    lags = np.unique(per_center.lag)
-    assert mean.lag.tolist() == lags.tolist()
+        assert 0 < len(set(c.center.tolist())) == sum(w.valid for w in windows) < len(windows)
+    lags = np.unique(c.lag)
+    assert m.lag.tolist() == lags.tolist()
     for i, tau in enumerate(lags):
-        rows = per_center.lag == tau  # in center order
-        w = per_center.pair_count[rows]
-        assert w.sum() == mean.pair_count[i]
-        for k, x in enumerate(per_center.stats[:, rows]):
-            assert (x * w).sum() / w.sum() == mean.stats[k, i]
+        rows = c.lag == tau  # in center order
+        w = c.pair_count[rows]
+        assert w.sum() == m.pair_count[i]
+        for k, x in enumerate(c.stats[:, rows]):
+            assert (x * w).sum() / w.sum() == m.stats[k, i]
     assert (per_center.scale_value, per_center.scale_volume, per_center.scale_price) == (
         mean.scale_value, mean.scale_volume, mean.scale_price)
 
@@ -735,7 +735,7 @@ def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
                           threshold=threshold)
     except NoDataError:
         reject()
-    stats = curve.stats.copy()
+    stats = curve.columns.stats.copy()
     for k, i, x in odd:
         stats[k, i % stats.shape[1]] = x
     # The rows, split into column blocks at the cuts.
@@ -858,13 +858,14 @@ def test_sweep_equals_reference_kernel(seed, n_ticks, gap_prob, half_width, step
         assert len(blocks) == (1 if aggregate == "mean" else -(-n_centers // block))
         curve = dataclasses.replace(curve, blocks=lambda: iter(blocks))
     lag, center, pair_count, stats = reference_columns(tape, spec, max_lag, aggregate)
-    assert curve.lag.tolist() == lag.tolist()
-    assert curve.pair_count.tolist() == pair_count.tolist()
-    assert (curve.center is None) == (center is None)
+    got = curve.columns
+    assert got.lag.tolist() == lag.tolist()
+    assert got.pair_count.tolist() == pair_count.tolist()
+    assert (got.center is None) == (center is None)
     if center is not None:
-        assert curve.center.tolist() == center.tolist()
-    assert curve.stats.shape == stats.shape
-    assert curve.stats.tobytes() == stats.tobytes()
+        assert got.center.tolist() == center.tolist()
+    assert got.stats.shape == stats.shape
+    assert got.stats.tobytes() == stats.tobytes()
 
 
 def test_mean_mode_memory_is_bounded_by_span_not_lags_times_centers():

@@ -41,6 +41,7 @@ def test_traced_run_acf_counts_read_the_curve(tracing):
     spec = WindowSpec(101, 25)
     curve = acf_curve(tp, spec, 50, aggregate="per-center")
     counts = tracing._acf_counts((tp, spec), curve)
-    assert counts["points"] == len(curve.lag)
-    assert counts["pair_sum"] == int(curve.pair_count.sum())
-    assert counts["lags_with_points"] == len(set(curve.lag.tolist()))
+    cols = curve.columns
+    assert counts["points"] == len(cols.lag)
+    assert counts["pair_sum"] == int(cols.pair_count.sum())
+    assert counts["lags_with_points"] == len(set(cols.lag.tolist()))

@@ -1,9 +1,14 @@
 """tools/same_bytes.py: one tree against itself writes the same bytes; a
-tree that is not a checkout, or whose runs fail, ends in a short error."""
+tree that is not a checkout, or whose runs fail, ends in a short error; its
+failing tapes end in every error of the moments' failure table."""
 
 import subprocess
 import sys
 from pathlib import Path
+
+from click.testing import CliRunner
+
+from mbstat.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_bytes.py"
@@ -29,7 +34,9 @@ def test_same_tree_twice_has_no_difference():
             "stats-trades-price-form", "compare-trades-price-form",
             "acf-per-center-trades-price-form", "acf-mean-trades-price-form",
             "stats-gappy-quoted-crlf", "compare-gappy-quoted-crlf",
-            "acf-per-center-gappy-quoted-crlf", "acf-mean-gappy-quoted-crlf"} <= labels
+            "acf-per-center-gappy-quoted-crlf", "acf-mean-gappy-quoted-crlf",
+            *(f"{command}-{tape}-order{order}" for command in ("stats", "compare")
+              for tape in FAILING for order in ("1", "4", "8"))} <= labels
     # The csv.reader parse of the quoted CRLF copy writes the plain tape's bytes.
     digests = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
     for command in ("stats", "compare"):
@@ -37,13 +44,48 @@ def test_same_tree_twice_has_no_difference():
                 == digests[f"{command}-gappy-order4 stdout"])
 
 
-def test_sparse_tape_fills_about_one_tick_in_twenty():
+def tool():
     sys.path.insert(0, str(TOOL.parent))
     try:
-        import same_bytes as tool
+        import same_bytes
     finally:
         sys.path.remove(str(TOOL.parent))
-    text = tool.gappy_tape(seed=12, ticks=4000, filled=0.05)
+    return same_bytes
+
+
+#: The error of one run on each failing tape, one row of the moments' failure table each.
+FAILING = {
+    "value-pow8": ("stats", "8",
+                   "OverflowError: window at tick 50: value moment of order 8 overflows"),
+    "volume-pow8": ("stats", "8",
+                    "OverflowError: window at tick 50: volume moment of order 8 overflows"),
+    "price-pow8": ("compare", "8",
+                   "OverflowError: window at tick 50: price moment of order 8 overflows"),
+    "price-inf": ("compare", "1",
+                  "OverflowError: window at tick 50: freq_price moment of order 1 is inf"),
+    "price-fsum-overflow": ("compare", "1",
+                            "OverflowError: window at tick 50: price moment of order 1 overflows"),
+    "volume-underflow": ("stats", "1", "ZeroDivisionError: window at tick 60: "
+                         "volume moment of order 2 underflows to 0"),
+    "market-price-inf": ("stats", "1",
+                         "OverflowError: window at tick 10: market_price moment of order 2 is inf"),
+    "vwap-square": ("stats", "1", "OverflowError: window at tick 10: market volatility overflows"),
+}
+
+
+def test_failing_tapes_reach_every_row_of_the_failure_table(tmp_path):
+    tapes = tool().failing_tapes()
+    assert tapes.keys() == FAILING.keys()
+    for name, (command, order, error) in FAILING.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(tapes[name])
+        res = CliRunner().invoke(main, [command, "--input", str(path), "--window-n", "21",
+                                        "--lag-step", "5", "--max-order", order])
+        assert (res.exit_code, res.output) == (1, f"Error: {error}\n"), name
+
+
+def test_sparse_tape_fills_about_one_tick_in_twenty():
+    text = tool().gappy_tape(seed=12, ticks=4000, filled=0.05)
     ticks = {int(line.split(",")[0]) for line in text.splitlines()[1:]}
     assert 150 <= len(ticks) <= 250
 

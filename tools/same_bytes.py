@@ -9,7 +9,9 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
 
 - ``synth`` in ``pv`` and ``vv`` mode;
 - ``stats`` and ``compare`` at ``--max-order`` 1, 4 and 8, on the golden
-  tape, a gappy multi-trade tape and a sparse one;
+  tape, a gappy multi-trade tape and a sparse one, and on tapes whose
+  windows overflow or underflow, which between them end in every error of
+  the moments' failure table (``failing_tapes``);
 - ``acf`` per center and as the mean, on the golden (dense), the gappy and
   the sparse tape, at lag steps 1 and 3 with ``--threads`` 1 and 2, and at
   lag step 5 (product rows wider than the float64 rows) with 2;
@@ -73,6 +75,46 @@ def trade_tape(seed: int = 13, ticks: int = 1500) -> str:
     return "\n".join(lines) + "\n"
 
 
+def failing_tapes(seed: int = 17, ticks: int = 100) -> dict[str, str]:
+    """Tapes on which ``stats`` or ``compare`` fail at some ``--max-order``:
+    between them, every row of the failure table of ``moments.window_columns``.
+
+    Each is a dense tape of one trade a tick with values and volumes near 1,
+    changed at some ticks.  At tick 60 alone: ``value-pow8``, ``volume-pow8``
+    and ``price-pow8`` hold a value, volume or price whose 8th power
+    overflows, first in the window at tick 50 (not the first);
+    ``price-inf`` holds a price of inf.  ``price-fsum-overflow`` holds prices
+    1e308, 1e308 and inf at ticks 58 to 60, whose ``math.fsum`` overflows
+    before it meets the inf.  ``volume-underflow`` holds volumes near
+    1e-170, whose squares are 0, from tick 50 on.  On every tick,
+    ``market-price-inf`` holds a volume whose square rounds down to the
+    smallest subnormal, so the market price of order 2 overflows where no
+    price square does, and ``vwap-square`` holds one trade of volume 1 in
+    every 21 ticks and the rest of volume 1e-100, at a value of 2e153: the
+    VWAP's square overflows at ``--max-order 1``.
+    """
+    rng = random.Random(seed)
+    normal = [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)) for _ in range(ticks)]
+
+    def tape(changed: dict[int, tuple[float, float]]) -> str:
+        return "tick,value,volume\n" + "".join(
+            "%d,%r,%r\n" % (t, *changed.get(t, trade)) for t, trade in enumerate(normal))
+
+    u = 2.6e-162  # u**2 is 1.37 times the smallest subnormal, which it rounds to
+    every = range(ticks)
+    return {
+        "value-pow8": tape({60: (1e40, 1.0)}),
+        "volume-pow8": tape({60: (1.0, 1e40)}),
+        "price-pow8": tape({60: (1e38, 1e-3)}),
+        "price-inf": tape({60: (1e10, 1e-300)}),
+        "price-fsum-overflow": tape({58: (1e8, 1e-300), 59: (1e8, 1e-300), 60: (1e10, 1e-300)}),
+        "volume-underflow": tape({t: (c * 1e-170, v * 1e-170)
+                                  for t, (c, v) in enumerate(normal) if t >= 50}),
+        "market-price-inf": tape({t: (1.5e308**0.5 * u, u) for t in every}),
+        "vwap-square": tape({t: (2e153, 1.0 if t % 21 == 0 else 1e-100) for t in every}),
+    }
+
+
 def quoted_crlf(text: str) -> str:
     """``text`` with every field quoted and CRLF line ends."""
     return "".join(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
@@ -84,8 +126,9 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
     runs = [(f"synth-{mode}", ["synth", "--mode", mode, "--len", "3000", "--tau-a", "10",
                                "--tau-b", "40", "--seed", "7"]) for mode in ("pv", "vv")]
     tapes = {name: str(inputs / f"{name}.csv") for name in ("golden", "gappy", "sparse")}
+    failing = {name: str(inputs / f"{name}.csv") for name in failing_tapes()}
     for command in ("stats", "compare"):
-        for name, path in tapes.items():
+        for name, path in {**tapes, **failing}.items():
             for order in ("1", "4", "8"):
                 runs.append((f"{command}-{name}-order{order}",
                              [command, "--input", path, "--window-n", "21", "--lag-step", "5",
@@ -166,6 +209,8 @@ def main(argv: list[str]) -> int:
         (inputs / "short.csv").write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
         (inputs / "trades.csv").write_text(trade_tape())
         (inputs / "gappy_crlf.csv").write_bytes(quoted_crlf(gappy_tape()).encode())
+        for name, text in failing_tapes().items():
+            (inputs / f"{name}.csv").write_text(text)
         old = digests(old_tree, inputs)
         new = None if old is None else digests(new_tree, inputs)
     if new is None:
