@@ -6,8 +6,10 @@ volume (asset units) of each record.  The trade price is always the derived
 ratio value/volume and is never stored.  The engine works in ticks: every
 statistic and every output field is in ticks.
 
-``parse_csv`` reads blocks of plain numeric lines with numpy's C reader and
-every other block, and all lines after it, with ``csv.reader``; both give
+``parse_csv`` reads blocks of plain numeric lines with numpy's C reader.
+The first other block, and all lines after it, go through ``csv.reader``,
+whose rows numpy's reader converts again once their fields are joined by
+commas; a block that it turns down is walked row by row.  Each path gives
 the tape, or the error line, that a row-by-row ``int``/``float`` parse gives.
 """
 
@@ -174,21 +176,12 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-def _checked(ticks: np.ndarray, a: np.ndarray, volume: np.ndarray, price_form: bool):
-    """The tick, value and volume columns, value = a * volume in price form
-    (written over ``a``, the block's own column), or None if a row fails
-    TradeRecord's checks."""
-    if price_form:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(a, volume, out=a)
-    return (ticks, a, volume) if _valid_rows(a, volume).all() else None
-
-
 #: The bytes of a block that numpy's C reader converts: ASCII digits, the
-#: float characters, commas and LF.  Over them it gives what ``int`` and
-#: ``float`` give; outside them it can differ (``float('\x1c1')`` raises,
-#: where numpy reads 1.0).
-_PLAIN = b"0123456789.eE+-,\n"
+#: float characters, commas, space, tab, CR and LF.  Over them it gives what
+#: ``int`` and ``float`` give (all three drop the spaces and tabs around a
+#: number, and numpy's reader rejects a line break inside a line); outside
+#: them it can differ (``float('\x1c1')`` raises, where numpy reads 1.0).
+_PLAIN = b"0123456789.eE+-, \t\r\n"
 _PLAIN_ROW = np.dtype([("tick", np.int64), ("a", np.float64), ("volume", np.float64)])
 
 
@@ -196,7 +189,8 @@ def _plain_columns(lines: list[str], price_form: bool):
     """Tick, value and volume columns of a block of lines, read by
     ``np.loadtxt``, or None unless the block holds only ``_PLAIN`` bytes,
     each line is one row of three numbers that ``int``/``float`` accept and
-    every row passes the checks.
+    every row passes the checks.  In price form value = price * volume is
+    written over the block's own price column.
 
     No line may be longer than the csv field size limit, or than the digits
     ``int`` converts (``sys.get_int_max_str_digits``), which numpy's reader
@@ -218,31 +212,19 @@ def _plain_columns(lines: list[str], price_form: bool):
         return None
     if len(rows) != len(lines):  # a blank line
         return None
-    return _checked(rows["tick"], rows["a"], rows["volume"], price_form)
+    ticks, a, volume = rows["tick"], rows["a"], rows["volume"]
+    if price_form:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(a, volume, out=a)
+    return (ticks, a, volume) if _valid_rows(a, volume).all() else None
 
 
-def _block_columns(rows: list[list[str]], price_form: bool):
-    """Tick, value and volume columns of a block of rows, skipping blank ones,
-    or None if a row fails a check."""
-    if set(map(len, rows)) - {3}:
-        rows = [row for row in rows if not _blank(row)]
-        if set(map(len, rows)) - {3}:
-            return None
-    ticks, first, second = zip(*rows) if rows else ((), (), ())
-    try:
-        # numpy converts each str with Python's int or float, as a row-by-row parse does.
-        ticks = np.array(ticks, dtype=np.int64)
-        a = np.array(first, dtype=np.float64)
-        volume = np.array(second, dtype=np.float64)
-    except (ValueError, OverflowError):
-        return None
-    return _checked(ticks, a, volume, price_form)
-
-
-def _raise_first_bad_row(rows: list[list[str]], line: int, price_form: bool) -> None:
-    """Raise FormatError naming the first row that fails a check, and its file
-    line; ``line`` is the first row's.  Rows are checked one at a time, with
-    TradeRecord's checks."""
+def _row_columns(rows: list[list[str]], line: int, price_form: bool):
+    """Tick, value and volume columns of the rows, skipping blank ones, each
+    converted with ``int``/``float`` and checked with TradeRecord's checks;
+    or raise FormatError naming the first row that fails, and its file line
+    (``line`` is the first row's)."""
+    records = []
     for row in rows:
         lineno = line  # then step past this row's quoted line breaks too (CRLF is one)
         line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
@@ -254,34 +236,38 @@ def _raise_first_bad_row(rows: list[list[str]], line: int, price_form: bool) -> 
             tick = int(row[0])
             if not -(2**63) <= tick < 2**63:
                 raise ValueError(f"tick {tick} is outside the int64 range")
-            a = float(row[1])
-            volume = float(row[2])
-            TradeRecord(tick, a * volume if price_form else a, volume)
+            a, volume = float(row[1]), float(row[2])
+            records.append(TradeRecord(tick, a * volume if price_form else a, volume))
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from None
+    return _columns(records)
 
 
-def _csv_blocks(lines: Iterator[str], line: int, price_form: bool):
+def _csv_blocks(lines: Iterator[str], first: int, price_form: bool):
     """Column blocks of the rows that ``csv.reader`` reads from ``lines``, whose
-    first is file line ``line``: ``PARSE_BLOCK_ROWS`` rows at a time, each
-    converted with the ``int``/``float`` calls and checks of a row-by-row parse."""
+    first is file line ``first``, ``PARSE_BLOCK_ROWS`` rows at a time.  A
+    block's rows, less the blank ones and with their fields joined by commas,
+    go to ``_plain_columns``; a block it turns down goes to ``_row_columns``."""
     reader = csv.reader(lines)
-    first = line
     while True:
+        line = first + reader.line_num  # the file line of the block's first row
         rows = []
         try:
             for row in itertools.islice(reader, PARSE_BLOCK_ROWS):
                 rows.append(row)
         except csv.Error as exc:  # a field over the module's size limit, say
             # A bad row before the reader's error is the first error, as row by row.
-            _raise_first_bad_row(rows, line, price_form)
+            _row_columns(rows, line, price_form)
             raise FormatError(str(exc), line=first - 1 + reader.line_num) from None
         if not rows:
             return
-        if (cols := _block_columns(rows, price_form)) is None:
-            _raise_first_bad_row(rows, line, price_form)
-        yield cols
-        line = first + reader.line_num
+        joined = [",".join(row) for row in rows if len(row) == 3]
+        # Every other row must be blank: numpy's reader would split a quoted comma.
+        plain = len(joined) == len(rows) or all(len(row) == 3 or _blank(row) for row in rows)
+        if plain and not joined:  # blank rows alone
+            continue
+        cols = _plain_columns(joined, price_form) if plain else None
+        yield _row_columns(rows, line, price_form) if cols is None else cols
 
 
 def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
@@ -290,11 +276,17 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     The header row must match the chosen format exactly.  In price form the
     record value is price * volume.  Duplicate ticks are merged as by
     bucket.  Malformed rows raise :class:`FormatError` with their line number.
+    One leading U+FEFF (the byte-order mark of Excel's "CSV UTF-8") is
+    dropped from the header.
+
     Lines are read ``PARSE_BLOCK_ROWS`` at a time.  While each block holds
-    only plain numbers (``_plain_columns``), numpy's C reader converts it;
-    the first block that does not, and every line after it, go through
-    ``csv.reader`` with the ``int``/``float`` calls and checks of a
-    row-by-row parse, which also names the first bad line.
+    only plain numbers (``_plain_columns``: digits, float characters, commas,
+    spaces, tabs and line ends), numpy's C reader converts it; the first
+    block that does not, and every line after it, go through ``csv.reader``
+    (``_csv_blocks``).  Its rows, blank ones dropped and fields joined by
+    commas, go to numpy's reader again, and a block that it turns down is
+    converted, or its first bad row named, by ``_row_columns``: the
+    ``int``/``float`` calls and checks of a row-by-row parse.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -311,6 +303,7 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
         raise FormatError(str(exc), line=reader.line_num) from None
     if header is None:
         raise FormatError("missing header row", line=1)
+    header[:1] = [h.removeprefix("\ufeff") for h in header[:1]]  # Excel's byte-order mark
     expected = _HEADERS[format]
     if tuple(h.strip() for h in header) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)

@@ -307,6 +307,17 @@ def test_moments_golden_bytes(runner, tmp_path, command, golden):
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
+def test_excel_csv_utf8_tape_writes_the_golden_stats(runner, tmp_path):
+    """Excel's "CSV UTF-8" export starts with a byte-order mark and ends its lines in CRLF."""
+    inp = tmp_path / "excel.csv"
+    inp.write_bytes(b"\xef\xbb\xbf" + (DATA / "golden_tape.csv").read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "golden_stats.jsonl"
+    res = run(runner, ["stats", "--input", str(inp), "--window-n", "101", "--lag-step", "25",
+                       "--max-order", "4", "--output", str(out)])
+    assert res.exit_code == 0
+    assert out.read_bytes() == (DATA / "golden_stats.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["stats", "compare"])
 def test_no_valid_window_is_one_line_error(runner, tmp_path, command):
     inp = tmp_path / "sparse.csv"

@@ -33,15 +33,25 @@ def test_same_tree_twice_has_no_difference():
             "acf-per-center-sparse-min-trades22", "acf-mean-short-step3",
             "stats-trades-price-form", "compare-trades-price-form",
             "acf-per-center-trades-price-form", "acf-mean-trades-price-form",
-            "stats-gappy-quoted-crlf", "compare-gappy-quoted-crlf",
-            "acf-per-center-gappy-quoted-crlf", "acf-mean-gappy-quoted-crlf",
+            *(f"{command}-gappy-{name}" for command in COMMANDS for name in RENDERINGS),
             *(f"{command}-{tape}-order{order}" for command in ("stats", "compare")
               for tape in FAILING for order in ("1", "4", "8"))} <= labels
-    # The csv.reader parse of the quoted CRLF copy writes the plain tape's bytes.
-    digests = {line.split("  ")[1]: line.split("  ")[0] for line in lines}
+    # Every dialect of the gappy tape writes the bytes of the plain tape.
+    outputs = {}
+    for line in lines:
+        digest, key = line.split("  ")[:2]
+        label, output = key.rsplit(" ", 1)
+        outputs.setdefault(label, {})[output] = digest
+    for command in COMMANDS:
+        for name in RENDERINGS:
+            assert outputs[f"{command}-gappy-{name}"] == outputs[f"{command}-gappy-quoted-crlf"]
     for command in ("stats", "compare"):
-        assert (digests[f"{command}-gappy-quoted-crlf stdout"]
-                == digests[f"{command}-gappy-order4 stdout"])
+        assert outputs[f"{command}-gappy-quoted-crlf"] == outputs[f"{command}-gappy-order4"]
+
+
+COMMANDS = ("stats", "compare", "acf-per-center", "acf-mean")
+RENDERINGS = ("quoted-crlf", "bom-crlf-comma-space", "tab-padded", "blank-lines",
+              "underscored-ticks")
 
 
 def tool():

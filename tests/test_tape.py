@@ -286,8 +286,8 @@ def test_parse_equals_row_by_row_reference(rows, fmt, block_rows):
 
 
 #: The characters of a field that numpy's reader converts (``tape._PLAIN``
-#: less the comma and LF).
-PLAIN_CHARS = "0123456789.eE+-"
+#: less the comma and the line ends).
+PLAIN_CHARS = tape_mod._PLAIN.decode().translate(str.maketrans("", "", ",\r\n"))
 plain_tokens = st.one_of(
     st.text(alphabet=PLAIN_CHARS, max_size=8),
     st.from_regex(r"\A[+-]?[0-9]{0,21}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,4})?\Z"),
@@ -322,11 +322,13 @@ def plain_text(draw, header):
 
 
 #: Lines just outside the plain bytes, for a tick t: quotes, a quoted LF,
-#: NUL, \x1c, "_", non-ASCII digits, blank and whitespace-only lines, a
-#: leading space, a 2-field row then a 4-field row, a field over the csv
-#: field size limit and a line over it whose fields are under it.
+#: quoted padding and CRLF, a quoted comma in a 2-field row, a quoted
+#: 3-field row, NUL, \x1c, "_", non-ASCII digits, blank and whitespace-only
+#: lines, a leading space, a 2-field row then a 4-field row, a field over the
+#: csv field size limit and a line over it whose fields are under it.
 OUTSIDE = [
-    lambda t: [f'"{t}",1.5,2'], lambda t: [f'{t},"2.5\n",1'], lambda t: [f"{t},1\x00,2"],
+    lambda t: [f'"{t}",1.5,2'], lambda t: [f'{t},"2.5\n",1'], lambda t: [f'{t},1.5,"\t2\r\n"'],
+    lambda t: [f'{t},"1,5"'], lambda t: [f'"{t},1,1"'], lambda t: [f"{t},1\x00,2"],
     lambda t: [f"{t},\x1c1,2"], lambda t: [f"{t},1_0,2"], lambda t: [f"{t},١.٥,2"],
     lambda t: ["١٢,1,1"], lambda t: [""], lambda t: ["  "], lambda t: ["\t"],
     lambda t: [f" {t},1,1"], lambda t: [f"{t},1", f"{t},1,1,1"],
@@ -361,15 +363,20 @@ def test_plain_and_csv_blocks_parse_as_the_row_by_row_reference(case, block_rows
     assert got == outcome(reference_parse_csv, text, format=fmt)
 
 
-@given(st.lists(plain_tokens.filter(lambda f: len(f) <= 40), min_size=3, max_size=3))
+padding = st.text(alphabet=" \t", max_size=3)
+
+
+@given(st.lists(st.tuples(padding, plain_tokens.filter(lambda f: len(f) <= 40), padding).map(
+    "".join), min_size=3, max_size=3), st.sampled_from([*EOLS, ""]))
 @settings(max_examples=1000, deadline=None)
-def test_numpy_reader_agrees_with_int_and_float_over_the_plain_bytes(fields):
+def test_numpy_reader_agrees_with_int_and_float_over_the_plain_bytes(fields, eol):
     """Whatever ``np.loadtxt`` reads from a line of three short plain fields,
-    ``int`` and ``float`` read too, to the same value."""
+    spaces and tabs around them, and an LF, CRLF, CR or no line end, ``int``
+    and ``float`` read too, to the same value."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            row = np.loadtxt([",".join(fields) + "\n"], delimiter=",",
+            row = np.loadtxt([",".join(fields) + eol], delimiter=",",
                              dtype=tape_mod._PLAIN_ROW, comments=None, ndmin=1)
         except (ValueError, Warning):
             return
@@ -394,6 +401,29 @@ def test_plain_blocks_skip_the_csv_reader_and_other_blocks_take_it_from_their_li
         lines[2500] = '"2500",' + lines[2500].split(",", 1)[1]  # line 2502, in the third block
         assert rows(parse_csv("\n".join(["tick,value,volume", *lines]) + "\n")) == want
         assert calls == [2 + 2 * tape_mod.PARSE_BLOCK_ROWS]
+
+
+#: A 3,000-row plain tape, the line of each row without its line end.
+PLAIN_LINES = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
+
+
+@pytest.mark.parametrize("render, csv_calls, walk_calls", [
+    (lambda i, line: line + "\r\n", 0, 0),
+    (lambda i, line: line.replace(",", ", ") + "\n", 0, 0),
+    (lambda i, line: "\t" + line.replace(",", "\t,\t") + "\t\n", 0, 0),
+    (lambda i, line: ('"0"' + line[1:] if i == 0 else line) + "\n", 1, 0),
+    (lambda i, line: (line.replace("1000", "1_000", 1) if i == 1000 else line) + "\n", 1, 1),
+], ids=["crlf", "comma-space", "tab-padded", "quoted-tick", "underscored-tick"])
+def test_each_dialect_takes_its_own_path(render, csv_calls, walk_calls):
+    """CRLF files and fields padded with spaces or tabs stay on numpy's raw-line
+    reader; csv.reader's unquoted rows go to numpy's reader too, and only a
+    block that it turns down, here one holding a "1_000" tick, is walked."""
+    want = outcome(parse_csv, "\n".join(["tick,value,volume", *PLAIN_LINES]) + "\n")
+    text = "tick,value,volume\n" + "".join(render(i, line) for i, line in enumerate(PLAIN_LINES))
+    with patch.object(tape_mod, "_csv_blocks", wraps=tape_mod._csv_blocks) as csv_blocks, \
+            patch.object(tape_mod, "_row_columns", wraps=tape_mod._row_columns) as walk:
+        assert outcome(parse_csv, text) == want
+    assert (csv_blocks.call_count, walk.call_count) == (csv_calls, walk_calls)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),
@@ -431,12 +461,13 @@ def test_fields_parse_as_int_and_float_parse_them():
     assert t.volume.tolist() == [2.5, float("1_0")]
 
 
-@pytest.mark.parametrize("field", ["1_0", " 1.5 ", "١٢", "Infinity", "1e400", "1.5e-320",
-                                   "-0", "0x1p3", str(2**63)])
+@pytest.mark.parametrize("field", ["1_0", " 1.5 ", "\t2\t", "١٢", "Infinity", "1e400",
+                                   "1.5e-320", "-0", "0x1p3", str(2**63)])
 def test_block_conversion_accepts_what_int_and_float_accept(field):
-    """A block converts ticks with ``int`` and values and volumes with ``float``:
-    a field that either rejects, or whose result fails a check, rejects the
-    block, and every other field keeps that call's value, sign of zero too."""
+    """A csv.reader row converts its tick with ``int`` and its value and
+    volume with ``float``: a field that either rejects, or whose result fails
+    a check, is a FormatError, and every other field keeps that call's value
+    (the merge sums a tick's values from 0.0, so a -0.0 comes back as 0.0)."""
     def parsed(fn):
         try:
             return fn(field)
@@ -447,11 +478,15 @@ def test_block_conversion_accepts_what_int_and_float_accept(field):
     finite = x is not None and math.isfinite(x)
     in_range = tick is not None and -(2**63) <= tick < 2**63
     cases = [([field, "1", "1"], (tick, 1.0, 1.0) if in_range else None),
-             (["0", field, "1"], (0, x, 1.0) if finite and x >= 0 else None),
+             (["0", field, "1"], (0, 0.0 + x, 1.0) if finite and x >= 0 else None),
              (["0", "1", field], (0, 1.0, x) if finite and x > 0 else None)]
     for row, want in cases:
-        cols = tape_mod._block_columns([row], price_form=False)
-        got = None if cols is None else tuple(col.tolist()[0] for col in cols)
+        # The quoted tick sends the row to the csv stage.
+        text = 'tick,value,volume\n"{}",{},{}\n'.format(*row)
+        try:
+            (got,) = rows(parse_csv(text))
+        except FormatError:
+            got = None
         assert repr(got) == repr(want)
 
 
@@ -477,7 +512,7 @@ def test_blank_lines_are_skipped_by_the_block_conversion(block_rows):
         raise AssertionError("a block with blank lines was walked row by row")
 
     with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows), \
-            patch.object(tape_mod, "_raise_first_bad_row", walk):
+            patch.object(tape_mod, "_row_columns", walk):
         assert rows(parse_csv(spaced)) == rows(parse_csv(text))
 
 

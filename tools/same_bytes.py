@@ -22,8 +22,11 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   ``--window-n 3 --lag-step 3`` (no lag-step multiple fits as a center)
   and at a ``--window-n`` beyond the int64 range;
 - the same four commands on a multi-trade ``tick-price-volume`` tape, whose
-  plain lines numpy's reader parses, and on a copy of the gappy tape with
-  every field quoted and CRLF line ends, which ``csv.reader`` parses.
+  plain lines numpy's reader parses, and on copies of the gappy tape in
+  other CSV dialects (``renderings``): every field quoted with CRLF line
+  ends; a byte-order mark, CRLF line ends and ``, `` separators; fields
+  padded with tabs; a blank line every 50 rows; and ticks written with
+  ``_`` thousands separators.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
@@ -115,10 +118,27 @@ def failing_tapes(seed: int = 17, ticks: int = 100) -> dict[str, str]:
     }
 
 
-def quoted_crlf(text: str) -> str:
-    """``text`` with every field quoted and CRLF line ends."""
-    return "".join(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
-                   for line in text.splitlines())
+def renderings(text: str) -> dict[str, str]:
+    """Copies of the plain tape ``text`` in other CSV dialects, each of which
+    parses to the same tape.  ``quoted-crlf``: every field quoted and CRLF
+    line ends (``csv.reader`` parses it).  ``bom-crlf-comma-space``: a UTF-8
+    byte-order mark, as Excel's "CSV UTF-8" writes, CRLF line ends and ``, ``
+    separators.  ``tab-padded``: a tab on each side of every field.
+    ``blank-lines``: a blank line after every 50th row.  ``underscored-ticks``:
+    ticks from 1000 up written as ``1_000``, which ``int`` reads."""
+    lines = text.splitlines()
+    header, *rows = lines
+    return {
+        "quoted-crlf": "".join(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
+                               for line in lines),
+        "bom-crlf-comma-space": "\ufeff" + "".join(line.replace(",", ", ") + "\r\n"
+                                                   for line in lines),
+        "tab-padded": "".join("\t" + line.replace(",", "\t,\t") + "\t\n" for line in lines),
+        "blank-lines": "".join(line + ("\n\n" if i and i % 50 == 0 else "\n")
+                               for i, line in enumerate(lines)),
+        "underscored-ticks": header + "\n" + "".join(
+            f"{int(tick):_},{rest}\n" for tick, rest in (row.split(",", 1) for row in rows)),
+    }
 
 
 def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
@@ -147,7 +167,8 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
     cases["short-window-n-1e23"] = [short, "--window-n", "99999999999999999999999"]
     cases["trades-price-form"] = [str(inputs / "trades.csv"), "--format", "tick-price-volume",
                                   "--window-n", "21", "--lag-step", "5"]
-    cases["gappy-quoted-crlf"] = [str(inputs / "gappy_crlf.csv"), "--window-n", "21",
+    for name in renderings(gappy_tape()):
+        cases[f"gappy-{name}"] = [str(inputs / f"gappy_{name}.csv"), "--window-n", "21",
                                   "--lag-step", "5"]
     for command in ("stats", "compare", "acf-per-center", "acf-mean"):
         args = (["acf", "--max-lag", "30", "--aggregate", command[4:], "--output", "OUT"]
@@ -208,7 +229,8 @@ def main(argv: list[str]) -> int:
         (inputs / "sparse.csv").write_text(gappy_tape(seed=12, ticks=4000, filled=0.05))
         (inputs / "short.csv").write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
         (inputs / "trades.csv").write_text(trade_tape())
-        (inputs / "gappy_crlf.csv").write_bytes(quoted_crlf(gappy_tape()).encode())
+        for name, text in renderings(gappy_tape()).items():
+            (inputs / f"gappy_{name}.csv").write_bytes(text.encode())
         for name, text in failing_tapes().items():
             (inputs / f"{name}.csv").write_text(text)
         old = digests(old_tree, inputs)
