@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NoDataError
-from .tape import WRITE_BLOCK_ROWS, TradeTape, reprs
+from .tape import WRITE_BLOCK_ROWS, TradeTape, write_rows
 from .windows import Window, WindowSpec, valid_grid
 
 SERIES2 = ("value", "volume")
@@ -198,38 +198,26 @@ class AcfCurve:
 
         The JSON is the bytes of ``json.dumps(self.to_dict(), indent=2)`` plus a
         newline; the CSV has one row per point, and per-center mode adds a
-        center_tick column.  Rows go out ``WRITE_BLOCK_ROWS`` at a time from
-        each block of ``blocks()``, and each float is formatted once for both
-        outputs.
+        center_tick column.  The blocks of ``blocks()`` go through one
+        :func:`~mbstat.tape.write_rows` call with a row template per output,
+        so each float is turned into text once for both.
         """
         per_center = self.aggregate == "per-center"
+        outputs = []
         if json_out is not None:
             head = json.dumps({key: getattr(self, key) for key in _HEADER}, indent=2)
             json_out.write(head[:-2] + ',\n  "points": [')
+            # One point in ``indent=2`` layout.
+            names = AcfPoint._fields[:8 + per_center]
+            point = "\n    {\n" + ",\n".join(f'      "{k}": %s' for k in names) + "\n    }"
+            outputs.append((json_out, point, range(len(names)), ","))
         if csv_out is not None:
-            head = "lag,b_value,b_volume,b_price,pair_count\n"
-            csv_out.write(("center_tick," if per_center else "") + head)
-        # %-templates of one point: JSON in ``indent=2`` layout, comma first.
-        names = AcfPoint._fields if per_center else AcfPoint._fields[:-1]
-        json_point = ",\n    {\n" + ",\n".join(f'      "{k}": %s' for k in names) + "\n    }"
-        csv_row = ",".join(["%s"] * (5 + per_center)) + "\n"
-        first = True
-        for block in self.blocks():
-            for lo in range(0, len(block.lag), WRITE_BLOCK_ROWS):
-                cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-                lag, count = block.lag[cut].tolist(), block.pair_count[cut].tolist()
-                b_c, b_u, b_p, *lag2 = map(reprs, block.stats[:, cut])
-                center = [block.center[cut].tolist()] if per_center else []
-                if json_out is not None:
-                    cols = zip(lag, b_c, b_u, b_p, *lag2, count, *center)
-                    rows = list(map(json_point.__mod__, cols))
-                    if first:
-                        rows[0] = rows[0][1:]
-                    json_out.write("".join(rows))
-                if csv_out is not None:
-                    cols = zip(*center, lag, b_c, b_u, b_p, count)
-                    csv_out.write("".join(map(csv_row.__mod__, cols)))
-                first = False
+            csv_out.write("center_tick," * per_center + "lag,b_value,b_volume,b_price,pair_count\n")
+            outputs.append((csv_out, "%s," * per_center + "%s,%s,%s,%s,%s\n",
+                            [8] * per_center + [0, 1, 2, 3, 7], ""))
+        # The columns in AcfPoint order; mean mode has no center.
+        write_rows(((b.lag, *b.stats, b.pair_count, b.center)[:8 + per_center]
+                    for b in self.blocks()), *outputs)
         if json_out is not None:
             json_out.write("\n  ]\n}\n")
 

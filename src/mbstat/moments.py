@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import NoDataError
-from .tape import WRITE_BLOCK_ROWS, TradeRecord, TradeTape, reprs
+from .tape import WRITE_BLOCK_ROWS, TradeRecord, TradeTape, write_rows
 from .windows import Window, members  # noqa: F401  (perfbench traces moments.members)
 
 SERIES = ("value", "volume", "price")
@@ -341,36 +341,35 @@ class WindowColumns(NamedTuple):
 
     def write_jsonl(self, out: TextIO) -> None:
         """Write one JSON object per window: for each report the bytes of
-        ``json.dumps(report.to_dict(), allow_nan=False)`` plus a newline,
-        ``WRITE_BLOCK_ROWS`` windows at a time."""
-        floats = "[" + ", ".join(["%s"] * len(self.value)) + "]"
-        line = ('{"center_tick": %d, "effective_count": %d, "vwap": %s, '
+        ``json.dumps(report.to_dict(), allow_nan=False)`` plus a newline, by
+        :func:`~mbstat.tape.write_rows`."""
+        m = len(self.value)
+        floats = "[" + ", ".join(["%s"] * m) + "]"
+        line = ('{"center_tick": %s, "effective_count": %s, "vwap": %s, '
                 '"market_volatility": %s, "volatility_negative": %s, '
                 f'"freq_price": {floats}, "value": {floats}, "volume": {floats}, '
                 f'"market_price": {floats}}}\n')
-        for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
-            cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-            freq, value, volume, market = ([reprs(row) for row in rows[:, cut]] for rows in (
-                self.freq_price, self.value, self.volume, self.market_price))
-            negative = ["true" if x else "false" for x in (self.volatility[cut] < 0).tolist()]
-            # The VWAP is market_price[0]: formatted once, written twice.
-            cols = zip(self.center[cut].tolist(), self.count[cut].tolist(), market[0],
-                       reprs(self.volatility[cut]), negative, *freq, *value, *volume, *market)
-            out.writelines(map(line.__mod__, cols))  # no block's whole text is held at once
+        cols = (self.center, self.count, self.volatility, self.volatility < 0, *self.freq_price,
+                *self.value, *self.volume, *self.market_price)
+        # The VWAP is market_price[0], column 4 + 3m: turned into text once, written twice.
+        write_rows([cols], (out, line, [0, 1, 4 + 3 * m, *range(2, len(cols))], ""))
 
     def write_compare_csv(self, out: TextIO) -> None:
         """Write the frequency and market-based price moments of each window
-        and order, and their difference, as CSV rows."""
+        and order, and their difference, as CSV rows, by
+        :func:`~mbstat.tape.write_rows`.  The rows of ``WRITE_BLOCK_ROWS``
+        windows at a time are built as columns, not those of every window."""
         out.write("center_tick,n,freq_price,market_price,difference\n")
         m = len(self.value)
-        orders = list(range(1, m + 1))
-        for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
-            cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-            freq, market = self.freq_price[:, cut].T, self.market_price[:, cut].T
-            center = np.repeat(self.center[cut], m).tolist()
-            cols = (center, orders * len(freq), reprs(freq.ravel()), reprs(market.ravel()),
-                    reprs((freq - market).ravel()))
-            out.write("".join(map("%d,%d,%s,%s,%s\n".__mod__, zip(*cols))))
+
+        def blocks():
+            for lo in range(0, len(self.center), WRITE_BLOCK_ROWS):
+                cut = slice(lo, lo + WRITE_BLOCK_ROWS)
+                freq, market = self.freq_price[:, cut].T, self.market_price[:, cut].T
+                yield (np.repeat(self.center[cut], m), np.tile(np.arange(1, m + 1), len(freq)),
+                       freq.ravel(), market.ravel(), (freq - market).ravel())
+
+        write_rows(blocks(), (out, "%s,%s,%s,%s,%s\n", range(5), ""))
 
 
 def window_columns(tape: TradeTape, centers, lo, hi, max_order: int = 4,

@@ -11,6 +11,10 @@ The first other block, and all lines after it, go through ``csv.reader``,
 whose rows numpy's reader converts again once their fields are joined by
 commas; a block that it turns down is walked row by row.  Each path gives
 the tape, or the error line, that a row-by-row ``int``/``float`` parse gives.
+
+``write_rows`` is the one writer of every command's output: it turns
+blocks of columns into text with ``reprs`` and fills one row template per
+output stream.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 import orjson
@@ -277,7 +281,7 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     record value is price * volume.  Duplicate ticks are merged as by
     bucket.  Malformed rows raise :class:`FormatError` with their line number.
     One leading U+FEFF (the byte-order mark of Excel's "CSV UTF-8") is
-    dropped from the header.
+    dropped from the first line, quoted header or not.
 
     Lines are read ``PARSE_BLOCK_ROWS`` at a time.  While each block holds
     only plain numbers (``_plain_columns``: digits, float characters, commas,
@@ -295,7 +299,10 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
         text = io.TextIOWrapper(io.BytesIO(text.encode(errors="surrogatepass")),
                                 encoding="utf-8", errors="surrogatepass", newline="")
     lines = iter(text)
-    reader = csv.reader(lines)
+    # Excel's byte-order mark goes before csv.reader reads the line, which
+    # unquotes only a field that starts with the quote.
+    first_line = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
+    reader = csv.reader(itertools.chain(first_line, lines))
     price_form = format == "tick-price-volume"
     try:
         header = next(reader, None)
@@ -303,7 +310,6 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
         raise FormatError(str(exc), line=reader.line_num) from None
     if header is None:
         raise FormatError("missing header row", line=1)
-    header[:1] = [h.removeprefix("\ufeff") for h in header[:1]]  # Excel's byte-order mark
     expected = _HEADERS[format]
     if tuple(h.strip() for h in header) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)
@@ -318,20 +324,28 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 
-#: Rows formatted per ``write`` call by the writers.
+#: Rows that ``write_rows`` turns into text at a time; the writers that
+#: build their columns a block at a time (per-center ``acf``, ``compare``)
+#: build about as many rows, or windows, at once.
 WRITE_BLOCK_ROWS = 1024
+#: Rows that ``write_rows`` joins into one string and writes at a time: a
+#: quarter of a block is as fast, and holds a quarter of the text.
+TEXT_ROWS = 256
 
 
 def reprs(a: np.ndarray) -> list[str]:
-    """``float.__repr__`` of each element of the 1-D float64 array ``a``, bit for bit.
+    """The text of each element of the 1-D int, float64 or bool array ``a``:
+    its ``repr``, bit for bit, or JSON's ``true``/``false`` for a bool.
 
-    orjson's Ryu shortest round-trip digits are ``repr``'s digits, and its
-    text equals ``repr``'s for ±0.0 and every finite x with 1e-4 <= |x| <
-    1e16.  The other elements, whose ``repr`` has an exponent (orjson writes
-    ``1e16`` and ``0.00001`` for ``1e+16`` and ``1e-05``) or which are not
-    finite (orjson writes ``null``), take ``float.__repr__`` itself.
+    orjson writes ints and bools so.  Its Ryu shortest round-trip digits
+    are ``float.__repr__``'s digits, and its text equals ``repr``'s for ±0.0
+    and every finite x with 1e-4 <= |x| < 1e16.  The other nonzero elements,
+    whose ``repr`` has an exponent (orjson writes ``1e16`` and ``0.00001``
+    for ``1e+16`` and ``1e-05``) or which are not finite (orjson writes
+    ``null``), take ``repr`` itself; so does an int of 1e16 or more in
+    magnitude, whose ``repr`` is orjson's text too, and no bool.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a)
     if not len(a):
         return []
     out = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
@@ -343,14 +357,46 @@ def reprs(a: np.ndarray) -> list[str]:
     return out
 
 
+def write_rows(blocks: Iterable[Sequence[np.ndarray]],
+               *outputs: tuple[TextIO, str, Sequence[int], str]) -> None:
+    """Write the rows of blocks of columns to text streams: the one writer of
+    every output.
+
+    Each block is a sequence of 1-D arrays of one length, its columns.  Its
+    rows are cut ``WRITE_BLOCK_ROWS`` at a time, and each column of a cut
+    turned into text once, by :func:`reprs`.  Each output ``(out, row,
+    fields, sep)`` writes, for each row, the template ``row`` with its
+    ``%s`` fields (its only ``%``) filled in order with the text of the
+    columns at ``fields``, and ``sep`` between rows, across cuts and blocks
+    too.  So every output of one call shares the text of a column, however
+    often it writes it.  ``TEXT_ROWS`` rows at a time, the pieces of the
+    template and the text go into one list, in row order, and one
+    ``str.join`` of it is written.
+    """
+    first = True
+    for block in blocks:
+        for lo in range(0, len(block[0]), WRITE_BLOCK_ROWS):
+            text = [reprs(col[lo:lo + WRITE_BLOCK_ROWS]) for col in block]
+            for a in range(0, len(text[0]), TEXT_ROWS):
+                n = min(TEXT_ROWS, len(text[0]) - a)
+                for out, row, fields, sep in outputs:
+                    # A row is its first piece (after sep), then each field and the piece after it.
+                    pieces, w = row.split("%s"), 2 * len(fields) + 1
+                    parts = [sep + pieces[0]] * (n * w)
+                    for i, f in enumerate(fields):
+                        parts[2 * i + 1::w] = text[f][a:a + n]
+                        parts[2 * i + 2::w] = [pieces[i + 1]] * n
+                    if first:
+                        parts[0] = pieces[0]
+                    out.write("".join(parts))
+                first = False
+
+
 def write_csv(tape: TradeTape, out: TextIO) -> None:
     """Write a tape to a text stream as tick,value,volume CSV with shortest
-    round-tripping decimals (:func:`reprs`), ``WRITE_BLOCK_ROWS`` rows at a time."""
+    round-tripping decimals, by :func:`write_rows`."""
     out.write(",".join(_HEADERS["tick-value-volume"]) + "\n")
-    for lo in range(0, len(tape), WRITE_BLOCK_ROWS):
-        cut = slice(lo, lo + WRITE_BLOCK_ROWS)
-        cols = tape.ticks[cut].tolist(), reprs(tape.value[cut]), reprs(tape.volume[cut])
-        out.write("".join([f"{t},{v},{u}\n" for t, v, u in zip(*cols)]))
+    write_rows([(tape.ticks, tape.value, tape.volume)], (out, "%s,%s,%s\n", range(3), ""))
 
 
 def emit_csv(tape: TradeTape) -> str:

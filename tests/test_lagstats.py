@@ -31,7 +31,7 @@ from mbstat import (
     plan_windows,
     regime_acf,
 )
-from mbstat import lagstats
+from mbstat import lagstats, tape as tape_mod
 from mbstat.moments import freq_moment
 from mbstat.windows import Window, members, window_grid
 
@@ -722,12 +722,16 @@ SCALE = st.none() | st.integers(0, 30)
                  max_size=8),
     scales=st.none() | st.tuples(SCALE, SCALE, SCALE),
     block=st.integers(1, 40),
+    text_rows=st.integers(1, 40),
     cuts=st.lists(st.integers(0, 10**6), max_size=4),
 )
 def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
     seed, n_ticks, gap_prob, half_width, step, n_lags, min_trades, aggregate, threshold, odd,
-    scales, block, cuts,
+    scales, block, text_rows, cuts,
 ):
+    """Both outputs at once, and each alone, across the cuts of the column
+    blocks, of ``write_rows``'s blocks (``block`` rows) and of its text
+    (``text_rows`` rows): the JSON's separator between points is right at each."""
     tape = random_tape(random.Random(seed), n_ticks, gap_prob)
     spec = WindowSpec(2 * half_width + 1, step, min_trades)
     try:
@@ -747,11 +751,15 @@ def test_writer_bytes_equal_json_dumps_and_rowwise_csv(
     if scales is not None:
         changes.update(zip(("scale_value", "scale_volume", "scale_price"), scales))
     curve = dataclasses.replace(curve, **changes)
-    json_out, csv_out = io.StringIO(), io.StringIO()
-    with mock.patch.object(lagstats, "WRITE_BLOCK_ROWS", block):
+    json_out, csv_out, json_alone, csv_alone = (io.StringIO() for _ in range(4))
+    with mock.patch.object(tape_mod, "WRITE_BLOCK_ROWS", block), \
+            mock.patch.object(tape_mod, "TEXT_ROWS", text_rows):
         curve.write(json_out, csv_out)
-    assert json_out.getvalue() == json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
-    assert csv_out.getvalue() == rowwise_csv(curve) == curve.to_csv()
+        curve.write(json_alone)
+        curve.write(csv_out=csv_alone)
+    want_json = json.dumps(curve.to_dict(), indent=2, allow_nan=False) + "\n"
+    assert json_out.getvalue() == json_alone.getvalue() == want_json
+    assert csv_out.getvalue() == csv_alone.getvalue() == rowwise_csv(curve) == curve.to_csv()
 
 
 @pytest.mark.parametrize("aggregate, step, golden", [("per-center", 25, "golden_acf_centers.json"),

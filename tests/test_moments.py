@@ -29,7 +29,7 @@ from mbstat import (
     market_volatility,
     vwap,
 )
-from mbstat import emit_csv, moments, parse_csv
+from mbstat import emit_csv, moments, parse_csv, tape as tape_mod
 from mbstat.cli import main
 from mbstat.moments import MomentReport, compute_report, window_columns, window_means
 from mbstat.tape import TradeTape
@@ -508,7 +508,10 @@ def test_writers_equal_per_report_serialization(tape, half, step, max_order, com
         error = None
     except ArithmeticError as exc:
         error = f"Error: {type(exc).__name__}: {exc}"
+    # One row a cut, one row of text a write, and compare's columns one window at a time.
     with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tape_mod, "WRITE_BLOCK_ROWS", 1), \
+            mock.patch.object(tape_mod, "TEXT_ROWS", 1), \
             mock.patch.object(moments, "WRITE_BLOCK_ROWS", 1):
         inp, out = Path(tmp) / "tape.csv", Path(tmp) / "out"
         inp.write_text(text)

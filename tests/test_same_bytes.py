@@ -27,6 +27,7 @@ def test_same_tree_twice_has_no_difference():
     labels = {line.split("  ")[1].rsplit(" ", 1)[0] for line in lines}
     assert {"acf-per-center-gappy-step3-threads2", "acf-mean-sparse-step1-threads2",
             "acf-per-center-golden-step5-threads2", "acf-mean-gappy-step5-threads2",
+            "acf-per-center-gappy-stdout", "acf-mean-gappy-stdout",
             "compare-sparse-order8", "stats-sparse-min-trades2", "compare-sparse-min-trades2",
             "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2",
             "stats-short-step3", "compare-short-window-n-1e23",
@@ -47,6 +48,11 @@ def test_same_tree_twice_has_no_difference():
             assert outputs[f"{command}-gappy-{name}"] == outputs[f"{command}-gappy-quoted-crlf"]
     for command in ("stats", "compare"):
         assert outputs[f"{command}-gappy-quoted-crlf"] == outputs[f"{command}-gappy-order4"]
+    # The JSON written alone to stdout is the JSON written beside the CSV.
+    for aggregate in ("per-center", "mean"):
+        alone, both = (outputs[f"acf-{aggregate}-gappy-{run}"]
+                       for run in ("stdout", "step3-threads1"))
+        assert alone["stdout"] == both["out.json"]
 
 
 COMMANDS = ("stats", "compare", "acf-per-center", "acf-mean")

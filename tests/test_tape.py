@@ -70,6 +70,25 @@ def test_parse_rejects_wrong_header():
         parse_csv("tick,value,volume\n0,10,1\n", format="csv")
 
 
+@pytest.mark.parametrize("format, header", [("tick-value-volume", '"tick","value","volume"'),
+                                            ("tick-price-volume", '"tick","price","volume"')])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_byte_order_mark_before_a_quoted_header_is_dropped(format, header, newline):
+    """Excel's byte-order mark comes before the header's first quote, which
+    ``csv.reader`` unquotes only when it starts the field."""
+    body = newline.join([header, '0,"2",1', "3,4,2", ""])
+    assert rows(parse_csv("\ufeff" + body, format)) == rows(parse_csv(body, format))
+    # Error lines are those of the file without the mark.
+    bad = body + "5,x,1" + newline
+    with pytest.raises(FormatError, match="^line 4: could not convert string to float: 'x'$"):
+        parse_csv("\ufeff" + bad, format)
+    # Only one mark, and only at the start of the file, is dropped.
+    with pytest.raises(FormatError, match="^line 1: header must be tick,"):
+        parse_csv("\ufeff\ufeff" + body, format)
+    with pytest.raises(FormatError, match="^line 2: "):
+        parse_csv(header + newline + "\ufeff0,1,1" + newline, format)
+
+
 def test_parse_rejects_malformed_row():
     with pytest.raises(FormatError, match="line 2"):
         parse_csv("tick,value,volume\n0,abc,1\n")
@@ -633,12 +652,27 @@ def test_reprs_equal_float_repr_at_powers_of_ten_and_band_edges():
     assert reprs(xs[::3]) == repr_reference(xs[::3])
 
 
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=50))
+@settings(max_examples=200, deadline=None)
+def test_reprs_of_ints_equal_int_repr(xs):
+    edges = [0, -1, 10**16 - 1, 10**16, -(10**16), 2**63 - 1, -(2**63)]
+    a = np.array(xs + edges, dtype=np.int64)
+    assert reprs(a) == list(map(repr, xs + edges))
+    assert reprs(a[::2]) == list(map(repr, (xs + edges)[::2]))
+
+
+def test_reprs_of_bools_are_json_literals():
+    assert reprs(np.array([True, False, False, True])) == ["true", "false", "false", "true"]
+    assert reprs(np.array([], dtype=bool)) == []
+
+
 def test_write_csv_bytes_equal_row_wise_repr_reference():
     value = [1e-05, 9.99e-05, 0.0001, 0.1, 1e15, 1e16, 1.2345e17, 1.7e308, 5e-324, 0.0]
     volume = [2.5e-05, 1e16, 3.0, 1e-300, 7.5e21, 1e-04, 0.5, 1.0, 2e-310, 4e18]
     ticks = list(range(-3, 3 * len(value) - 3, 3))
     t = TradeTape(ticks, value, volume)
     want = "tick,value,volume\n" + "".join(map("%d,%r,%r\n".__mod__, zip(ticks, value, volume)))
-    for block_rows in (1, 3, 1024):
-        with patch.object(tape_mod, "WRITE_BLOCK_ROWS", block_rows):
+    for block_rows, text_rows in ((1, 1), (3, 2), (1024, 3), (1024, 256)):
+        with patch.object(tape_mod, "WRITE_BLOCK_ROWS", block_rows), \
+                patch.object(tape_mod, "TEXT_ROWS", text_rows):
             assert emit_csv(t) == want

@@ -14,7 +14,9 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   the moments' failure table (``failing_tapes``);
 - ``acf`` per center and as the mean, on the golden (dense), the gappy and
   the sparse tape, at lag steps 1 and 3 with ``--threads`` 1 and 2, and at
-  lag step 5 (product rows wider than the float64 rows) with 2;
+  lag step 5 (product rows wider than the float64 rows) with 2; and in
+  both modes on the gappy tape at lag step 3 without ``--output``, which
+  writes the JSON alone, to stdout;
 - ``stats``, ``compare`` and both ``acf`` modes at ``--min-trades 2`` on the
   sparse tape, and on tapes with no valid window, each of which ends in
   its own error: the sparse tape at ``--min-trades 22`` (above every
@@ -160,6 +162,10 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                              ["acf", "--input", path, "--window-n", "21", "--lag-step", step,
                               "--max-lag", "30", "--aggregate", aggregate,
                               "--threads", threads, "--output", "OUT"]))
+        # Without --output the JSON alone goes to stdout.
+        runs.append((f"acf-{aggregate}-gappy-stdout",
+                     ["acf", "--input", tapes["gappy"], "--window-n", "21", "--lag-step", "3",
+                      "--max-lag", "30", "--aggregate", aggregate]))
     short = str(inputs / "short.csv")
     cases = {f"sparse-min-trades{m}": [tapes["sparse"], "--window-n", "21", "--lag-step", "3",
                                        "--min-trades", m] for m in ("2", "22")}
