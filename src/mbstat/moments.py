@@ -160,10 +160,15 @@ def _digits(x: np.ndarray, emin: int, width: int) -> np.ndarray:
 
 def _carried(s: np.ndarray) -> np.ndarray:
     """``s`` (int64 base-``2**32`` digit rows, one number per column) with every
-    digit but the top one in [0, 2**32); the top digit takes the sign."""
-    for d in range(len(s) - 1):
-        s[d + 1] += s[d] >> 32
-        s[d] &= _MASK
+    digit but the top one in [0, 2**32); the top digit takes the sign.
+
+    Each pass carries every digit row at once; after pass ``p`` the lowest
+    ``p`` rows are final, so a carry that ripples through a run of
+    ``0xFFFFFFFF`` digits takes at most one pass a row.
+    """
+    while (high := s[:-1] >> 32).any():
+        s[:-1] &= _MASK
+        s[1:] += high
     return s
 
 

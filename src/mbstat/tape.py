@@ -7,10 +7,11 @@ ratio value/volume and is never stored.  The engine works in ticks: every
 statistic and every output field is in ticks.
 
 ``parse_csv`` reads blocks of plain numeric lines with numpy's C reader.
-The first other block, and all lines after it, go through ``csv.reader``,
-whose rows numpy's reader converts again once their fields are joined by
-commas; a block that it turns down is walked row by row.  Each path gives
-the tape, or the error line, that a row-by-row ``int``/``float`` parse gives.
+Each other block goes through ``csv.reader``, which reads past the block
+only while a quoted field runs on; numpy's reader converts its rows again
+once their fields are joined by commas, and a block that it turns down is
+walked row by row.  Each path gives the tape, or the error line, that a
+row-by-row ``int``/``float`` parse gives.
 
 ``write_rows`` is the one writer of every command's output: it turns
 blocks of columns into text with ``reprs`` and fills one row template per
@@ -26,7 +27,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 import orjson
@@ -223,19 +224,17 @@ def _plain_columns(lines: list[str], price_form: bool):
     return (ticks, a, volume) if _valid_rows(a, volume).all() else None
 
 
-def _row_columns(rows: list[list[str]], line: int, price_form: bool):
-    """Tick, value and volume columns of the rows, skipping blank ones, each
-    converted with ``int``/``float`` and checked with TradeRecord's checks;
-    or raise FormatError naming the first row that fails, and its file line
-    (``line`` is the first row's)."""
+def _row_columns(rows: list[tuple[int, list[str]]], price_form: bool):
+    """Tick, value and volume columns of the ``(line, fields)`` rows, skipping
+    blank ones, each converted with ``int``/``float`` and checked with
+    TradeRecord's checks; or raise FormatError naming the first row that
+    fails, and the file line it starts on."""
     records = []
-    for row in rows:
-        lineno = line  # then step past this row's quoted line breaks too (CRLF is one)
-        line += 1 + sum(f.count("\n") + f.count("\r") - f.count("\r\n") for f in row)
+    for line, row in rows:
         if _blank(row):
             continue
         if len(row) != 3:
-            raise FormatError(f"expected 3 fields, got {len(row)}", line=lineno)
+            raise FormatError(f"expected 3 fields, got {len(row)}", line=line)
         try:
             tick = int(row[0])
             if not -(2**63) <= tick < 2**63:
@@ -243,35 +242,27 @@ def _row_columns(rows: list[list[str]], line: int, price_form: bool):
             a, volume = float(row[1]), float(row[2])
             records.append(TradeRecord(tick, a * volume if price_form else a, volume))
         except ValueError as exc:
-            raise FormatError(str(exc), line=lineno) from None
+            raise FormatError(str(exc), line=line) from None
     return _columns(records)
 
 
-def _csv_blocks(lines: Iterator[str], first: int, price_form: bool):
-    """Column blocks of the rows that ``csv.reader`` reads from ``lines``, whose
-    first is file line ``first``, ``PARSE_BLOCK_ROWS`` rows at a time.  A
-    block's rows, less the blank ones and with their fields joined by commas,
-    go to ``_plain_columns``; a block it turns down goes to ``_row_columns``."""
-    reader = csv.reader(lines)
-    while True:
-        line = first + reader.line_num  # the file line of the block's first row
-        rows = []
-        try:
-            for row in itertools.islice(reader, PARSE_BLOCK_ROWS):
-                rows.append(row)
-        except csv.Error as exc:  # a field over the module's size limit, say
-            # A bad row before the reader's error is the first error, as row by row.
-            _row_columns(rows, line, price_form)
-            raise FormatError(str(exc), line=first - 1 + reader.line_num) from None
-        if not rows:
-            return
-        joined = [",".join(row) for row in rows if len(row) == 3]
-        # Every other row must be blank: numpy's reader would split a quoted comma.
-        plain = len(joined) == len(rows) or all(len(row) == 3 or _blank(row) for row in rows)
-        if plain and not joined:  # blank rows alone
-            continue
-        cols = _plain_columns(joined, price_form) if plain else None
-        yield _row_columns(rows, line, price_form) if cols is None else cols
+def _csv_rows(lines: Iterable[str], line: int, stop: int, price_form: bool):
+    """The ``(line, fields)`` rows that ``csv.reader`` reads from ``lines``,
+    each with the file line it starts on (``line`` is the first's), until it
+    has read ``stop`` lines, or more while a quoted field runs on; and the
+    number of lines it read.  A ``csv.Error`` (a field over the module's size
+    limit, say) is a FormatError naming its line, once the rows before it
+    pass ``_row_columns``: a bad row before it is the first error."""
+    reader, rows, read = csv.reader(lines), [], 0
+    try:
+        for row in reader:
+            rows.append((line + read, row))
+            if (read := reader.line_num) >= stop:
+                break
+    except csv.Error as exc:
+        _row_columns(rows, price_form)
+        raise FormatError(str(exc), line=line - 1 + reader.line_num) from None
+    return rows, read
 
 
 def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
@@ -283,13 +274,14 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     One leading U+FEFF (the byte-order mark of Excel's "CSV UTF-8") is
     dropped from the first line, quoted header or not.
 
-    Lines are read ``PARSE_BLOCK_ROWS`` at a time.  While each block holds
-    only plain numbers (``_plain_columns``: digits, float characters, commas,
-    spaces, tabs and line ends), numpy's C reader converts it; the first
-    block that does not, and every line after it, go through ``csv.reader``
-    (``_csv_blocks``).  Its rows, blank ones dropped and fields joined by
-    commas, go to numpy's reader again, and a block that it turns down is
-    converted, or its first bad row named, by ``_row_columns``: the
+    Lines are read ``PARSE_BLOCK_ROWS`` at a time, and each block picks its
+    own reader.  A block that holds only plain numbers (``_plain_columns``:
+    digits, float characters, commas, spaces, tabs and line ends) is
+    converted by numpy's C reader.  Any other block goes through
+    ``csv.reader`` (``_csv_rows``), which reads past the block's end only
+    while a quoted field runs on.  Its rows, blank ones dropped and fields
+    joined by commas, go to numpy's reader again, and a block that it turns
+    down is converted, or its first bad row named, by ``_row_columns``: the
     ``int``/``float`` calls and checks of a row-by-row parse.
     """
     if format not in FORMATS:
@@ -302,25 +294,27 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     # Excel's byte-order mark goes before csv.reader reads the line, which
     # unquotes only a field that starts with the quote.
     first_line = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
-    reader = csv.reader(itertools.chain(first_line, lines))
     price_form = format == "tick-price-volume"
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise FormatError(str(exc), line=reader.line_num) from None
-    if header is None:
+    header, read = _csv_rows(itertools.chain(first_line, lines), 1, 1, price_form)
+    if not header:
         raise FormatError("missing header row", line=1)
     expected = _HEADERS[format]
-    if tuple(h.strip() for h in header) != expected:
+    if tuple(h.strip() for h in header[0][1]) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)
     blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
-    line = reader.line_num + 1  # the physical line of the block's first row
+    line = 1 + read  # the physical line of the block's first row
     while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
-        if (cols := _plain_columns(block, price_form)) is None:
-            blocks += _csv_blocks(itertools.chain(block, lines), line, price_form)
-            break
+        cols, read = _plain_columns(block, price_form), len(block)
+        if cols is None:
+            rows, read = _csv_rows(itertools.chain(block, lines), line, len(block), price_form)
+            joined = [",".join(row) for _, row in rows if len(row) == 3]
+            # Every other row must be blank: numpy's reader would split a quoted
+            # comma.  Blank rows alone add the empty columns.
+            if len(joined) == len(rows) or all(len(row) == 3 or _blank(row) for _, row in rows):
+                cols = _plain_columns(joined, price_form) if joined else blocks[0]
+            cols = _row_columns(rows, price_form) if cols is None else cols
         blocks.append(cols)
-        line += len(block)
+        line += read
     return _merged(*map(np.concatenate, zip(*blocks)))
 
 

@@ -434,6 +434,10 @@ EXACT_CASES = {
     # Exponents from -1074 to 1023: 69 digits of 32 bits a value.
     "wide": lambda rng, n: np.concatenate(([5e-324, 1.7e308], _signs(rng, n) * rng.random(n)
                                            * 2.0 ** rng.integers(-1074, 1024, n)))[:n],
+    # Sums such as 2**100 - 2**-100 and their negatives, whose digits run
+    # through 0xFFFFFFFF: a carry ripples from the lowest digit to the top.
+    "carry-chain": lambda rng, n: rng.choice([-1.0, 1.0], n)
+    * 2.0 ** (rng.choice([100, 500], n) * rng.choice([-1, 1], n)),
     # Halfway cases and sticky bits of the rounding.
     "ties": lambda rng, n: rng.choice([1.0, 2.0**53, -(2.0**53), 2.0**-53, -(2.0**-53), 2.0**-54,
                                        3 * 2.0**-54, 1 + 2.0**-52, 2.0**-1074], n),

@@ -1,5 +1,6 @@
 """Tape ingestion, bucketing and CSV round-trip."""
 
+import contextlib
 import csv
 import io
 import math
@@ -408,18 +409,78 @@ def test_plain_blocks_skip_the_csv_reader_and_other_blocks_take_it_from_their_li
     lines = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
     plain = "\n".join(["tick,value,volume", *lines]) + "\n"
     calls = []
-    real = tape_mod._csv_blocks
+    real = tape_mod._csv_rows
 
-    def spy(lines, line, price_form):
-        calls.append(line)
-        return real(lines, line, price_form)
+    def spy(lines, line, stop, price_form):
+        if line > 1:  # past the header, which csv.reader reads too
+            calls.append(line)
+        return real(lines, line, stop, price_form)
 
-    with patch.object(tape_mod, "_csv_blocks", spy):
+    with patch.object(tape_mod, "_csv_rows", spy):
         want = rows(parse_csv(plain))
         assert calls == []
         lines[2500] = '"2500",' + lines[2500].split(",", 1)[1]  # line 2502, in the third block
         assert rows(parse_csv("\n".join(["tick,value,volume", *lines]) + "\n")) == want
         assert calls == [2 + 2 * tape_mod.PARSE_BLOCK_ROWS]
+
+
+@contextlib.contextmanager
+def csv_reader_lines():
+    """The list of every line that ``csv.reader`` reads while the context runs."""
+    read, real = [], csv.reader
+
+    def reader(lines):
+        return real(read.append(line) or line for line in lines)
+
+    with patch.object(csv, "reader", reader):
+        yield read
+
+
+def test_a_quoted_first_line_sends_only_its_block_through_the_csv_reader():
+    lines = [line + "\n" for line in ["tick,value,volume", *PLAIN_LINES]]
+    lines[1] = '"0"' + lines[1][1:]
+    raw, real = [], tape_mod._plain_columns
+
+    def plain(block, price_form):
+        cols = real(block, price_form)
+        if cols is not None and block[0].endswith("\n"):  # raw lines, not joined rows
+            raw.extend(block)
+        return cols
+
+    with csv_reader_lines() as read, patch.object(tape_mod, "_plain_columns", plain):
+        got = outcome(parse_csv, "".join(lines))
+    assert got == outcome(reference_parse_csv, "".join(lines))
+    block_rows = tape_mod.PARSE_BLOCK_ROWS
+    assert read == lines[:1 + block_rows]
+    assert raw == lines[1 + block_rows:]
+
+
+@pytest.mark.parametrize("newline", EOLS, ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("block_rows", [1, 3, 1024])
+@pytest.mark.parametrize("bad", [None, "crossing", "later"])
+def test_a_quoted_line_break_across_a_block_end_leaves_later_blocks_to_numpy(
+        newline, block_rows, bad):
+    """The quoted field of the first block's last line ends on the next
+    line; csv.reader reads that line too, numpy's raw-line reader each plain
+    block after it, and csv.reader again the block of a bad row.  The error
+    names the line a bad row starts on, the crossing row's too."""
+    b = block_rows
+    data = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(4 * b + 3)]
+    data[b - 1] = f'{b - 1},"1.5{newline}",{0 if bad == "crossing" else 2}'  # lines b+1, b+2
+    if bad == "later":
+        data[3 * b - 1] = f"{3 * b - 1},1.5,0"  # line 3b + 2, the last of its block
+    text = newline.join(["tick,value,volume", *data]) + newline
+    lines = io.StringIO(text, newline="").readlines()
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", b), csv_reader_lines() as read:
+        got = outcome(parse_csv, text)
+    assert got == outcome(reference_parse_csv, text)
+    error = "volume must be positive and finite, got 0.0"
+    if bad == "later":
+        assert got == (FormatError, f"line {3 * b + 2}: {error}")
+        assert read == lines[:b + 2] + lines[2 * b + 2:3 * b + 2]
+    else:
+        assert bad is None or got == (FormatError, f"line {b + 1}: {error}")
+        assert read == lines[:b + 2]
 
 
 #: A 3,000-row plain tape, the line of each row without its line end.
@@ -439,10 +500,11 @@ def test_each_dialect_takes_its_own_path(render, csv_calls, walk_calls):
     block that it turns down, here one holding a "1_000" tick, is walked."""
     want = outcome(parse_csv, "\n".join(["tick,value,volume", *PLAIN_LINES]) + "\n")
     text = "tick,value,volume\n" + "".join(render(i, line) for i, line in enumerate(PLAIN_LINES))
-    with patch.object(tape_mod, "_csv_blocks", wraps=tape_mod._csv_blocks) as csv_blocks, \
+    with patch.object(tape_mod, "_csv_rows", wraps=tape_mod._csv_rows) as csv_rows, \
             patch.object(tape_mod, "_row_columns", wraps=tape_mod._row_columns) as walk:
         assert outcome(parse_csv, text) == want
-    assert (csv_blocks.call_count, walk.call_count) == (csv_calls, walk_calls)
+    blocks = sum(call.args[1] > 1 for call in csv_rows.call_args_list)  # past the header's
+    assert (blocks, walk.call_count) == (csv_calls, walk_calls)
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),

@@ -27,8 +27,9 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   plain lines numpy's reader parses, and on copies of the gappy tape in
   other CSV dialects (``renderings``): every field quoted with CRLF line
   ends; a byte-order mark, CRLF line ends and ``, `` separators; fields
-  padded with tabs; a blank line every 50 rows; and ticks written with
-  ``_`` thousands separators.
+  padded with tabs; a blank line every 50 rows; ticks written with ``_``
+  thousands separators; the first row's tick quoted; and a quoted field
+  whose line break crosses the end of the parse's first block.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
@@ -127,9 +128,16 @@ def renderings(text: str) -> dict[str, str]:
     byte-order mark, as Excel's "CSV UTF-8" writes, CRLF line ends and ``, ``
     separators.  ``tab-padded``: a tab on each side of every field.
     ``blank-lines``: a blank line after every 50th row.  ``underscored-ticks``:
-    ticks from 1000 up written as ``1_000``, which ``int`` reads."""
+    ticks from 1000 up written as ``1_000``, which ``int`` reads.
+    ``one-quoted-tick``: the first row's tick quoted, so that only the first
+    block of the parse needs ``csv.reader``.  ``quoted-break-at-block-end``:
+    the volume of the 1,024th row quoted with a line break after it, so
+    that the field opens on file line 1,025, the last of the parse's first
+    block of 1,024 lines, and closes on the next."""
     lines = text.splitlines()
     header, *rows = lines
+    quoted_tick = '"{}",{}'.format(*rows[0].split(",", 1))
+    broken_volume = '{},"{}\n"'.format(*rows[1023].rsplit(",", 1))
     return {
         "quoted-crlf": "".join(",".join(f'"{field}"' for field in line.split(",")) + "\r\n"
                                for line in lines),
@@ -140,6 +148,9 @@ def renderings(text: str) -> dict[str, str]:
                                for i, line in enumerate(lines)),
         "underscored-ticks": header + "\n" + "".join(
             f"{int(tick):_},{rest}\n" for tick, rest in (row.split(",", 1) for row in rows)),
+        "one-quoted-tick": "\n".join([header, quoted_tick, *rows[1:]]) + "\n",
+        "quoted-break-at-block-end": "\n".join(
+            [header, *rows[:1023], broken_volume, *rows[1024:]]) + "\n",
     }
 
 
