@@ -27,7 +27,6 @@ import math
 import operator
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Iterator, NamedTuple, TextIO
@@ -44,8 +43,8 @@ SERIES2 = ("value", "volume")
 #: The factors (x, y) of the seven window sums of ``acf_curve``, each the sum
 #: of series[x](t) * series[y](t + tau) over a window's ticks t, with series
 #: 0, 1, 2 the presence, value and volume: the pair count n, n·c1, n·u1, the
-#: lagged products of value and of volume, and n·c1' and n·u1'.
-PAIRS = ((0, 0), (1, 0), (2, 0), (1, 1), (2, 2), (0, 1), (0, 2))
+#: lagged product of value, n·c1', the lagged product of volume and n·u1'.
+PAIRS = ((0, 0), (1, 0), (2, 0), (1, 1), (0, 1), (2, 2), (0, 2))
 #: float64 values in the bytes of one longdouble.
 _F64_PER_WIDE = np.dtype(np.longdouble).itemsize // 8
 
@@ -255,30 +254,33 @@ def _means(d: np.ndarray) -> None:
     np.divide(d[1:], _divisor(d[0], _empty(d[0])), out=d[1:])
 
 
-def _center_rows(n, c1, u1, s: np.ndarray, out: np.ndarray) -> None:
+def _center_rows(m: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
     """Fill ``out`` with the per-center rows b_value, b_volume, b_price,
     lag2_value, lag2_volume, lag2_price and the pair count n.
 
-    ``n``, ``c1`` and ``u1`` are the windows' pair counts and one-sided means
-    (see ``_means``).  ``s`` (4 rows) holds the window sums of ``PAIRS[3:]``
-    and takes their means.  All but ``out`` are longdouble.
+    ``m`` (3 rows) holds the windows' pair counts n and one-sided means c1
+    and u1 (see ``_means``).  ``s`` (4 rows) holds the window sums of
+    ``PAIRS[3:]``, and takes their means, then c1·c1' and u1·u1' in place of
+    c1' and u1', then the price moment and ratio in place of the volume rows.
+    All but ``out`` are longdouble.
     """
+    n = m[0]
     empty = _empty(n)
     np.divide(s, _divisor(n, empty), out=s)
-    lag2_c, lag2_u, c1l, u1l = s
-    c_means = np.multiply(c1, c1l, out=c1l)
-    u_means = np.multiply(u1, u1l, out=u1l)
-    np.subtract(lag2_c, c_means, out=out[0])
-    np.subtract(lag2_u, u_means, out=out[1])
-    ratio = np.divide(c_means, _divisor(u_means, empty), out=c1l)
-    lag2_p = np.divide(lag2_c, _divisor(lag2_u, empty), out=u1l)
-    np.subtract(lag2_p, ratio, out=out[2])
-    out[3], out[4], out[5], out[6] = lag2_c, lag2_u, lag2_p, n
+    # Rows lag2_c, c_means, lag2_u, u_means.
+    np.multiply(m[1:], s[1::2], out=s[1::2])
+    np.subtract(s[::2], s[1::2], out=out[:2])
+    out[3:5] = s[::2]
+    # Rows lag2_c, c_means, lag2_p, ratio.
+    np.divide(s[:2], _divisor(s[2:], empty), out=s[2:])
+    np.subtract(s[2], s[3], out=out[2])
+    out[5], out[6] = s[2], n
 
 
 def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, out: np.ndarray,
                 carry: np.ndarray | None = None) -> None:
-    """Sum the float64 products x·y over windows into ``out``.
+    """Sum the float64 products x·y over windows into ``out``; ``x`` None is
+    1.0 at every tick, and then ``y`` is copied with no multiply.
 
     The products go, widened, into the longdouble product row ``prod[..., 1:]``,
     which is summed along the ticks into the prefix row ``ps[..., 1:]`` (one
@@ -294,7 +296,10 @@ def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, ou
     is not 1-D, and the mean sweep's threads would take turns on it.
     """
     # The float64 product, widened: the ufunc loop follows its inputs.
-    np.multiply(x, y, out=prod[..., 1:])
+    if x is None:
+        prod[..., 1:] = y
+    else:
+        np.multiply(x, y, out=prod[..., 1:])
     if carry is None:
         src, dst = prod[..., 1:], ps[..., 1:]
     else:
@@ -304,16 +309,6 @@ def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, ou
         src, dst = src[0], dst[0]
     np.cumsum(src, axis=-1, out=dst)
     np.subtract(ps[..., hi], ps[..., lo], out=out)
-
-
-def _weighted_mean(col: np.ndarray, w: np.ndarray, wtot: float) -> float:
-    """The ``w``-weighted mean of ``col``, as ``(col * w).sum() / wtot``.  Where
-    those products overflow although every value is finite, the weights are
-    scaled down first, so a finite curve has a finite mean."""
-    mean = (col * w).sum() / wtot
-    if not np.isfinite(mean) and np.isfinite(col).all():
-        mean = (col * (w / wtot)).sum()
-    return mean
 
 
 def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
@@ -347,14 +342,17 @@ def acf_curve(
 
     The mean sweep, in both modes, calls it for all centers at one lag.
     Lags of span ticks or more have no pairs and are not swept.  Lags are
-    computed independently (optionally across threads, at most one per lag
-    and per CPU), and each reduces its own row of the pair-count-weighted
-    mean, so output is identical for any thread count.  A thread holds one
-    prefix row over the span, and its window sums and 7 rows over the
-    centers, whose memory also holds its product row; its accumulates are
-    1-D, so the threads run them at once.  When one thread fails, or the
-    caller is interrupted, the others stop before their next lag.  This
-    gives the mean curve and its scales.  Per-center mode
+    computed independently, and each reduces its own row of the
+    pair-count-weighted mean, so output is identical for any thread count.
+    ``threads`` is clamped to the lags and the CPUs; the calling thread
+    sweeps every ``threads``-th lag from lag 0, and ``threads - 1`` helper
+    threads take the other shares.  A thread holds one prefix row over the
+    span, and its window sums and 7 rows over the centers, whose memory
+    also holds its product row; its accumulates are 1-D, so the threads run
+    them at once.  When one thread fails, or the caller is interrupted, the
+    others stop before their next lag, and the caller raises the first
+    error once the helpers are joined.  This gives the mean curve and its
+    scales.  Per-center mode
     then calls it as the rows are read, on the calling thread, for one
     block of consecutive centers at all lags.  A block sums over its own
     ticks only, continuing the prefixes carried over from the previous
@@ -376,6 +374,7 @@ def acf_curve(
     step, n_ticks = spec.lag_step_ticks, spec.n_ticks
     centers, _, _, valid = valid_grid(tape, spec)
     n_centers = len(centers)
+    invalid = None if valid.all() else ~valid
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
@@ -443,26 +442,29 @@ def acf_curve(
         seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
         prod = shared[: seg.size].reshape(seg.shape)
         for i, (x, y) in enumerate(PAIRS[first_pair:]):
-            _window_sum(base[x], lagged[y], prod, seg, lo, hi, sums[i], carry[i] if a else None)
+            # A dense tape's presence is 1.0 at every tick of the block.
+            _window_sum(None if dense and x == 0 else base[x], lagged[y], prod, seg, lo, hi,
+                        sums[i], carry[i] if a else None)
             if carry is not None:
                 carry[i] = seg[:, first_lo + (b - a) * step]
         if dense:
             # Windows that end by span - tau at every lag have lag 0's n, c1
             # and u1; the later ones take theirs from both ends clipped there.
             h = min(b, max(a, (span - lags[js][-1] - n_ticks - lo0) // step + 1)) - a
-            _center_rows(*lag_free[:, None, a : a + h], sums[..., :h], rows[..., :h])
+            _center_rows(lag_free[:, None, a : a + h], sums[..., :h], rows[..., :h])
             if a + h < b:
                 clip = span - tail0 - lag_arr[js, None]
                 los = lo0 - tail0 + step * np.arange(a + h, b)
                 clipped = tail[:, np.minimum(los + n_ticks, clip)] - tail[:, np.minimum(los, clip)]
                 _means(clipped)
-                _center_rows(*clipped, sums[..., h:], rows[..., h:])
+                _center_rows(clipped, sums[..., h:], rows[..., h:])
         else:
             _means(sums[:3])
-            _center_rows(*sums[:3], sums[3:], rows)
+            _center_rows(sums[:3], sums[3:], rows)
         # A window with fewer than min_trades records (its lag-0 pair count)
         # gets a zero pair count at every lag, so it drops out as stats drops it.
-        rows[6][:, ~valid[a:b]] = 0
+        if invalid is not None:
+            rows[6][:, invalid[a:b]] = 0
         return rows
 
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
@@ -470,16 +472,18 @@ def acf_curve(
     # fields, then the total pair count (0 when the lag has no pairs): the
     # mean-mode output, and the curve the scales are detected on in both modes.
     mean = np.zeros((len(lags), 7))
-    # Set when the sweep fails or is interrupted: the other workers then stop
-    # before their next lag instead of sweeping all of theirs.
+    # Set when a sweeper fails or the caller is interrupted: the other
+    # sweepers then stop before their next lag instead of sweeping all of
+    # theirs.  ``errors`` keeps the sweepers' errors in the order raised.
     stop = threading.Event()
+    errors: list[BaseException] = []
 
     @np.errstate(all="ignore")
     def sweep_lags(start: int) -> None:
         """Fill mean[j] for j = start, start + threads, ..., until ``stop`` is set.
 
-        One set of buffers serves all the worker's lags: buffers allocated per
-        lag would go back to the OS and fault in again on every lag.
+        One set of buffers serves all the sweeper's lags: buffers allocated
+        per lag would go back to the OS and fault in again on every lag.
         """
         try:
             bufs = buffers(1, n_centers)
@@ -488,23 +492,42 @@ def acf_curve(
                     return
                 rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
                 ok = rows[6] >= 1
-                if np.any(ok):
-                    cut = slice(None) if ok.all() else ok
-                    w = rows[6, cut]
-                    wtot = w.sum()
-                    mean[j] = [*(_weighted_mean(col[cut], w, wtot) for col in rows[:-1]), wtot]
-        except BaseException:
+                if not ok.any():
+                    continue
+                every = ok.all()
+                cut = slice(None) if every else ok
+                # The products in place, in C-contiguous rows (a masked gather
+                # is not), each summed as a 1-D array is, bit for bit.
+                block = rows[:6] if every else np.compress(ok, rows[:6], axis=1)
+                w = rows[6, cut]
+                mean[j, 6] = wtot = w.sum()
+                means = mean[j, :6]
+                means[:] = np.multiply(block, w, out=block).sum(axis=1) / wtot
+                if not np.isfinite(means).all():
+                    # Where products overflow although every row is finite, the
+                    # weights are scaled down first, so a finite curve has a
+                    # finite mean; the rows are computed again for it.
+                    rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
+                    for i in np.flatnonzero(~np.isfinite(means)):
+                        if np.isfinite(col := rows[i, cut]).all():
+                            means[i] = (col * (w / wtot)).sum()
+        except BaseException as error:  # raised again by the caller
             stop.set()
-            raise
+            errors.append(error)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            try:
-                list(pool.map(sweep_lags, range(threads)))
-            finally:
-                stop.set()
-    else:
+    # The calling thread sweeps the first share, threads - 1 helpers the others.
+    helpers = [threading.Thread(target=sweep_lags, args=(i,)) for i in range(1, threads)]
+    try:
+        for helper in helpers:
+            helper.start()
         sweep_lags(0)
+        for helper in helpers:
+            helper.join()
+    except BaseException:  # Ctrl-C outside the caller's own share
+        stop.set()
+        raise
+    if errors:
+        raise errors[0]
 
     # A valid window pairs each of its records with itself at lag 0.
     has = mean[:, -1] >= 1

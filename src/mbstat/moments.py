@@ -172,11 +172,28 @@ def _carried(s: np.ndarray) -> np.ndarray:
     return s
 
 
-def _rounded(s: np.ndarray, exp0: int) -> np.ndarray:
+def _quotient(s: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``s`` (carried nonnegative digit rows) times ``2**96``, long-divided by
+    each column's ``count`` (below ``2**31``), with the lowest bit set where a
+    remainder is left: a sticky bit below the top 64 bits of any nonzero
+    quotient, which is at least ``2**65``.
+
+    A remainder below ``2**31`` times ``2**32``, plus a digit, stays inside int64.
+    """
+    q = np.concatenate((np.zeros((3, s.shape[1]), np.int64), s))
+    rem = np.zeros(s.shape[1], np.int64)
+    for d in range(len(q) - 1, -1, -1):
+        q[d], rem = np.divmod((rem << 32) + q[d], count)
+    q[0] |= rem != 0
+    return q
+
+
+def _rounded(s: np.ndarray, exp0: int, count: np.ndarray | None = None) -> np.ndarray:
     """The float64 nearest (ties to even) to each column's
-    ``sum(s[d] * 2**(32 * d)) * 2**exp0``, or NaN where that rounds to
-    ``2**1024`` or more.  ``s`` is int64 digit rows whose top digit has room
-    for every carry; it is overwritten.
+    ``sum(s[d] * 2**(32 * d)) * 2**exp0``, divided first by the column's
+    ``count`` when that is given, or NaN where that rounds to ``2**1024`` or
+    more.  ``s`` is int64 digit rows whose top digit has room for every
+    carry; it is overwritten.
 
     The top 64 bits of the magnitude, with a sticky bit for every bit below
     them, round to the nearest float64 in the uint64 conversion.  A sum in
@@ -187,6 +204,8 @@ def _rounded(s: np.ndarray, exp0: int) -> np.ndarray:
     neg = s[-1] < 0
     if neg.any():
         s[:, neg] = _carried(-s[:, neg])
+    if count is not None:
+        s, exp0 = _quotient(s, count), exp0 - 96
     # Three zero digits below: the top 64 bits take the bit length ``b`` of the
     # highest nonzero digit ``h``, all of digit h - 1 and the top 32 - b bits of h - 2.
     d = np.concatenate((np.zeros((3, s.shape[1]), np.int64), s)).view(np.uint64)
@@ -239,10 +258,12 @@ class _Prefixes:
         return self.kept[j]
 
 
-def _exact_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _exact_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                count: np.ndarray | None = None) -> np.ndarray:
     """The float64 nearest to the exact ``sum(x[a:b])`` of each window [a, b)
-    of ``lo``/``hi``, NaN where that rounds past the float64 range; ``x`` is
-    finite and has fewer than ``2**31`` rows.
+    of ``lo``/``hi``, or to that sum over the window's ``count`` when that is
+    given, NaN where that rounds past the float64 range; ``x`` is finite and
+    has fewer than ``2**31`` rows.
 
     Every value is an integer times ``2**(emin - 53)``, for the smallest
     exponent ``emin`` of the column, held in int64 base-``2**32`` digits, so
@@ -270,41 +291,47 @@ def _exact_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             sel = np.flatnonzero(j == b)
             at[:, sel] = prefixes.at(b)[:, ends[sel] - b * block]
         n = len(ends) // 2
-        sums[w:w + n] = _rounded(at[:, :n] - at[:, n:], emin - 53)
+        sums[w:w + n] = _rounded(at[:, :n] - at[:, n:], emin - 53,
+                                 None if count is None else count[w:w + n])
     return sums
 
 
 def window_means(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``math.fsum(col[a:b]) / (b - a)`` for each window [a, b) of ``lo``/``hi``,
-    bit for bit where that ``fsum`` is finite, and NaN where the exact sum
-    overflows.
+    bit for bit where that ``fsum`` is finite.
 
     A window's sum is the correctly rounded exact sum of its finite values,
     as ``fsum``'s is, taken from exact int64 digit prefix sums
-    (:func:`_exact_sums`); it is NaN only where the exact sum rounds past
-    the float64 range: ``fsum`` also raises where only a partial sum does,
-    so for [1e308, 1e308, -1e308] this gives 1e308 / 3 where ``fsum``
-    raises.  No tape column reaches that case, as tape values are never
-    negative.  This takes O(rows + windows) for any window width.  A window
-    holding an inf is summed by ``fsum`` itself, whose result there depends
-    on where the inf sits; a window holding a NaN and no inf is NaN, as its
-    ``fsum`` is, found from a prefix count of the NaNs.
+    (:func:`_exact_sums`).  Where the exact sum rounds past the float64
+    range, ``fsum`` raises, but the mean is finite: its digits are divided
+    by the count before their one rounding, so [1.7e308, 1.7e308] gives
+    1.7e308.  ``fsum`` also raises where only a partial sum overflows, so
+    for [1e308, 1e308, -1e308] this gives 1e308 / 3.  No tape column
+    reaches that case, as tape values are never negative.  This takes
+    O(rows + windows) for any window width.  A window holding an inf is
+    summed by ``fsum`` itself, whose result there depends on where the inf
+    sits, and is NaN where that raises OverflowError; a window holding a NaN
+    and no inf is NaN, as its ``fsum`` is, found from a prefix count of the
+    NaNs.
     """
     finite = np.isfinite(col)
-    sums = _exact_sums(np.where(finite, col, 0.0), lo, hi)
+    means = _exact_sums(np.where(finite, col, 0.0), lo, hi) / (hi - lo)
+    if (over := np.flatnonzero(np.isnan(means))).size:
+        means[over] = _exact_sums(np.where(finite, col, 0.0), lo[over], hi[over],
+                                  (hi - lo)[over])
     if not finite.all():
         # A NaN makes ``fsum`` NaN (or an OverflowError, which is NaN here) unless
         # the window also holds both infinities; only windows with an inf need it.
         nans, infs = (np.concatenate(([0], np.cumsum(mask)))
                       for mask in (np.isnan(col), np.isinf(col)))
         has_inf = infs[hi] > infs[lo]
-        sums[(nans[hi] > nans[lo]) & ~has_inf] = math.nan
+        means[(nans[hi] > nans[lo]) & ~has_inf] = math.nan
         for i in np.flatnonzero(has_inf).tolist():
             try:
-                sums[i] = math.fsum(col[lo[i]:hi[i]].tolist())
+                means[i] = math.fsum(col[lo[i]:hi[i]].tolist()) / (hi[i] - lo[i])
             except OverflowError:  # NaN marks an overflow: no real moment here is NaN
-                sums[i] = math.nan
-    return sums / (hi - lo)
+                means[i] = math.nan
+    return means
 
 
 def _power(x: np.ndarray, n: int) -> np.ndarray:

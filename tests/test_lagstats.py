@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -319,32 +320,21 @@ def test_acf_curve_lags_past_span_have_no_pairs():
 
 
 @pytest.mark.parametrize(
-    "threads, cpus, max_lag, pools",
-    [(64, 8, 2, [3]), (64, 8, 20, [8]), (3, 8, 20, [3]), (64, None, 20, []), (64, 8, 0, []),
-     (0, 8, 20, []), (-3, 8, 20, [])],
+    "threads, cpus, max_lag, helpers",
+    [(64, 8, 2, 2), (64, 8, 20, 7), (3, 8, 20, 2), (64, None, 20, 0), (64, 8, 0, 0),
+     (0, 8, 20, 0), (-3, 8, 20, 0)],
     ids=["lags", "cpus", "requested", "no-cpu-count", "one-lag", "zero", "negative"],
 )
-def test_acf_curve_clamps_threads(monkeypatch, threads, cpus, max_lag, pools):
-    made = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(lagstats, "ThreadPoolExecutor", RecordingPool)
+def test_acf_curve_clamps_threads(monkeypatch, threads, cpus, max_lag, helpers):
+    """The sweep runs on the clamped thread count: the calling thread and
+    ``threads - 1`` helper threads."""
+    started = []
+    real = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(1) or real(self))
     monkeypatch.setattr(lagstats.os, "cpu_count", lambda: cpus)
     tape = random_tape(random.Random(5), 60, 0.1)
     curve = acf_curve(tape, WindowSpec(5, 1), max_lag, threads=threads)
-    assert made == pools
+    assert len(started) == helpers
     assert curve.points == acf_curve(tape, WindowSpec(5, 1), max_lag).points
 
 
@@ -560,7 +550,7 @@ def test_rows_of_windows_without_pairs_are_finite(monkeypatch):
 
     def spy(*args):
         real(*args)
-        seen.append(args[4].reshape(7, -1).copy())
+        seen.append(args[2].reshape(7, -1).copy())
 
     monkeypatch.setattr(lagstats, "_center_rows", spy)
     for tape, max_lag in ((rising_tape([*range(10), *range(30, 40)]), 4), (dense_tape(40), 20)):
@@ -916,50 +906,107 @@ def test_mean_sweep_thread_holds_one_prefix_row(monkeypatch):
 @pytest.mark.parametrize("ticks, calls", [(range(60), 4 * 9), ([*range(30), *range(31, 61)], 7 * 9)],
                          ids=["dense", "gappy"])
 def test_mean_sweep_workers_accumulate_one_row_out_of_place(monkeypatch, ticks, calls):
-    """Every prefix sum that a mean-sweep worker takes is a 1-D accumulate into
-    another array of the same dtype: numpy holds the GIL for an accumulate in
-    place or over more than one dimension, and the workers would take turns."""
+    """Every prefix sum that a mean sweeper takes, on the calling thread or a
+    helper, is a 1-D accumulate into another array of the same dtype: numpy
+    holds the GIL for an accumulate in place or over more than one dimension,
+    and the sweepers would take turns.  The dense tape's set-up cumsum, outside
+    ``_window_sum``, is 2-D."""
     monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
-    seen = []
-    real = np.cumsum
+    seen, summing = [], threading.local()
+    real_cumsum, real_sum = np.cumsum, lagstats._window_sum
+
+    def window_sum(*args):
+        summing.on = True
+        try:
+            real_sum(*args)
+        finally:
+            summing.on = False
 
     def spy(a, *args, out=None, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
+        if getattr(summing, "on", False):
             seen.append((a.ndim, out.ndim, a.dtype == out.dtype, np.shares_memory(a, out)))
-        return real(a, *args, out=out, **kwargs)
+        return real_cumsum(a, *args, out=out, **kwargs)
 
+    monkeypatch.setattr(lagstats, "_window_sum", window_sum)
     monkeypatch.setattr(np, "cumsum", spy)
     acf_curve(rising_tape(ticks), WindowSpec(5, 1), 8, aggregate="mean", threads=2)
     assert seen == [(1, 1, True, False)] * calls
 
 
-def test_failing_sweep_worker_stops_the_other(monkeypatch):
-    """When one mean-sweep worker raises, the error reaches the caller and the
-    other worker stops before its next lag instead of sweeping its share.  A
-    gappy tape takes one ``_center_rows`` call per lag, and the first worker
-    to reach one raises."""
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_failing_sweep_worker_stops_the_other(monkeypatch, raiser, error):
+    """When one mean sweeper raises, on the helper thread or on the calling
+    thread, the error reaches the caller, and the other sweeper stops before
+    its next lag instead of sweeping its share.  A gappy tape takes one
+    ``_center_rows`` call per lag; the raiser raises at its first, and the
+    other holds its first lag open until then."""
     monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
+    caller = threading.current_thread()
     real = lagstats._center_rows
-    lock = threading.Lock()
-    lags_of = {}
+    lock, raised = threading.Lock(), threading.Event()
+    lags = {"caller": 0, "helper": 0}
 
     def spy(*args):
+        role = "caller" if threading.current_thread() is caller else "helper"
         with lock:
-            first = not lags_of
-            me = threading.current_thread()
-            lags_of[me] = lags_of.get(me, 0) + 1
+            lags[role] += 1
+            first = lags[role] == 1
+        if role == raiser:
+            raised.set()
+            raise error("sweeper failed")
         if first:
-            raise RuntimeError("worker failed")
+            raised.wait(timeout=5)
         real(*args)
 
     monkeypatch.setattr(lagstats, "_center_rows", spy)
     tape = random_tape(random.Random(3), 3000, 0.1)
-    with pytest.raises(RuntimeError, match="^worker failed$"):
+    with pytest.raises(error, match="^sweeper failed$"):
         acf_curve(tape, WindowSpec(101, 1), 99, aggregate="mean", threads=2)
-    raiser, *others = lags_of.values()
-    assert raiser == 1
-    # Each worker's share is 50 lags; the other may finish the lag it is in.
-    assert sum(others) <= 2
+    other = "helper" if raiser == "caller" else "caller"
+    # Each share is 50 lags; the other sweeper finishes the lag it is in.
+    assert lags[raiser] == 1 and lags[other] <= 1
+
+
+def test_sweep_runs_on_at_most_threads_os_threads(monkeypatch):
+    """Two sweep threads are the calling thread and one helper: no idle thread
+    waits on a pool."""
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 2)
+    before = threading.active_count()
+    counts = []
+    real = lagstats._center_rows
+    monkeypatch.setattr(lagstats, "_center_rows",
+                        lambda *args: counts.append(threading.active_count()) or real(*args))
+    tape = random_tape(random.Random(3), 400, 0.1)
+    acf_curve(tape, WindowSpec(11, 1), 20, aggregate="mean", threads=2)
+    assert len(counts) == 21 and max(counts) <= before + 1
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "per-center"])
+@pytest.mark.parametrize("ticks", [range(300), [*range(100), *range(103, 200), *range(207, 300)]],
+                         ids=["dense", "gappy"])
+def test_uneven_shares_give_the_same_bytes(monkeypatch, ticks, aggregate):
+    """Three and four sweep threads over 23 lags (shares of 8, 8, 7 and of 6,
+    6, 6, 5) give the bytes of one thread, with the interpreter switching
+    threads every microsecond: a lost or misplaced row of the mean would show."""
+    monkeypatch.setattr(lagstats.os, "cpu_count", lambda: 4)
+    rng = random.Random(8)
+    ticks = np.array(ticks)
+    tape = TradeTape(ticks, np.array([rng.uniform(0.1, 5) for _ in ticks]),
+                     np.array([rng.uniform(0.1, 5) for _ in ticks]))
+    spec, max_lag = WindowSpec(31, 1), 22
+    one = acf_curve(tape, spec, max_lag, aggregate=aggregate, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        curves = [acf_curve(tape, spec, max_lag, aggregate=aggregate, threads=threads)
+                  for threads in (3, 4)]
+    finally:
+        sys.setswitchinterval(interval)
+    for curve in curves:
+        assert curve == one
+        assert [c.tobytes() for c in curve.columns if c is not None] == [
+            c.tobytes() for c in one.columns if c is not None]
 
 
 class Discard(io.TextIOBase):

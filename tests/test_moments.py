@@ -362,11 +362,14 @@ SPECIAL = [0.0, -0.0, 5e-324, 1e-200, 1e200, 1.7e308]
 
 
 def fsum_mean(xs):
-    """``math.fsum(xs) / len(xs)``, NaN where the sum overflows."""
+    """``math.fsum(xs) / len(xs)``.  Where ``fsum`` overflows, NaN if ``xs``
+    holds a non-finite value, and else the exact mean, rounded once."""
     try:
         return math.fsum(xs) / len(xs)
     except OverflowError:
-        return math.nan
+        if not all(map(math.isfinite, xs)):
+            return math.nan
+        return float(sum(map(Fraction, xs), Fraction(0)) / len(xs))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([1, 2, 3, 101, 2001]),
@@ -387,11 +390,17 @@ def test_window_means_equal_fsum_bit_for_bit(seed, max_width, special_share, non
 
 
 def test_window_means_overflow_is_nan_and_inf_follows_fsum():
+    """[1.7e308, 1.7e308] has the finite mean 1.7e308, although ``math.fsum``
+    raises OverflowError on it: a finite window's exact sum is divided by its
+    count before it is rounded.  A window holding an inf follows ``fsum``,
+    and is NaN where that raises."""
     col = np.array([1.7e308, 1.7e308, 1.0, math.inf, 1.7e308, 1.0, 1.7e308])
     lo, hi = np.array([0, 1, 0, 2, 1, 3]), np.array([2, 3, 4, 5, 6, 7])
+    with pytest.raises(OverflowError):
+        math.fsum(col[:2].tolist())
     # [1.7e308, 1.7e308, ..., inf] overflows before fsum reaches the inf;
     # [1.7e308, inf, 1.7e308] does not, and sums to inf.
-    want = [math.nan, 1.7e308 / 2, math.nan, math.inf, math.inf, math.nan]
+    want = [1.7e308, 1.7e308 / 2, math.nan, math.inf, math.inf, math.nan]
     assert list(map(float.hex, window_means(col, lo, hi).tolist())) == list(map(float.hex, want))
 
 
@@ -408,12 +417,13 @@ def test_window_means_nan_windows_without_inf_are_nan_and_both_infs_raise_as_fsu
 
 
 def fraction_mean(xs):
-    """The exact sum of ``xs``, rounded once to float64 (NaN where it rounds
-    to 2**1024 or more), over its count."""
+    """The exact sum of ``xs``, rounded once to float64, over its count; where
+    that sum rounds to 2**1024 or more, the exact mean, rounded once."""
+    exact = sum(map(Fraction, xs), Fraction(0))
     try:
-        return float(sum(map(Fraction, xs), Fraction(0))) / len(xs)
+        return float(exact) / len(xs)
     except OverflowError:
-        return math.nan
+        return float(exact / len(xs))
 
 
 def _signs(rng, n):
@@ -459,6 +469,70 @@ def test_window_means_equal_the_exact_rational_mean(case, block_bytes):
             got = window_means(col, lo, hi)
             want = [fraction_mean(col[a:b].tolist()) for a, b in zip(lo.tolist(), hi.tolist())]
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([2, 3, 40, 300]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_window_means_past_2_1024_are_the_exact_mean_rounded_once(seed, max_width, signed):
+    """Windows whose exact sums pass 2**1024, while their means cannot (``fsum``
+    raises on them), give the exact rational mean rounded once; a few small
+    values put the lowest bits many digits below the top."""
+    rng = np.random.default_rng(seed)
+    n = max_width + int(rng.integers(0, 2 * max_width + 50))
+    col = rng.uniform(0.5, 1.0, n) * 2.0 ** rng.integers(1018, 1024, n)
+    small = rng.random(n) < 0.2
+    col[small] = rng.lognormal(0.0, 20.0, small.sum())
+    if signed:
+        col *= rng.choice([-1.0, 1.0, 1.0, 1.0], n)
+    width = rng.integers(2, max_width + 1, 60)
+    lo = rng.integers(0, n - width + 1)
+    hi = lo + width
+    prefix = [Fraction(0)]
+    for x in col.tolist():
+        prefix.append(prefix[-1] + Fraction(x))
+    exact = [prefix[b] - prefix[a] for a, b in zip(lo.tolist(), hi.tolist())]
+    past = [abs(e) >= 2**1024 for e in exact]
+    assume(any(past))
+    got = window_means(col, lo, hi).tolist()
+    want = [float(e / w) for e, w in zip(exact, width.tolist())]
+    assert [g.hex() for g, p in zip(got, past) if p] == [w.hex() for w, p in zip(want, past) if p]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rounded_divides_by_counts_up_to_2_31(seed):
+    """The long division stays exact for any count below 2**31: the remainder
+    times 2**32, plus a digit, fits an int64.  1 / 2147470547, times 2**96,
+    is a tie in its top 64 bits with only 0 bits below them, and its
+    remainder's sticky bit rounds it up."""
+    rng = np.random.default_rng(seed)
+    width, exp0 = 40, -300
+    values = [int(rng.integers(-(2**62), 2**62)) * 2 ** int(rng.integers(0, 32 * 36 - 64))
+              for _ in range(60)]
+    values[:2] = [1, -1]
+    counts = rng.integers(1, 2**31, 60)
+    counts[:6] = [2147470547, 2147470547, 1, 2**31 - 1, 2**31 - 2, 3]
+    s = np.zeros((width, len(values)), np.int64)
+    for j, v in enumerate(values):
+        for d in range(width - 4):
+            s[d, j] = (abs(v) >> (32 * d)) & 0xFFFFFFFF
+        s[:, j] *= -1 if v < 0 else 1
+    got = moments._rounded(s, exp0, counts).tolist()
+    want = [float(Fraction(v) * Fraction(2) ** exp0 / int(c)) for v, c in zip(values, counts)]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
+
+
+def test_compare_passes_a_window_whose_sum_passes_2_1024(tmp_path):
+    """``compare`` on 100 ticks of 1.0 with 1e308 at ticks 50 and 51: the value
+    sum of the window at tick 45 passes 2**1024, and its mean is finite."""
+    inp = tmp_path / "tape.csv"
+    inp.write_text("tick,value,volume\n" + "".join(
+        f"{t},{1e308 if t in (50, 51) else 1.0},1.0\n" for t in range(100)))
+    res = CliRunner().invoke(main, ["compare", "--input", str(inp), "--window-n", "21",
+                                    "--lag-step", "5", "--max-order", "1"])
+    assert res.exit_code == 0, res.output
+    mean = float((2 * Fraction(1e308) + 19) / 21)
+    assert f"45,1,{mean!r},{mean!r},0.0" in res.output.splitlines()
 
 
 def test_window_means_memory_on_a_wide_column():
