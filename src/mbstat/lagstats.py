@@ -279,8 +279,7 @@ def _center_rows(m: np.ndarray, s: np.ndarray, out: np.ndarray) -> None:
 
 def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, out: np.ndarray,
                 carry: np.ndarray | None = None) -> None:
-    """Sum the float64 products x·y over windows into ``out``; ``x`` None is
-    1.0 at every tick, and then ``y`` is copied with no multiply.
+    """Sum the float64 products x·y over windows into ``out``.
 
     The products go, widened, into the longdouble product row ``prod[..., 1:]``,
     which is summed along the ticks into the prefix row ``ps[..., 1:]`` (one
@@ -296,10 +295,7 @@ def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, ou
     is not 1-D, and the mean sweep's threads would take turns on it.
     """
     # The float64 product, widened: the ufunc loop follows its inputs.
-    if x is None:
-        prod[..., 1:] = y
-    else:
-        np.multiply(x, y, out=prod[..., 1:])
+    np.multiply(x, y, out=prod[..., 1:])
     if carry is None:
         src, dst = prod[..., 1:], ps[..., 1:]
     else:
@@ -309,6 +305,16 @@ def _window_sum(x, y, prod: np.ndarray, ps: np.ndarray, lo: slice, hi: slice, ou
         src, dst = src[0], dst[0]
     np.cumsum(src, axis=-1, out=dst)
     np.subtract(ps[..., hi], ps[..., lo], out=out)
+
+
+def _weighted_mean(col: np.ndarray, w: np.ndarray, wtot: float) -> float:
+    """The ``w``-weighted mean of ``col``, as ``(col * w).sum() / wtot``.  Where
+    those products overflow although every value is finite, the weights are
+    scaled down first, so a finite curve has a finite mean."""
+    mean = (col * w).sum() / wtot
+    if not np.isfinite(mean) and np.isfinite(col).all():
+        mean = (col * (w / wtot)).sum()
+    return mean
 
 
 def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
@@ -374,7 +380,6 @@ def acf_curve(
     step, n_ticks = spec.lag_step_ticks, spec.n_ticks
     centers, _, _, valid = valid_grid(tape, spec)
     n_centers = len(centers)
-    invalid = None if valid.all() else ~valid
     lags = range(0, min(max_lag_ticks, span - 1) + 1, step)
     lag_arr = np.array(lags)
     dense = len(tape.ticks) == span
@@ -442,9 +447,7 @@ def acf_curve(
         seg, sums, rows = ps[:, : width + 1], d[..., : b - a], out[..., : b - a]
         prod = shared[: seg.size].reshape(seg.shape)
         for i, (x, y) in enumerate(PAIRS[first_pair:]):
-            # A dense tape's presence is 1.0 at every tick of the block.
-            _window_sum(None if dense and x == 0 else base[x], lagged[y], prod, seg, lo, hi,
-                        sums[i], carry[i] if a else None)
+            _window_sum(base[x], lagged[y], prod, seg, lo, hi, sums[i], carry[i] if a else None)
             if carry is not None:
                 carry[i] = seg[:, first_lo + (b - a) * step]
         if dense:
@@ -463,8 +466,7 @@ def acf_curve(
             _center_rows(sums[:3], sums[3:], rows)
         # A window with fewer than min_trades records (its lag-0 pair count)
         # gets a zero pair count at every lag, so it drops out as stats drops it.
-        if invalid is not None:
-            rows[6][:, invalid[a:b]] = 0
+        rows[6][:, ~valid[a:b]] = 0
         return rows
 
     threads = max(1, min(threads, len(lags), os.cpu_count() or 1))
@@ -492,25 +494,11 @@ def acf_curve(
                     return
                 rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
                 ok = rows[6] >= 1
-                if not ok.any():
-                    continue
-                every = ok.all()
-                cut = slice(None) if every else ok
-                # The products in place, in C-contiguous rows (a masked gather
-                # is not), each summed as a 1-D array is, bit for bit.
-                block = rows[:6] if every else np.compress(ok, rows[:6], axis=1)
-                w = rows[6, cut]
-                mean[j, 6] = wtot = w.sum()
-                means = mean[j, :6]
-                means[:] = np.multiply(block, w, out=block).sum(axis=1) / wtot
-                if not np.isfinite(means).all():
-                    # Where products overflow although every row is finite, the
-                    # weights are scaled down first, so a finite curve has a
-                    # finite mean; the rows are computed again for it.
-                    rows = center_rows(0, n_centers, slice(j, j + 1), bufs)[:, 0]
-                    for i in np.flatnonzero(~np.isfinite(means)):
-                        if np.isfinite(col := rows[i, cut]).all():
-                            means[i] = (col * (w / wtot)).sum()
+                if np.any(ok):
+                    cut = slice(None) if ok.all() else ok
+                    w = rows[6, cut]
+                    wtot = w.sum()
+                    mean[j] = [*(_weighted_mean(col[cut], w, wtot) for col in rows[:-1]), wtot]
         except BaseException as error:  # raised again by the caller
             stop.set()
             errors.append(error)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from click.testing import CliRunner
 
 from mbstat.cli import main
@@ -98,6 +100,28 @@ def test_failing_tapes_reach_every_row_of_the_failure_table(tmp_path):
         res = CliRunner().invoke(main, [command, "--input", str(path), "--window-n", "21",
                                         "--lag-step", "5", "--max-order", order])
         assert (res.exit_code, res.output) == (1, f"Error: {error}\n"), name
+
+
+#: The errors of ``market-price-inf`` past order 1.  Its price squares are
+#: 1.5e308: their sum over a window passes 2**1024 but their mean does not, so
+#: order 2 fails on the market price, and order 3 is the first price moment
+#: that overflows.
+MARKET_PRICE_INF = {
+    "2": "OverflowError: window at tick 10: market_price moment of order 2 is inf",
+    "4": "OverflowError: window at tick 10: price moment of order 3 overflows",
+    "8": "OverflowError: window at tick 10: price moment of order 3 overflows",
+}
+
+
+@pytest.mark.parametrize("command", ["stats", "compare"])
+@pytest.mark.parametrize("order", MARKET_PRICE_INF)
+def test_market_price_inf_tape_fails_on_the_first_moment_that_overflows(tmp_path, command,
+                                                                        order):
+    path = tmp_path / "market-price-inf.csv"
+    path.write_text(tool().failing_tapes()["market-price-inf"])
+    res = CliRunner().invoke(main, [command, "--input", str(path), "--window-n", "21",
+                                    "--lag-step", "5", "--max-order", order])
+    assert (res.exit_code, res.output) == (1, f"Error: {MARKET_PRICE_INF[order]}\n")
 
 
 def test_sparse_tape_fills_about_one_tick_in_twenty():
