@@ -318,9 +318,10 @@ def _weighted_mean(col: np.ndarray, w: np.ndarray, wtot: float) -> float:
 
 
 def _block_centers(n_lags: int, n_ticks: int, step: int) -> int:
-    """Centers per per-center block: about ``WRITE_BLOCK_ROWS`` rows, and at
-    least a window's width of ticks, so that the window each block sums again
-    costs at most as much as the block's own ticks."""
+    """Centers per per-center block: about ``WRITE_BLOCK_ROWS`` rows, which
+    ``write_rows`` turns into text in one run (9 columns, ``WRITE_CELLS``),
+    and at least a window's width of ticks, so that the window each block
+    sums again costs at most as much as the block's own ticks."""
     return max(WRITE_BLOCK_ROWS // n_lags, -(-n_ticks // step))
 
 

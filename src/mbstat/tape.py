@@ -6,7 +6,8 @@ volume (asset units) of each record.  The trade price is always the derived
 ratio value/volume and is never stored.  The engine works in ticks: every
 statistic and every output field is in ticks.
 
-``parse_csv`` reads blocks of plain numeric lines with numpy's C reader.
+``parse_csv`` reads blocks of plain numeric lines with numpy's C reader,
+and folds the rows it has read into one record per tick as it goes.
 Each other block goes through ``csv.reader``, which reads past the block
 only while a quoted field runs on; numpy's reader converts its rows again
 once their fields are joined by commas, and a block that it turns down is
@@ -14,8 +15,8 @@ walked row by row.  Each path gives the tape, or the error line, that a
 row-by-row ``int``/``float`` parse gives.
 
 ``write_rows`` is the one writer of every command's output: it turns
-blocks of columns into text with ``reprs`` and fills one row template per
-output stream.
+blocks of columns into text with ``reprs``, a run of about ``WRITE_CELLS``
+cells at a time, and fills one row template per output stream.
 """
 
 from __future__ import annotations
@@ -140,9 +141,10 @@ class TradeTape:
         return int(self.ticks[-1])
 
 
-#: Rows that ``parse_csv`` converts at a time.  Small blocks keep the
-#: parse's peak memory low; a block that fails a check is walked row by
-#: row, which names the line of its first bad row.
+#: Rows that ``parse_csv`` converts at a time: a block that fails a check
+#: is walked row by row, which names the line of its first bad row.
+#: ``parse_csv`` holds the records of the rows it has folded and the rows
+#: of at most 16 blocks, or of as many rows as those records, besides.
 PARSE_BLOCK_ROWS = 1024
 
 
@@ -153,17 +155,23 @@ def _columns(records: list[TradeRecord]) -> tuple[np.ndarray, np.ndarray, np.nda
             np.array([r.volume for r in records], dtype=np.float64))
 
 
-def _merged(ticks, value, volume) -> TradeTape:
-    """Tape with one record per distinct tick, in tick order.
+def _sums(ticks, value, volume) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of one record per distinct tick, in tick order, unchecked.
 
     The values (and volumes) of a tick are summed in input order starting
-    from 0.0, so a lone -0.0 comes back as 0.0.
+    from 0.0, so a lone -0.0 comes back as 0.0, and no sum is -0.0.  Summing
+    again a tick's sum of its earlier rows followed by its later rows then
+    gives the bits of summing all its rows, as 0.0 + sum == sum.
     """
     unique, index = np.unique(ticks, return_inverse=True)
-    # An overflowing sum is rejected by the tape, naming its tick.
-    value, volume = (np.bincount(index, weights=col, minlength=len(unique))
+    return unique, *(np.bincount(index, weights=col, minlength=len(unique))
                      for col in (value, volume))
-    return TradeTape._owning(unique, value, volume)
+
+
+def _merged(ticks, value, volume) -> TradeTape:
+    """Tape of ``_sums``' records; an overflowing sum is rejected by the
+    tape, naming its tick."""
+    return TradeTape._owning(*_sums(ticks, value, volume))
 
 
 def bucket(raw: Iterable[TradeRecord]) -> TradeTape:
@@ -283,6 +291,14 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     joined by commas, go to numpy's reader again, and a block that it turns
     down is converted, or its first bad row named, by ``_row_columns``: the
     ``int``/``float`` calls and checks of a row-by-row parse.
+
+    The converted rows are folded into one record per tick, as they are
+    read, whenever those not yet folded reach 16 blocks and the number of
+    records held: the records held go first into ``_sums``' merge, so the
+    fold gives the bits of one merge of every row, and memory grows with
+    the records, not with the rows.  A fold runs no check, so a bad row
+    later in the file is the error, before an overflowing sum; the last
+    merge checks the records as ``bucket`` does.
     """
     if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
@@ -301,7 +317,9 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     expected = _HEADERS[format]
     if tuple(h.strip() for h in header[0][1]) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)
-    blocks = [(np.array([], np.int64), np.array([]), np.array([]))]  # a header-only file
+    empty = (np.array([], np.int64), np.array([]), np.array([]))
+    # The records of the rows folded so far, then the blocks read since.
+    blocks, unfolded = [empty], 0
     line = 1 + read  # the physical line of the block's first row
     while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
         cols, read = _plain_columns(block, price_form), len(block)
@@ -309,21 +327,39 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
             rows, read = _csv_rows(itertools.chain(block, lines), line, len(block), price_form)
             joined = [",".join(row) for _, row in rows if len(row) == 3]
             # Every other row must be blank: numpy's reader would split a quoted
-            # comma.  Blank rows alone add the empty columns.
+            # comma.  Blank rows alone add no rows.
             if len(joined) == len(rows) or all(len(row) == 3 or _blank(row) for _, row in rows):
-                cols = _plain_columns(joined, price_form) if joined else blocks[0]
+                cols = _plain_columns(joined, price_form) if joined else empty
             cols = _row_columns(rows, price_form) if cols is None else cols
         blocks.append(cols)
+        unfolded += len(cols[0])
         line += read
-    return _merged(*map(np.concatenate, zip(*blocks)))
+        if unfolded >= max(len(blocks[0][0]), 16 * PARSE_BLOCK_ROWS):
+            # Unchecked: a bad row later in the file is the error, not an overflow.
+            blocks, unfolded = [_sums(*_joined(blocks))], 0
+    return _merged(*_joined(blocks))
 
 
-#: Rows that ``write_rows`` turns into text at a time; the writers that
-#: build their columns a block at a time (per-center ``acf``, ``compare``)
-#: build about as many rows, or windows, at once.
+def _joined(blocks: list) -> list[np.ndarray]:
+    """The columns of the blocks, each joined into one; ``blocks`` is
+    emptied, so the merge that takes them holds each row once."""
+    cols = [np.concatenate(col) for col in zip(*blocks)]
+    blocks.clear()
+    return cols
+
+
+#: The most rows that ``write_rows`` turns into text at a time; the writers
+#: that build their columns a block at a time (per-center ``acf``,
+#: ``compare``) build about as many rows, or windows, at once.
 WRITE_BLOCK_ROWS = 1024
-#: Rows that ``write_rows`` joins into one string and writes at a time: a
-#: quarter of a block is as fast, and holds a quarter of the text.
+#: Cells (rows times columns) that ``write_rows`` turns into text at a time,
+#: whatever a block's column count: 1,024 rows of up to 9 columns (every
+#: ``acf`` and ``synth`` output), fewer of more (``stats`` JSONL has 20
+#: columns at ``--max-order 4``, 460 rows, and 36 at 8, 256 rows).
+WRITE_CELLS = 9 * 1024
+#: Rows that ``write_rows`` joins into one string and writes at a time, and
+#: the fewest it turns into text at a time: a quarter of 1,024 rows is as
+#: fast as all of them, and holds a quarter of the joined text.
 TEXT_ROWS = 256
 
 
@@ -357,33 +393,45 @@ def write_rows(blocks: Iterable[Sequence[np.ndarray]],
     every output.
 
     Each block is a sequence of 1-D arrays of one length, its columns.  Its
-    rows are cut ``WRITE_BLOCK_ROWS`` at a time, and each column of a cut
-    turned into text once, by :func:`reprs`.  Each output ``(out, row,
-    fields, sep)`` writes, for each row, the template ``row`` with its
-    ``%s`` fields (its only ``%``) filled in order with the text of the
-    columns at ``fields``, and ``sep`` between rows, across cuts and blocks
-    too.  So every output of one call shares the text of a column, however
-    often it writes it.  ``TEXT_ROWS`` rows at a time, the pieces of the
-    template and the text go into one list, in row order, and one
-    ``str.join`` of it is written.
+    rows are cut into runs of ``WRITE_CELLS`` cells, of at least
+    ``TEXT_ROWS`` and at most ``WRITE_BLOCK_ROWS`` rows, and each column of
+    a run is turned into text once, by :func:`reprs`: the text held is
+    about ``WRITE_CELLS`` cells, whatever the block's length, and
+    ``TEXT_ROWS`` rows past 36 columns.  Each output ``(out, row, fields,
+    sep)`` writes, for each row, the template ``row`` with its ``%s``
+    fields (its only ``%``) filled in order with the text of the columns at
+    ``fields``, and ``sep`` between rows, across runs and blocks too.  So
+    every output of one call shares the text of a column, however often it
+    writes it.  ``TEXT_ROWS`` rows at a time, the pieces of the template and
+    the text go into one list, in row order, and one ``str.join`` of it is
+    written.
     """
     first = True
     for block in blocks:
-        for lo in range(0, len(block[0]), WRITE_BLOCK_ROWS):
-            text = [reprs(col[lo:lo + WRITE_BLOCK_ROWS]) for col in block]
-            for a in range(0, len(text[0]), TEXT_ROWS):
-                n = min(TEXT_ROWS, len(text[0]) - a)
-                for out, row, fields, sep in outputs:
-                    # A row is its first piece (after sep), then each field and the piece after it.
-                    pieces, w = row.split("%s"), 2 * len(fields) + 1
-                    parts = [sep + pieces[0]] * (n * w)
-                    for i, f in enumerate(fields):
-                        parts[2 * i + 1::w] = text[f][a:a + n]
-                        parts[2 * i + 2::w] = [pieces[i + 1]] * n
-                    if first:
-                        parts[0] = pieces[0]
-                    out.write("".join(parts))
-                first = False
+        run = min(WRITE_BLOCK_ROWS, max(TEXT_ROWS, WRITE_CELLS // len(block)))
+        for lo in range(0, len(block[0]), run):
+            # A call: no text of this run is left once the next run's is made.
+            _write_run([reprs(col[lo:lo + run]) for col in block], outputs, first)
+            first = False
+
+
+def _write_run(text: list[list[str]], outputs, first: bool) -> None:
+    """Write the rows of one run, the text of each of its columns, to the
+    outputs of :func:`write_rows`; ``first``: its first row is the first of
+    the call, with no ``sep`` before it."""
+    for a in range(0, len(text[0]), TEXT_ROWS):
+        n = min(TEXT_ROWS, len(text[0]) - a)
+        for out, row, fields, sep in outputs:
+            # A row is its first piece (after sep), then each field and the piece after it.
+            pieces, w = row.split("%s"), 2 * len(fields) + 1
+            parts = [sep + pieces[0]] * (n * w)
+            for i, f in enumerate(fields):
+                parts[2 * i + 1::w] = text[f][a:a + n]
+                parts[2 * i + 2::w] = [pieces[i + 1]] * n
+            if first:
+                parts[0] = pieces[0]
+            out.write("".join(parts))
+        first = False
 
 
 def write_csv(tape: TradeTape, out: TextIO) -> None:

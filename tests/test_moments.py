@@ -627,6 +627,37 @@ def test_stats_memory_is_bounded_by_columns_and_one_block():
     assert peak < 8 * 2**20
 
 
+def test_write_jsonl_holds_one_run_of_text_whatever_the_column_count():
+    """At ``--max-order`` 8 a window is 36 columns: a run turns 256 rows
+    (``WRITE_CELLS``, 9,216 cells) into text, not 1,024 rows (36,864 cells),
+    and writing 4,000 windows peaks no higher than writing the first 256,
+    one run."""
+    rng = np.random.default_rng(7)
+    n = 4_020
+    tape = TradeTape(np.arange(n), rng.lognormal(0.0, 0.5, n), rng.lognormal(0.0, 0.5, n))
+    centers, lo, hi = window_grid(tape, WindowSpec(21, 1))
+    assert len(centers) == 4_000
+    runs = []
+    reprs = tape_mod.reprs
+
+    def counted(a):
+        runs.append(len(a))
+        return reprs(a)
+
+    peaks = []
+    for k in (256, len(centers)):
+        columns = window_columns(tape, centers[:k], lo[:k], hi[:k], 8)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(tape_mod, "reprs", counted):
+                columns.write_jsonl(Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0]
+    assert max(runs) * 36 <= tape_mod.WRITE_CELLS
+
+
 def test_window_columns_holds_no_per_row_python_objects():
     """Every 50th window of 200,100 dense rows (4,000 windows) at max_order 4
     peaks at about 7 MiB (36 B a row): a few float64 columns and digit blocks.

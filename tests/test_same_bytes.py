@@ -34,8 +34,9 @@ def test_same_tree_twice_has_no_difference():
             "acf-per-center-sparse-min-trades2", "acf-mean-sparse-min-trades2",
             "stats-short-step3", "compare-short-window-n-1e23",
             "acf-per-center-sparse-min-trades22", "acf-mean-short-step3",
-            "stats-trades-price-form", "compare-trades-price-form",
-            "acf-per-center-trades-price-form", "acf-mean-trades-price-form",
+            *(f"{command}-{case}" for command in COMMANDS
+              for case in ("trades-price-form", "trades-shuffled-price-form",
+                           "overflow-then-bad-row")),
             *(f"{command}-gappy-{name}" for command in COMMANDS for name in RENDERINGS),
             *(f"{command}-{tape}-order{order}" for command in ("stats", "compare")
               for tape in FAILING for order in ("1", "4", "8"))} <= labels

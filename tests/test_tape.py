@@ -679,6 +679,80 @@ def test_overflows_raise_errors_not_runtime_warnings():
 
 
 # --------------------------------------------------------------------------
+# The fold: the rows read so far go into the records held, as the parse reads.
+
+
+fold_values = st.one_of(st.floats(min_value=0.0, max_value=100.0),
+                        st.sampled_from([0.0, -0.0, 0.1, 0.7, 1 / 3, 5e-324, 1e-300, 1e300, 1e308]))
+
+
+@given(base=st.lists(st.tuples(st.integers(-5, 60), fold_values,
+                               st.floats(min_value=1e-3, max_value=1e3)), min_size=1, max_size=60),
+       copies=st.integers(1, 40), order=st.randoms(use_true_random=False),
+       fmt=st.sampled_from(tape_mod.FORMATS), block_rows=st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_folded_parse_equals_one_merge_of_every_row(base, copies, order, fmt, block_rows):
+    """Unsorted rows, each tick's rows spread over many blocks and folds,
+    some of value -0.0 and some (0.1, 1/3) whose sums depend on their order:
+    the parse gives the bits of ``_merged`` over all of them at once, or its
+    error."""
+    raw = base * copies
+    order.shuffle(raw)
+    ticks, a, volume = (np.array(col) for col in zip(*raw))
+    if fmt == "tick-price-volume":
+        a /= 1e3  # a price below 1e305 times a volume below 1e3 is finite
+    lines = map("%d,%r,%r".__mod__, zip(ticks.tolist(), a.tolist(), volume.tolist()))
+    text = "\n".join([",".join(tape_mod._HEADERS[fmt]), *lines]) + "\n"
+    value = a * volume if fmt == "tick-price-volume" else a
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
+        assert outcome(parse_csv, text, format=fmt) == outcome(tape_mod._merged, ticks, value,
+                                                               volume)
+
+
+def fold_text(rows):
+    return "\n".join(["tick,value,volume", *rows]) + "\n"
+
+
+def test_bad_row_after_a_folded_overflow_is_the_error():
+    rows = [f"{i % 50},1,1" for i in range(200)]
+    rows[3] = rows[60] = "3,1e308,1"  # tick 3's sum is inf from the second fold on
+    rows[150] = "7,abc,1"
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", 1):
+        with pytest.raises(FormatError, match="^line 152: could not convert"):
+            parse_csv(fold_text(rows))
+        del rows[150]
+        with pytest.raises(ValueError, match="^tick 3: value must be nonnegative and finite"):
+            parse_csv(fold_text(rows))
+
+
+def test_the_smaller_of_two_overflowing_ticks_is_named():
+    rows = [f"{i % 50},1,1" for i in range(200)]
+    rows[0] = rows[20] = "40,1e308,1"  # folded into an inf first
+    rows[170] = rows[190] = "9,1e308,1"  # in the last merge
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", 1), \
+            pytest.raises(ValueError, match="^tick 9: value must be nonnegative and finite"):
+        parse_csv(fold_text(rows))
+
+
+def test_parse_peak_grows_with_records_not_rows(tmp_path):
+    """Every tick's trades spread over the file: the peak of 2,000 ticks of
+    16 trades is about that of 2,000 ticks of 2, not 8 times it."""
+    peaks = {}
+    for k in (2, 16):
+        path = tmp_path / f"k{k}.csv"
+        path.write_text(fold_text(f"{t},{1 + t % 7}.25,{1 + r % 3}.5"
+                                  for r in range(k) for t in range(2000)))
+        with open(path, newline="") as fh, patch.object(tape_mod, "PARSE_BLOCK_ROWS", 64):
+            tracemalloc.start()
+            try:
+                parse_csv(fh)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peaks[16] < 1.5 * peaks[2]
+
+
+# --------------------------------------------------------------------------
 # reprs: float.__repr__ of every element, from orjson's shortest digits.
 
 
@@ -735,6 +809,8 @@ def test_write_csv_bytes_equal_row_wise_repr_reference():
     t = TradeTape(ticks, value, volume)
     want = "tick,value,volume\n" + "".join(map("%d,%r,%r\n".__mod__, zip(ticks, value, volume)))
     for block_rows, text_rows in ((1, 1), (3, 2), (1024, 3), (1024, 256)):
-        with patch.object(tape_mod, "WRITE_BLOCK_ROWS", block_rows), \
-                patch.object(tape_mod, "TEXT_ROWS", text_rows):
-            assert emit_csv(t) == want
+        for cells in (1, 7, 10**6):
+            with patch.object(tape_mod, "WRITE_BLOCK_ROWS", block_rows), \
+                    patch.object(tape_mod, "TEXT_ROWS", text_rows), \
+                    patch.object(tape_mod, "WRITE_CELLS", cells):
+                assert emit_csv(t) == want

@@ -24,7 +24,11 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   ``--window-n 3 --lag-step 3`` (no lag-step multiple fits as a center)
   and at a ``--window-n`` beyond the int64 range;
 - the same four commands on a multi-trade ``tick-price-volume`` tape, whose
-  plain lines numpy's reader parses, and on copies of the gappy tape in
+  plain lines numpy's reader parses; on a longer one with its rows shuffled,
+  so that each tick's trades are scattered over the parse's folds of its
+  blocks (``shuffled``); on a tape whose first error is a malformed row
+  after a tick whose trades, in an earlier fold, sum past the float range
+  (``overflow_then_bad_row``); and on copies of the gappy tape in
   other CSV dialects (``renderings``): every field quoted with CRLF line
   ends; a byte-order mark, CRLF line ends and ``, `` separators; fields
   padded with tabs; a blank line every 50 rows; ticks written with ``_``
@@ -79,6 +83,24 @@ def trade_tape(seed: int = 13, ticks: int = 1500) -> str:
             lines.append(f"{t},{price * rng.lognormvariate(0.0, 0.002)!r},"
                          f"{rng.lognormvariate(0.0, 0.5) / 3.0!r}")
     return "\n".join(lines) + "\n"
+
+
+def shuffled(text: str, seed: int = 19) -> str:
+    """The tape ``text`` with its rows, below its header, in a seeded random order."""
+    header, *rows = text.splitlines()
+    random.Random(seed).shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
+def overflow_then_bad_row(rows: int = 20_000) -> str:
+    """A dense tape of one trade a tick, but for two more trades at tick 100
+    whose values, 1e308, sum to inf with its own, in the parse's first fold
+    (16 blocks of rows), and for a malformed row at tick 19,000, which is
+    the error: no fold checks a sum."""
+    lines = [f"{t},1.5,2.5" for t in range(rows)]
+    lines[5_000] = lines[9_000] = "100,1e308,1"
+    lines[19_000] = "19000,1.5"
+    return "\n".join(["tick,value,volume", *lines]) + "\n"
 
 
 def failing_tapes(seed: int = 17, ticks: int = 100) -> dict[str, str]:
@@ -182,8 +204,12 @@ def matrix(inputs: Path) -> list[tuple[str, list[str]]]:
                                        "--min-trades", m] for m in ("2", "22")}
     cases["short-step3"] = [short, "--window-n", "3", "--lag-step", "3"]
     cases["short-window-n-1e23"] = [short, "--window-n", "99999999999999999999999"]
-    cases["trades-price-form"] = [str(inputs / "trades.csv"), "--format", "tick-price-volume",
-                                  "--window-n", "21", "--lag-step", "5"]
+    for name in ("trades", "trades_shuffled"):
+        cases[f"{name.replace('_', '-')}-price-form"] = [
+            str(inputs / f"{name}.csv"), "--format", "tick-price-volume", "--window-n", "21",
+            "--lag-step", "5"]
+    cases["overflow-then-bad-row"] = [str(inputs / "overflow_then_bad_row.csv"), "--window-n",
+                                      "21", "--lag-step", "5"]
     for name in renderings(gappy_tape()):
         cases[f"gappy-{name}"] = [str(inputs / f"gappy_{name}.csv"), "--window-n", "21",
                                   "--lag-step", "5"]
@@ -246,6 +272,8 @@ def main(argv: list[str]) -> int:
         (inputs / "sparse.csv").write_text(gappy_tape(seed=12, ticks=4000, filled=0.05))
         (inputs / "short.csv").write_text("tick,value,volume\n1,4,2\n2,4,2\n3,4,2\n")
         (inputs / "trades.csv").write_text(trade_tape())
+        (inputs / "trades_shuffled.csv").write_text(shuffled(trade_tape(ticks=8000)))
+        (inputs / "overflow_then_bad_row.csv").write_text(overflow_then_bad_row())
         for name, text in renderings(gappy_tape()).items():
             (inputs / f"gappy_{name}.csv").write_bytes(text.encode())
         for name, text in failing_tapes().items():
