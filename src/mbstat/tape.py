@@ -8,11 +8,10 @@ statistic and every output field is in ticks.
 
 ``parse_csv`` reads blocks of plain numeric lines with numpy's C reader,
 and folds the rows it has read into one record per tick as it goes.
-Each other block goes through ``csv.reader``, which reads past the block
-only while a quoted field runs on; numpy's reader converts its rows again
-once their fields are joined by commas, and a block that it turns down is
-walked row by row.  Each path gives the tape, or the error line, that a
-row-by-row ``int``/``float`` parse gives.
+Every other block is walked row by row as ``csv.reader`` reads it, which
+reads past the block only while a quoted field runs on.  Each path gives
+the tape, or the error line, that a row-by-row ``int``/``float`` parse
+gives.
 
 ``write_rows`` is the one writer of every command's output: it turns
 blocks of columns into text with ``reprs``, a run of about ``WRITE_CELLS``
@@ -184,11 +183,6 @@ def bucket(raw: Iterable[TradeRecord]) -> TradeTape:
     return _merged(*_columns(list(raw)))
 
 
-def _blank(row: list[str]) -> bool:
-    """Whether a CSV row is a blank line, which the parse skips."""
-    return not row or (len(row) == 1 and not row[0].strip())
-
-
 #: The bytes of a block that numpy's C reader converts: ASCII digits, the
 #: float characters, commas, space, tab, CR and LF.  Over them it gives what
 #: ``int`` and ``float`` give (all three drop the spaces and tabs around a
@@ -201,9 +195,11 @@ _PLAIN_ROW = np.dtype([("tick", np.int64), ("a", np.float64), ("volume", np.floa
 def _plain_columns(lines: list[str], price_form: bool):
     """Tick, value and volume columns of a block of lines, read by
     ``np.loadtxt``, or None unless the block holds only ``_PLAIN`` bytes,
-    each line is one row of three numbers that ``int``/``float`` accept and
-    every row passes the checks.  In price form value = price * volume is
-    written over the block's own price column.
+    each line is empty or one row of three numbers that ``int``/``float``
+    accept, and every row passes the checks.  numpy's reader skips an empty
+    line (a bare LF, CRLF or CR), as ``csv.reader``'s blank-row rule does,
+    and turns down a line of spaces or tabs.  In price form value = price *
+    volume is written over the block's own price column.
 
     No line may be longer than the csv field size limit, or than the digits
     ``int`` converts (``sys.get_int_max_str_digits``), which numpy's reader
@@ -216,14 +212,13 @@ def _plain_columns(lines: list[str], price_form: bool):
         return None
     try:
         with warnings.catch_warnings():
-            # A warning ends the read: a block of blank lines warns that it holds
-            # no data, and some numpy versions read an integral float ("1.0") as
-            # an int64 with a DeprecationWarning, where ``int`` rejects it.
+            # A warning ends the read, bar the one that a block of empty lines
+            # holds no data: some numpy versions read an integral float ("1.0")
+            # as an int64 with a DeprecationWarning, where ``int`` rejects it.
             warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             rows = np.loadtxt(lines, delimiter=",", dtype=_PLAIN_ROW, comments=None, ndmin=1)
     except (ValueError, Warning):
-        return None
-    if len(rows) != len(lines):  # a blank line
         return None
     ticks, a, volume = rows["tick"], rows["a"], rows["volume"]
     if price_form:
@@ -232,45 +227,35 @@ def _plain_columns(lines: list[str], price_form: bool):
     return (ticks, a, volume) if _valid_rows(a, volume).all() else None
 
 
-def _row_columns(rows: list[tuple[int, list[str]]], price_form: bool):
-    """Tick, value and volume columns of the ``(line, fields)`` rows, skipping
-    blank ones, each converted with ``int``/``float`` and checked with
-    TradeRecord's checks; or raise FormatError naming the first row that
-    fails, and the file line it starts on."""
-    records = []
-    for line, row in rows:
-        if _blank(row):
-            continue
-        if len(row) != 3:
-            raise FormatError(f"expected 3 fields, got {len(row)}", line=line)
-        try:
-            tick = int(row[0])
-            if not -(2**63) <= tick < 2**63:
-                raise ValueError(f"tick {tick} is outside the int64 range")
-            a, volume = float(row[1]), float(row[2])
-            records.append(TradeRecord(tick, a * volume if price_form else a, volume))
-        except ValueError as exc:
-            raise FormatError(str(exc), line=line) from None
-    return _columns(records)
-
-
-def _csv_rows(lines: Iterable[str], line: int, stop: int, price_form: bool):
-    """The ``(line, fields)`` rows that ``csv.reader`` reads from ``lines``,
-    each with the file line it starts on (``line`` is the first's), until it
-    has read ``stop`` lines, or more while a quoted field runs on; and the
-    number of lines it read.  A ``csv.Error`` (a field over the module's size
-    limit, say) is a FormatError naming its line, once the rows before it
-    pass ``_row_columns``: a bad row before it is the first error."""
-    reader, rows, read = csv.reader(lines), [], 0
+def _csv_columns(lines: Iterable[str], line: int, stop: int, price_form: bool):
+    """Tick, value and volume columns of the rows that ``csv.reader`` reads
+    from ``lines``, whose first is file line ``line``, until it has read
+    ``stop`` lines, or more while a quoted field runs on; and the number of
+    lines it read.  Blank rows are skipped, and each other row is
+    converted with ``int``/``float`` and checked with TradeRecord's checks
+    as it is read: the first row that fails, or a ``csv.Error`` (a field
+    over the module's size limit, say), is a FormatError naming the file
+    line it starts on."""
+    reader, records, read = csv.reader(lines), [], 0
     try:
         for row in reader:
-            rows.append((line + read, row))
-            if (read := reader.line_num) >= stop:
+            at, read = line + read, reader.line_num  # the file line the row starts on
+            if row and (len(row) > 1 or row[0].strip()):  # not a blank line
+                if len(row) != 3:
+                    raise FormatError(f"expected 3 fields, got {len(row)}", line=at)
+                try:
+                    tick = int(row[0])
+                    if not -(2**63) <= tick < 2**63:
+                        raise ValueError(f"tick {tick} is outside the int64 range")
+                    a, volume = float(row[1]), float(row[2])
+                    records.append(TradeRecord(tick, a * volume if price_form else a, volume))
+                except ValueError as exc:
+                    raise FormatError(str(exc), line=at) from None
+            if read >= stop:
                 break
     except csv.Error as exc:
-        _row_columns(rows, price_form)
         raise FormatError(str(exc), line=line - 1 + reader.line_num) from None
-    return rows, read
+    return _columns(records), read
 
 
 def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
@@ -282,15 +267,17 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     One leading U+FEFF (the byte-order mark of Excel's "CSV UTF-8") is
     dropped from the first line, quoted header or not.
 
-    Lines are read ``PARSE_BLOCK_ROWS`` at a time, and each block picks its
-    own reader.  A block that holds only plain numbers (``_plain_columns``:
-    digits, float characters, commas, spaces, tabs and line ends) is
-    converted by numpy's C reader.  Any other block goes through
-    ``csv.reader`` (``_csv_rows``), which reads past the block's end only
-    while a quoted field runs on.  Its rows, blank ones dropped and fields
-    joined by commas, go to numpy's reader again, and a block that it turns
-    down is converted, or its first bad row named, by ``_row_columns``: the
-    ``int``/``float`` calls and checks of a row-by-row parse.
+    Lines are read ``PARSE_BLOCK_ROWS`` at a time, and each block takes one
+    of two readers.  numpy's C reader (``_plain_columns``) keeps a block
+    that holds only plain numbers (digits, float characters, commas,
+    spaces, tabs and line ends) and empty lines, which it skips as
+    ``csv.reader`` does.  Every other block, one with a quote, an
+    underscore, a bad row or a line of spaces, say, goes through one
+    ``csv.reader`` walk (``_csv_columns``): the ``int``/``float`` calls and
+    checks of a row-by-row parse, which name the first bad row's line.  It
+    reads past the block's end only while a quoted field runs on.  The
+    header has its own ``csv.reader``, whose ``line_num`` gives the first
+    block's line.
 
     The converted rows are folded into one record per tick, as they are
     read, whenever those not yet folded reach 16 blocks and the number of
@@ -311,26 +298,23 @@ def parse_csv(text, format: str = "tick-value-volume") -> TradeTape:
     # unquotes only a field that starts with the quote.
     first_line = [line.removeprefix("\ufeff") for line in itertools.islice(lines, 1)]
     price_form = format == "tick-price-volume"
-    header, read = _csv_rows(itertools.chain(first_line, lines), 1, 1, price_form)
-    if not header:
+    reader = csv.reader(itertools.chain(first_line, lines))
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise FormatError(str(exc), line=reader.line_num) from None
+    if header is None:
         raise FormatError("missing header row", line=1)
     expected = _HEADERS[format]
-    if tuple(h.strip() for h in header[0][1]) != expected:
+    if tuple(h.strip() for h in header) != expected:
         raise FormatError(f"header must be {','.join(expected)}", line=1)
-    empty = (np.array([], np.int64), np.array([]), np.array([]))
     # The records of the rows folded so far, then the blocks read since.
-    blocks, unfolded = [empty], 0
-    line = 1 + read  # the physical line of the block's first row
+    blocks, unfolded = [_columns([])], 0
+    line = 1 + reader.line_num  # the physical line of the block's first row
     while block := list(itertools.islice(lines, PARSE_BLOCK_ROWS)):
         cols, read = _plain_columns(block, price_form), len(block)
         if cols is None:
-            rows, read = _csv_rows(itertools.chain(block, lines), line, len(block), price_form)
-            joined = [",".join(row) for _, row in rows if len(row) == 3]
-            # Every other row must be blank: numpy's reader would split a quoted
-            # comma.  Blank rows alone add no rows.
-            if len(joined) == len(rows) or all(len(row) == 3 or _blank(row) for _, row in rows):
-                cols = _plain_columns(joined, price_form) if joined else empty
-            cols = _row_columns(rows, price_form) if cols is None else cols
+            cols, read = _csv_columns(itertools.chain(block, lines), line, len(block), price_form)
         blocks.append(cols)
         unfolded += len(cols[0])
         line += read

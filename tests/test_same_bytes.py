@@ -60,7 +60,8 @@ def test_same_tree_twice_has_no_difference():
 
 COMMANDS = ("stats", "compare", "acf-per-center", "acf-mean")
 RENDERINGS = ("quoted-crlf", "bom-crlf-comma-space", "tab-padded", "blank-lines",
-              "underscored-ticks", "one-quoted-tick", "quoted-break-at-block-end")
+              "empty-line-each-row", "space-tab-quotes-lines", "underscored-ticks",
+              "one-quoted-tick", "quoted-break-at-block-end")
 
 
 def tool():

@@ -374,9 +374,9 @@ def near_plain_text(draw, header):
     near_plain_text(",".join(tape_mod._HEADERS[fmt]))))), st.sampled_from([1, 3, 1024]))
 @settings(max_examples=400, deadline=None)
 def test_plain_and_csv_blocks_parse_as_the_row_by_row_reference(case, block_rows):
-    """numpy's reader takes the blocks of plain lines, and csv.reader the
-    first other block and all after it: the tape, or the FormatError and
-    its line, is the row-by-row parse's."""
+    """numpy's reader takes the blocks of plain and empty lines, and one
+    csv.reader walk each other block, from its first line: the tape, or the
+    FormatError and its line, is the row-by-row parse's."""
     fmt, text = case
     with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
         got = outcome(parse_csv, text, format=fmt)
@@ -409,14 +409,13 @@ def test_plain_blocks_skip_the_csv_reader_and_other_blocks_take_it_from_their_li
     lines = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
     plain = "\n".join(["tick,value,volume", *lines]) + "\n"
     calls = []
-    real = tape_mod._csv_rows
+    real = tape_mod._csv_columns
 
     def spy(lines, line, stop, price_form):
-        if line > 1:  # past the header, which csv.reader reads too
-            calls.append(line)
+        calls.append(line)
         return real(lines, line, stop, price_form)
 
-    with patch.object(tape_mod, "_csv_rows", spy):
+    with patch.object(tape_mod, "_csv_columns", spy):
         want = rows(parse_csv(plain))
         assert calls == []
         lines[2500] = '"2500",' + lines[2500].split(",", 1)[1]  # line 2502, in the third block
@@ -443,7 +442,7 @@ def test_a_quoted_first_line_sends_only_its_block_through_the_csv_reader():
 
     def plain(block, price_form):
         cols = real(block, price_form)
-        if cols is not None and block[0].endswith("\n"):  # raw lines, not joined rows
+        if cols is not None:
             raw.extend(block)
         return cols
 
@@ -487,24 +486,25 @@ def test_a_quoted_line_break_across_a_block_end_leaves_later_blocks_to_numpy(
 PLAIN_LINES = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
 
 
-@pytest.mark.parametrize("render, csv_calls, walk_calls", [
-    (lambda i, line: line + "\r\n", 0, 0),
-    (lambda i, line: line.replace(",", ", ") + "\n", 0, 0),
-    (lambda i, line: "\t" + line.replace(",", "\t,\t") + "\t\n", 0, 0),
-    (lambda i, line: ('"0"' + line[1:] if i == 0 else line) + "\n", 1, 0),
-    (lambda i, line: (line.replace("1000", "1_000", 1) if i == 1000 else line) + "\n", 1, 1),
-], ids=["crlf", "comma-space", "tab-padded", "quoted-tick", "underscored-tick"])
-def test_each_dialect_takes_its_own_path(render, csv_calls, walk_calls):
-    """CRLF files and fields padded with spaces or tabs stay on numpy's raw-line
-    reader; csv.reader's unquoted rows go to numpy's reader too, and only a
-    block that it turns down, here one holding a "1_000" tick, is walked."""
+@pytest.mark.parametrize("render, csv_blocks", [
+    (lambda i, line: line + "\r\n", 0),
+    (lambda i, line: line.replace(",", ", ") + "\n", 0),
+    (lambda i, line: "\t" + line.replace(",", "\t,\t") + "\t\n", 0),
+    (lambda i, line: line + "\n\n", 0),
+    (lambda i, line: ('"0"' + line[1:] if i == 0 else line) + "\n", 1),
+    (lambda i, line: (line.replace("1000", "1_000", 1) if i == 1000 else line) + "\n", 1),
+    (lambda i, line: line + ("\n  \n" if i == 1000 else "\n"), 1),
+], ids=["crlf", "comma-space", "tab-padded", "empty-lines", "quoted-tick", "underscored-tick",
+        "space-line"])
+def test_each_dialect_takes_its_own_path(render, csv_blocks):
+    """CRLF files, fields padded with spaces or tabs and empty lines stay on
+    numpy's raw-line reader; a block that it turns down, one holding a quoted
+    tick, a "1_000" tick or a line of spaces, is walked by csv.reader."""
     want = outcome(parse_csv, "\n".join(["tick,value,volume", *PLAIN_LINES]) + "\n")
     text = "tick,value,volume\n" + "".join(render(i, line) for i, line in enumerate(PLAIN_LINES))
-    with patch.object(tape_mod, "_csv_rows", wraps=tape_mod._csv_rows) as csv_rows, \
-            patch.object(tape_mod, "_row_columns", wraps=tape_mod._row_columns) as walk:
+    with patch.object(tape_mod, "_csv_columns", wraps=tape_mod._csv_columns) as walk:
         assert outcome(parse_csv, text) == want
-    blocks = sum(call.args[1] > 1 for call in csv_rows.call_args_list)  # past the header's
-    assert (blocks, walk.call_count) == (csv_calls, walk_calls)
+    assert walk.call_count == csv_blocks
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=12), magnitudes, magnitudes),
@@ -581,20 +581,25 @@ def test_header_only_and_blank_lines():
         parse_csv("tick,value,volume\n\n0,1,1\n1,-1,1\n")
 
 
+@pytest.mark.parametrize("newline", EOLS, ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("block_rows", [1, 1024])
-def test_blank_lines_are_skipped_by_the_block_conversion(block_rows):
-    lines = [f"{i},{1 + i % 7}.5,{1 + i % 3}" for i in range(3000)]
-    text = "\n".join(["tick,value,volume", *lines]) + "\n"
-    blanks = ["", "  ", "\t", '""']
-    spaced = "\n".join(["tick,value,volume", *(f"{line}\n{blanks[i % 4]}" if i % 250 == 0 else line
-                                                 for i, line in enumerate(lines))]) + "\n\n"
-
-    def walk(*args):
-        raise AssertionError("a block with blank lines was walked row by row")
-
+@pytest.mark.parametrize("blank", ["", "  ", "\t", '""'], ids=["empty", "spaces", "tab", "quotes"])
+def test_empty_lines_stay_on_numpys_reader_and_other_blank_lines_are_walked(newline, block_rows,
+                                                                            blank):
+    """numpy's reader skips an empty line as csv.reader's blank-row rule
+    does, so a block with empty lines is never walked.  A line of spaces,
+    of a tab or of ``""`` is a blank row too, which numpy's reader turns
+    down: its block is walked, and the tape is the same."""
+    text = newline.join(["tick,value,volume", *PLAIN_LINES]) + newline
+    gappy = newline.join(["tick,value,volume", *(f"{line}{newline}{blank}" if i % 250 == 0
+                                                 else line for i, line in enumerate(PLAIN_LINES))])
+    gappy += newline + blank + newline
     with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows), \
-            patch.object(tape_mod, "_row_columns", walk):
-        assert rows(parse_csv(spaced)) == rows(parse_csv(text))
+            patch.object(tape_mod, "_csv_columns", wraps=tape_mod._csv_columns) as walk:
+        got = outcome(parse_csv, gappy)
+    assert got == outcome(parse_csv, text) == outcome(reference_parse_csv, gappy)
+    # 13 blank lines among 3,014 lines: 13 blocks of one line, or all 3 of 1,024 lines.
+    assert walk.call_count == (0 if not blank else 13 if block_rows == 1 else 3)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
@@ -658,6 +663,23 @@ def test_parse_text_holds_no_ucs4_copy():
 def test_csv_module_error_names_line():
     with pytest.raises(FormatError, match=r"^line 3: field larger than field limit \(131072\)$"):
         parse_csv("tick,value,volume\n0,1,1\n1," + "1" * 200_000 + ",1\n")
+
+
+@pytest.mark.parametrize("block_rows", [1, 1024])
+@pytest.mark.parametrize("first", ["bad-row", "long-field"])
+def test_a_bad_row_and_a_long_field_in_one_block_name_the_first_of_them(block_rows, first):
+    """Of a row that fails a check and a field over ``csv.field_size_limit()``,
+    the one on the earlier line is the error, in one block of 1,024 lines
+    as in blocks of one line each."""
+    bad, long = "1,1.5,0", "2," + "1" * (csv.field_size_limit() + 1) + ",1"
+    lines = [bad, long] if first == "bad-row" else [long, bad]
+    text = "\n".join(["tick,value,volume", "0,1,1", *lines, "3,1,1"]) + "\n"
+    with patch.object(tape_mod, "PARSE_BLOCK_ROWS", block_rows):
+        got = outcome(parse_csv, text)
+    assert got == outcome(reference_parse_csv, text)
+    assert got == (FormatError, "line 3: volume must be positive and finite, got 0.0"
+                   if first == "bad-row" else
+                   f"line 3: field larger than field limit ({csv.field_size_limit()})")
 
 
 @pytest.mark.parametrize("row, n", [("0,1", 2), ("0,1,1,1", 4)])

@@ -31,9 +31,10 @@ in one child process, with ``PYTHONPATH=<tree>/src``:
   (``overflow_then_bad_row``); and on copies of the gappy tape in
   other CSV dialects (``renderings``): every field quoted with CRLF line
   ends; a byte-order mark, CRLF line ends and ``, `` separators; fields
-  padded with tabs; a blank line every 50 rows; ticks written with ``_``
-  thousands separators; the first row's tick quoted; and a quoted field
-  whose line break crosses the end of the parse's first block.
+  padded with tabs; an empty line every 50 rows; an empty line after every
+  row; a line of spaces, of a tab or of ``""`` every 50 rows; ticks written
+  with ``_`` thousands separators; the first row's tick quoted; and a
+  quoted field whose line break crosses the end of the parse's first block.
 
 Every output (stdout, stderr with the exit code, and each file the run
 writes) is hashed with sha256.  One line per output gives its hash, or both
@@ -149,8 +150,12 @@ def renderings(text: str) -> dict[str, str]:
     line ends (``csv.reader`` parses it).  ``bom-crlf-comma-space``: a UTF-8
     byte-order mark, as Excel's "CSV UTF-8" writes, CRLF line ends and ``, ``
     separators.  ``tab-padded``: a tab on each side of every field.
-    ``blank-lines``: a blank line after every 50th row.  ``underscored-ticks``:
-    ticks from 1000 up written as ``1_000``, which ``int`` reads.
+    ``blank-lines``: an empty line after every 50th row, and
+    ``empty-line-each-row``: after every row; numpy's reader skips them.
+    ``space-tab-quotes-lines``: a line of two spaces, of a tab or of ``""``,
+    in turn, after every 50th row, blank rows that send their blocks to the
+    ``csv.reader`` walk.  ``underscored-ticks``: ticks from 1000 up written
+    as ``1_000``, which ``int`` reads.
     ``one-quoted-tick``: the first row's tick quoted, so that only the first
     block of the parse needs ``csv.reader``.  ``quoted-break-at-block-end``:
     the volume of the 1,024th row quoted with a line break after it, so
@@ -168,6 +173,10 @@ def renderings(text: str) -> dict[str, str]:
         "tab-padded": "".join("\t" + line.replace(",", "\t,\t") + "\t\n" for line in lines),
         "blank-lines": "".join(line + ("\n\n" if i and i % 50 == 0 else "\n")
                                for i, line in enumerate(lines)),
+        "empty-line-each-row": "".join(line + "\n\n" for line in lines),
+        "space-tab-quotes-lines": "".join(
+            line + ("\n" + ("  ", "\t", '""')[i // 50 % 3] if i and i % 50 == 0 else "") + "\n"
+            for i, line in enumerate(lines)),
         "underscored-ticks": header + "\n" + "".join(
             f"{int(tick):_},{rest}\n" for tick, rest in (row.split(",", 1) for row in rows)),
         "one-quoted-tick": "\n".join([header, quoted_tick, *rows[1:]]) + "\n",
